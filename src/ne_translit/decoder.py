@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import UnseenPhonemeError
-from .model import BOS, EOS, TransliterationModel
+from .model import BOS, EOS, Candidate, TransliterationModel
 from .phonology import PhonemeSequence, phonify_latin
 
 
@@ -31,15 +31,8 @@ UNK_OUTPUT = "<unk>"
 
 NEG_INF = float("-inf")
 
-
-@dataclass(frozen=True)
-class Candidate:
-    h: str
-    emission: float
-
-    def __post_init__(self):
-        if self.emission <= 0.0:
-            raise ValueError("candidate emission must be positive")
+# Entries a model's decode memo holds before it is cleared and refilled.
+MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -60,9 +53,7 @@ def candidates(model: TransliterationModel, e: str, top_k: int = 10) -> list[Can
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    found = [Candidate(h, row[e]) for h, row in model.emission.items() if e in row]
-    found.sort(key=lambda c: (-c.emission, c.h))
-    return found[:top_k]
+    return list(model.candidate_index.get(e, ())[:top_k])
 
 
 def _log(p: float) -> float:
@@ -74,42 +65,70 @@ def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
 
     Accepts a PhonemeSequence or an iterable of already-folded keys.
     Raises UnseenPhonemeError when some position has no candidates;
-    the caller decides the fallback policy.
+    the caller decides the fallback policy.  Successful decodings are
+    memoized on the model, keyed by the phoneme keys and top_k.
     """
     keys = e_seq.keys() if isinstance(e_seq, PhonemeSequence) else [str(e) for e in e_seq]
     if not keys:
         raise ValueError("cannot decode an empty phoneme sequence")
+    memo = model.decode_memo
+    memo_key = (tuple(keys), top_k)
+    decoding = memo.get(memo_key)
+    if decoding is None:
+        decoding = _decode(model, keys, top_k)
+        # Each dict call is atomic, so threads sharing the model need no
+        # lock: a race can only decode a word twice (same result) or let
+        # the memo pass MEMO_SIZE by one entry per racing thread.
+        if len(memo) >= MEMO_SIZE:
+            memo.clear()
+        memo[memo_key] = decoding
+    return decoding
 
+
+def _decode(model: TransliterationModel, keys, top_k) -> Decoding:
     lattice = []
     for pos, e in enumerate(keys):
         cs = candidates(model, e, top_k)
         if not cs:
             raise UnseenPhonemeError(e, pos)
-        lattice.append(cs)
+        lattice.append([(c.h, _log(c.emission)) for c in cs])
 
-    # states: h -> (score, prefix); ties keep the code-point-smallest prefix
-    states: dict[str, tuple[float, tuple[str, ...]]] = {}
-    for c in lattice[0]:
-        sc = _log(model.transition_prob(BOS, c.h)) + _log(c.emission)
-        _consider(states, c.h, sc, (c.h,))
-    for pos in range(1, len(keys)):
-        nxt: dict[str, tuple[float, tuple[str, ...]]] = {}
-        for c in lattice[pos]:
-            le = _log(c.emission)
-            for h_prev, (psc, pseq) in states.items():
-                sc = (psc + _log(model.transition_prob(h_prev, c.h))) + le
-                _consider(nxt, c.h, sc, pseq + (c.h,))
-        states = nxt
+    # Back-pointer Viterbi.  Each position keeps one entry (predecessor
+    # index, h, score) per state, sorted so that the states' best prefixes
+    # are in code-point order: a prefix is its predecessor's prefix plus h,
+    # so that order is (predecessor index, h).  Scanning predecessors in
+    # that order and keeping the first maximum then gives ties to the
+    # code-point-smallest prefix without building any prefix tuple.
+    log = math.log
+    states = [(BOS, 0.0)]
+    columns = []
+    for column in lattice:
+        prevs = [(psc, *_transition_row(model, h_prev)) for h_prev, psc in states]
+        ranked = []
+        for h, le in column:
+            scores = [
+                (psc + (log(p) if (p := row.get(h, floor)) > 0.0 else NEG_INF)) + le
+                for psc, row, floor in prevs
+            ]
+            best = max(range(len(scores)), key=scores.__getitem__)
+            ranked.append((best, h, scores[best]))
+        ranked.sort()  # the h are distinct, so scores are never compared
+        columns.append(ranked)
+        states = [(h, sc) for _, h, sc in ranked]
 
-    best_score, best_seq = NEG_INF, None
-    for h, (sc, seq) in states.items():
-        total = sc + _log(model.transition_prob(h, EOS))
-        if best_seq is None or total > best_score or (total == best_score and seq < best_seq):
-            best_score, best_seq = total, seq
+    ends = [sc + _log(model.transition_prob(h, EOS)) for h, sc in states]
+    last = max(range(len(ends)), key=ends.__getitem__)
+    best_score = ends[last]
     if best_score == NEG_INF:
         # every path has a zero-probability transition, so all sequences tie;
         # the lexicographic tie-break reduces to the smallest candidate per slot
-        best_seq = tuple(min(c.h for c in cs) for cs in lattice)
+        best_seq = tuple(min(h for h, _ in column) for column in lattice)
+    else:
+        path = []
+        for ranked in reversed(columns):
+            last, h, _ = ranked[last]
+            path.append(h)
+        best_seq = tuple(reversed(path))
 
     per_position = []
     for i, h in enumerate(best_seq):
@@ -119,10 +138,13 @@ def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
     return Decoding(best_seq, best_score, tuple(per_position))
 
 
-def _consider(states, h, score, seq):
-    cur = states.get(h)
-    if cur is None or score > cur[0] or (score == cur[0] and seq < cur[1]):
-        states[h] = (score, seq)
+def _transition_row(model: TransliterationModel, h_prev: str) -> tuple[dict[str, float], float]:
+    """The observed targets of h_prev and the probability of any other
+    target, so that row.get(h, floor) == model.transition_prob(h_prev, h)."""
+    row = model.transition.get(h_prev)
+    if row is None:  # no row: every target gets the same uniform guess
+        return {}, model.transition_prob(h_prev, EOS)
+    return row, model.transition_floor[h_prev]
 
 
 def decode_word(model: TransliterationModel, word: str, top_k: int = 10) -> Decoding:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ModelFormatError, ModelValidationError, ModelVersionError
@@ -24,12 +25,26 @@ ROW_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
+class Candidate:
+    h: str
+    emission: float
+
+    def __post_init__(self):
+        if self.emission <= 0.0:
+            raise ValueError("candidate emission must be positive")
+
+
+@dataclass(frozen=True)
 class TransliterationModel:
     """Trained probability tables plus the metadata to query them.
 
     `emission` and `transition` hold observed pairs only; `*_floor` holds
     each row's probability for pairs never observed (0.0 when unsmoothed).
-    A trained model is immutable and safe to share across threads.
+    The tables never change once built.  Decoding lazily adds two derived
+    structures on first use, `candidate_index` and `decode_memo`; neither
+    is part of equality or of the saved file, and both stay correct when
+    threads share one model (the memo is a plain dict that is cleared, not
+    evicted from, when it fills up, so no lock is needed).
     """
 
     emission: dict[str, dict[str, float]]
@@ -40,6 +55,24 @@ class TransliterationModel:
     h_vocab: frozenset[str]
     smoothing_k: float
     version: str = MODEL_FORMAT_VERSION
+
+    @cached_property
+    def candidate_index(self) -> dict[str, tuple[Candidate, ...]]:
+        """English phoneme -> every Hindi phoneme observed with it, best
+        emission first, ties by code point; built on first access."""
+        index: dict[str, list[Candidate]] = defaultdict(list)
+        for h, row in self.emission.items():
+            for e, p in row.items():
+                index[e].append(Candidate(h, p))
+        return {
+            e: tuple(sorted(found, key=lambda c: (-c.emission, c.h)))
+            for e, found in index.items()
+        }
+
+    @cached_property
+    def decode_memo(self) -> dict:
+        """(phoneme keys, top_k) -> Decoding, filled and bounded by the decoder."""
+        return {}
 
     def emission_prob(self, h: str, e: str) -> float:
         """P(e | h); unknown h falls back to a uniform guess."""

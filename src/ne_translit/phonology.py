@@ -13,6 +13,7 @@ always reproduces the (NFC-normalized) word exactly.
 
 from __future__ import annotations
 
+import string
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -33,8 +34,12 @@ class CharClass(Enum):
     OTHER = "other"
 
 
+# Only ASCII letters count as Latin: str.lower() would also let through
+# letters such as 'İ' (which lowers to two characters) or the Kelvin sign.
+LATIN_LETTERS = frozenset(string.ascii_letters)
 LATIN_VOWELS = frozenset("aeiou")
 LATIN_NASALS = frozenset("nm")
+_LATIN_CONSONANTS = LATIN_LETTERS - LATIN_VOWELS - frozenset("AEIOU")
 
 DEV_INDEPENDENT_VOWELS = frozenset(chr(c) for c in range(0x0904, 0x0915)) | frozenset("ॠॡ")
 DEV_CONSONANTS = (
@@ -61,12 +66,9 @@ def classify_char(c: str, script: Script) -> CharClass:
     if len(c) != 1:
         raise ValueError(f"expected a single character, got {c!r}")
     if script is Script.LATIN:
-        low = c.lower()
-        if low in LATIN_VOWELS:
-            return CharClass.VOWEL
-        if "a" <= low <= "z":
-            return CharClass.CONSONANT
-        return CharClass.OTHER
+        if c not in LATIN_LETTERS:
+            return CharClass.OTHER
+        return CharClass.VOWEL if c.lower() in LATIN_VOWELS else CharClass.CONSONANT
     if c in DEV_INDEPENDENT_VOWELS:
         return CharClass.VOWEL
     if c in DEV_CONSONANTS:
@@ -157,7 +159,7 @@ def structure_of(p: Phoneme) -> str:
 
 
 def _is_latin_consonant(c: str) -> bool:
-    return classify_char(c, Script.LATIN) is CharClass.CONSONANT
+    return c in _LATIN_CONSONANTS
 
 
 def phonify_latin(word: str) -> PhonemeSequence:
@@ -176,7 +178,7 @@ def phonify_latin(word: str) -> PhonemeSequence:
     if not word:
         return PhonemeSequence((), "", Script.LATIN)
     for idx, c in enumerate(word):
-        if classify_char(c, Script.LATIN) is CharClass.OTHER:
+        if c not in LATIN_LETTERS:
             raise ScriptError(f"not a Latin letter: {c!r} at offset {idx} in {word!r}")
 
     surfaces = []
@@ -246,7 +248,7 @@ def detect_script(word: str) -> Script:
     word = unicodedata.normalize("NFC", word)
     if not word:
         raise ScriptError("cannot detect the script of an empty string")
-    latin = all("a" <= c.lower() <= "z" for c in word)
+    latin = all(c in LATIN_LETTERS for c in word)
     devanagari = all(c in _DEV_ALL for c in word)
     if latin:
         return Script.LATIN

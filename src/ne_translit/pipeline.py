@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .decoder import Fallback, UNK_OUTPUT, viterbi
-from .errors import AnnotationError, UnseenPhonemeError
+from .errors import AnnotationError, ScriptError, UnseenPhonemeError
 from .kb import EntityCategory, KnowledgeBase
 from .model import TransliterationModel
 from .phonology import phonify_latin
@@ -160,6 +160,8 @@ def parse_annotations(line: str, format: str = "inline") -> tuple[str, list[Enti
 def _transliterate_token(token, model, config):
     """Transliterate the letter runs of one token, copying everything else.
 
+    A run the model cannot decode (an unseen phoneme, or a letter outside
+    the Latin script such as the é of José) gets the fallback policy.
     Returns (output, summed log score, whether any run fell back).
     """
     out: list[str] = []
@@ -176,7 +178,7 @@ def _transliterate_token(token, model, config):
                 decoding = viterbi(model, phonify_latin(run), config.top_k)
                 out.append("".join(decoding.hindi_sequence))
                 score += decoding.score
-            except UnseenPhonemeError:
+            except (UnseenPhonemeError, ScriptError):
                 if config.fallback is Fallback.ERROR:
                     raise
                 fell_back = True

@@ -158,6 +158,17 @@ def test_translate_fallback_decision_has_no_score(tmp_path, model_file, capsys, 
     assert len(fields) == 7  # no trailing score column
 
 
+def test_translate_non_latin_entity_falls_back(tmp_path, model_file, capsys, monkeypatch):
+    decisions = tmp_path / "decisions.tsv"
+    argv = ["translate", "--model", str(model_file), "--fallback", "copy", "--decisions", str(decisions)]
+    code = run_cli(argv, "[[José|PER]] spoke.\n[[Radhika|PER]] sang.\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == ["José spoke.", "राधिका sang."]
+    first = decisions.read_text(encoding="utf-8").splitlines()[0].split("\t")
+    assert first[3] == "José"
+    assert first[5:] == ["FALLBACK", "José"]
+
+
 def test_translate_columnar_format(model_file, capsys, monkeypatch):
     code = run_cli(
         ["translate", "--model", str(model_file), "--format", "columnar"],

@@ -1,8 +1,13 @@
+import dataclasses
 import math
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from ne_translit import decoder
 from ne_translit.decoder import (
     Candidate,
     Fallback,
@@ -13,7 +18,7 @@ from ne_translit.decoder import (
     viterbi,
 )
 from ne_translit.errors import UnseenPhonemeError
-from ne_translit.model import BOS, EOS, estimate
+from ne_translit.model import BOS, EOS, TransliterationModel, estimate
 from ne_translit.alignment import AlignedPair
 from ne_translit.phonology import phonify_latin
 
@@ -143,3 +148,148 @@ def test_memorization_round_trip(memorization_model, memorization_corpus):
         if transliterate(memorization_model, entry.english) == entry.hindi:
             hits += 1
     assert hits == len(memorization_corpus) == 50
+
+
+# --- candidate index and decode memo ---------------------------------------
+
+def scan_candidates(model, e, top_k):
+    """Every observed (h, P(e|h)) straight from the emission rows."""
+    found = sorted((-row[e], h) for h, row in model.emission.items() if e in row)
+    return [Candidate(h, -neg) for neg, h in found[:top_k]]
+
+
+def test_candidate_index_matches_a_full_emission_scan():
+    rng = random.Random(41)
+    for trial in range(100):
+        m = build_random_model(rng, n_h=rng.randint(1, 8), n_e=rng.randint(1, 6), discrete=trial % 2 == 0)
+        for e in sorted(m.e_vocab) + ["unseen"]:
+            for top_k in range(1, len(m.h_vocab) + 2):
+                assert candidates(m, e, top_k) == scan_candidates(m, e, top_k)
+
+
+def build_uniform_model(rng, n_h, n_e, full):
+    """Unsmoothed model whose rows are uniform over their support, so many
+    paths score exactly the same; full=True makes every path tie."""
+    h_syms = [f"h{i}" for i in range(n_h)]
+    e_syms = [f"e{i}" for i in range(n_e)]
+
+    def uniform(targets):
+        return {t: 1.0 / len(targets) for t in targets}
+
+    def support(pool):
+        return pool if full else sorted(rng.sample(pool, rng.randint(1, len(pool))))
+
+    emission = {h: uniform(support(e_syms)) for h in h_syms}
+    for e in e_syms:  # every English phoneme needs a candidate
+        if not any(e in row for row in emission.values()):
+            h = rng.choice(h_syms)
+            emission[h] = uniform(sorted(set(emission[h]) | {e}))
+    transition = {BOS: uniform(support(h_syms))}
+    for h in h_syms:
+        transition[h] = uniform(support(h_syms + [EOS]))
+    model = TransliterationModel(
+        emission=emission,
+        transition=transition,
+        emission_floor={h: 0.0 for h in emission},
+        transition_floor={p: 0.0 for p in transition},
+        e_vocab=frozenset(e for row in emission.values() for e in row),
+        h_vocab=frozenset(h_syms),
+        smoothing_k=0.0,
+    )
+    model.validate()
+    return model
+
+
+def test_viterbi_matches_exhaustive_search_on_all_tie_models():
+    rng = random.Random(42)
+    for trial in range(120):
+        m = build_uniform_model(rng, n_h=rng.randint(1, 3), n_e=rng.randint(1, 3), full=trial % 2 == 0)
+        for length in range(1, 8):
+            keys = [rng.choice(sorted(m.e_vocab)) for _ in range(length)]
+            top_k = rng.randint(1, 3)
+            decoding = viterbi(m, keys, top_k=top_k)
+            seq, score = exhaustive_decode(m, keys, top_k=top_k)
+            assert decoding.hindi_sequence == seq
+            assert decoding.score == score
+
+
+def test_memo_returns_equal_decodings(memorization_model, memorization_corpus):
+    shared = dataclasses.replace(memorization_model)
+    words = [entry.english for entry in memorization_corpus[:10]]
+    first = [decode_word(shared, word) for word in words]
+    assert len(shared.decode_memo) == len(words)
+    again = [decode_word(shared, word) for word in words]
+    fresh = [decode_word(dataclasses.replace(memorization_model), word) for word in words]
+    assert again == first == fresh
+
+
+def test_memo_keeps_top_k_apart():
+    # "x" is emitted best by A, but the start transition favours B
+    m = TransliterationModel(
+        emission={"A": {"x": 0.9, "y": 0.1}, "B": {"x": 0.5, "y": 0.5}},
+        transition={BOS: {"A": 0.1, "B": 0.9}, "A": {EOS: 1.0}, "B": {EOS: 1.0}},
+        emission_floor={"A": 0.0, "B": 0.0},
+        transition_floor={BOS: 0.0, "A": 0.0, "B": 0.0},
+        e_vocab=frozenset("xy"),
+        h_vocab=frozenset("AB"),
+        smoothing_k=0.0,
+    )
+    m.validate()
+    for _ in range(2):
+        assert viterbi(m, ["x"], top_k=2).hindi_sequence == ("B",)
+        assert viterbi(m, ["x"], top_k=1).hindi_sequence == ("A",)
+    assert set(m.decode_memo) == {(("x",), 2), (("x",), 1)}
+
+
+def test_memo_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(decoder, "MEMO_SIZE", 5)
+    rng = random.Random(43)
+    m = build_random_model(rng)
+    e_syms = sorted(m.e_vocab)
+    for _ in range(200):
+        keys = [rng.choice(e_syms) for _ in range(rng.randint(1, 4))]
+        expected = exhaustive_decode(m, keys, top_k=3)
+        decoding = viterbi(m, keys, top_k=3)
+        assert (decoding.hindi_sequence, decoding.score) == expected
+        assert 1 <= len(m.decode_memo) <= 5
+
+
+def test_memo_caches_successes_only(single_entry_model):
+    with pytest.raises(UnseenPhonemeError):
+        viterbi(single_entry_model, ["a", "zz"])
+    assert single_entry_model.decode_memo == {}
+
+
+def test_decode_state_does_not_keep_the_model_alive(memorization_model):
+    m = dataclasses.replace(memorization_model)
+    decode_word(m, "Radhika")
+    assert m.candidate_index and m.decode_memo
+    ref = weakref.ref(m)
+    del m
+    assert ref() is None  # freed by reference counting, no cycle for the collector
+
+
+def test_threads_sharing_a_model_match_serial_decoding(monkeypatch, memorization_model, memorization_corpus):
+    monkeypatch.setattr(decoder, "MEMO_SIZE", 7)  # force clears while other threads read
+    words = [entry.english for entry in memorization_corpus]
+    serial = [decode_word(dataclasses.replace(memorization_model), word) for word in words]
+    shared = dataclasses.replace(memorization_model)
+
+    def work(seed):
+        order = list(range(len(words)))
+        random.Random(seed).shuffle(order)
+        got = [None] * len(words)
+        for _ in range(5):
+            for i in order:
+                got[i] = decode_word(shared, words[i])
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(work, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4
+    assert all(got == serial for got in results)

@@ -75,6 +75,9 @@ def test_adjacent_vowels_split():
         ("y", Script.LATIN, CharClass.CONSONANT),
         ("3", Script.LATIN, CharClass.OTHER),
         ("-", Script.LATIN, CharClass.OTHER),
+        ("İ", Script.LATIN, CharClass.OTHER),  # lowers to two characters, "i̇"
+        ("\u212a", Script.LATIN, CharClass.OTHER),  # Kelvin sign, lowers to "k"
+        ("é", Script.LATIN, CharClass.OTHER),
         ("अ", Script.DEVANAGARI, CharClass.VOWEL),
         ("क", Script.DEVANAGARI, CharClass.CONSONANT),
         ("ा", Script.DEVANAGARI, CharClass.VOWEL_SIGN),
@@ -195,6 +198,20 @@ def test_latin_rejects_non_letters():
         phonify_latin("अमर")
     with pytest.raises(ScriptError):
         phonify_latin("two words")
+
+
+@pytest.mark.parametrize("word", ["İndia", "José", "Straße"])
+def test_latin_accepts_only_ascii_letters(word):
+    with pytest.raises(ScriptError):
+        phonify_latin(word)
+    with pytest.raises(ScriptError):
+        detect_script(word)
+
+
+def test_kelvin_sign_is_normalized_to_k():
+    # NFC maps the Kelvin sign to "K"; only the unnormalized character is OTHER
+    assert phonify_latin("\u212aamal").source_word == "Kamal"
+    assert detect_script("\u212aamal") is Script.LATIN
 
 
 def test_devanagari_rejects_latin():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ne_translit.decoder import Fallback, UNK_OUTPUT
-from ne_translit.errors import AnnotationError, UnseenPhonemeError
+from ne_translit.errors import AnnotationError, ScriptError, UnseenPhonemeError
 from ne_translit.kb import EntityCategory, KBEntry, KnowledgeBase, load_seed_kb
 from ne_translit.pipeline import (
     EntityDecision,
@@ -145,6 +145,18 @@ def test_fallback_route_on_unseen_phoneme(india_model):
         sentence, spans, KnowledgeBase(), india_model, PipelineConfig(fallback=Fallback.UNK_MARKER)
     )
     assert marked.substituted == f"{UNK_OUTPUT} calls."
+
+
+def test_fallback_route_on_non_latin_letters(memorization_model):
+    sentence, spans = parse_annotations("[[José|PER]] and [[Radhika|PER]] sang.", "inline")
+    with pytest.raises(ScriptError):
+        process_sentence(sentence, spans, KnowledgeBase(), memorization_model)
+
+    copied = process_sentence(
+        sentence, spans, KnowledgeBase(), memorization_model, PipelineConfig(fallback=Fallback.COPY_SOURCE)
+    )
+    assert copied.substituted == "José and राधिका sang."
+    assert [d.route for d in copied.decisions] == [Route.FALLBACK, Route.TRANSLITERATED]
 
 
 def test_punctuation_inside_entities_is_preserved(memorization_model):
