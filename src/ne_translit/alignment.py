@@ -142,47 +142,75 @@ def align_monotone(e_seq, h_seq, costs: AlignmentCostTable) -> list[AlignedPair]
     return pairs
 
 
-def _forward_backward(e: list[str], h: list[str], costs: AlignmentCostTable):
-    """Total probability over all monotone alignments plus match posteriors."""
+def _forward_backward(e, h, costs: AlignmentCostTable) -> tuple[float, list[tuple[str, str, float]]]:
+    """Log total probability over all monotone alignments, plus match posteriors.
+
+    EM calls this once per distinct (e, h) pair per iteration.  The match
+    probability of every cell is read once, from an m x n grid built from
+    `costs.probs` and `costs.default`.  Every forward row i is scaled by its
+    sum c_i and every backward row i by the same c_i (Rabiner 1989, section
+    V-A), so long entries do not underflow: log z is the log of the scaled
+    last forward cell plus the sum of log c_i, and a match posterior is
+    scaled forward * match * scaled backward / scaled last forward cell.
+    Returns -inf and no posteriors only if that scaled last cell is zero.
+    """
     m, n = len(e), len(h)
     eps = SKIP_PENALTY
-    a = [[0.0] * (n + 1) for _ in range(m + 1)]
-    a[0][0] = 1.0
-    for i in range(m + 1):
-        for j in range(n + 1):
-            if i == 0 and j == 0:
-                continue
-            v = 0.0
-            if i > 0 and j > 0:
-                v += a[i - 1][j - 1] * costs.prob(e[i - 1], h[j - 1])
-            if i > 0:
-                v += a[i - 1][j] * eps
-            if j > 0:
-                v += a[i][j - 1] * eps
-            a[i][j] = v
-    b = [[0.0] * (n + 1) for _ in range(m + 1)]
-    b[m][n] = 1.0
-    for i in range(m, -1, -1):
-        for j in range(n, -1, -1):
-            if i == m and j == n:
-                continue
-            v = 0.0
-            if i < m and j < n:
-                v += costs.prob(e[i], h[j]) * b[i + 1][j + 1]
-            if i < m:
-                v += eps * b[i + 1][j]
-            if j < n:
-                v += eps * b[i][j + 1]
-            b[i][j] = v
-    z = a[m][n]
-    posteriors: list[tuple[str, str, float]] = []
-    if z > 0.0:
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                w = a[i - 1][j - 1] * costs.prob(e[i - 1], h[j - 1]) * b[i][j]
-                if w > 0.0:
-                    posteriors.append((e[i - 1], h[j - 1], w / z))
-    return z, posteriors
+    default = costs.default
+    grid = []
+    for x in e:
+        row = costs.probs.get(x)
+        grid.append([default] * n if row is None else [row.get(y, default) for y in h])
+
+    # Forward over i = 0..m: alpha[i][j] covers e[:i] and h[:j], reached by
+    # a match from (i-1, j-1), skip-English from (i-1, j) or skip-Hindi from
+    # (i, j-1).  Each row is stored before scaling, so scaled row i is
+    # alpha[i] / scales[i]; the next row divides by scales[i] as it reads it.
+    edge = [eps**j for j in range(n + 1)]  # first forward row, last backward row reversed
+    row = edge
+    c = sum(row)
+    scales = [c]
+    alpha = [row]
+    for probs in grid:
+        prev = row
+        inv = 1.0 / c
+        v = prev[0] * eps * inv
+        row = [v]
+        for d, p, u in zip(prev, probs, prev[1:]):
+            v = (d * p + u * eps) * inv + v * eps
+            row.append(v)
+        c = sum(row)
+        scales.append(c)
+        alpha.append(row)
+    last = row[n] / c
+    if last == 0.0:
+        return float("-inf"), []
+
+    # Backward over i = m..0, stored scaled: beta[i] is the probability of
+    # finishing from (i, j), divided by scales[i] * ... * scales[m].
+    row = [x / c for x in reversed(edge)]
+    beta = [row]
+    for i in range(m - 1, -1, -1):
+        nxt = row
+        inv = 1.0 / scales[i]
+        v = eps * nxt[n] * inv
+        row = [v]
+        for p, b1, b0 in zip(reversed(grid[i]), reversed(nxt), reversed(nxt[:n])):
+            v = (p * b1 + eps * b0) * inv + eps * v
+            row.append(v)
+        row.reverse()
+        beta.append(row)
+    beta.reverse()
+
+    posteriors = []
+    for i in range(1, m + 1):
+        ei = e[i - 1]
+        k = 1.0 / (scales[i - 1] * last)
+        for hj, a, p, b in zip(h, alpha[i - 1], grid[i - 1], beta[i][1:]):
+            w = a * p * b
+            if w > 0.0:
+                posteriors.append((ei, hj, w * k))
+    return math.log(last) + sum(map(math.log, scales)), posteriors
 
 
 def entry_keys(entry: ParallelEntry) -> tuple[list[str], list[str]]:
@@ -196,51 +224,57 @@ def entry_keys(entry: ParallelEntry) -> tuple[list[str], list[str]]:
     return e_keys, h_keys
 
 
-def _phonify_corpus(corpus) -> list[tuple[list[str], list[str]]]:
-    prepared = []
-    for entry in corpus:
+def _distinct_pairs(corpus) -> Counter:
+    """Occurrences of each distinct usable (e_keys, h_keys) pair, as tuples,
+    in first-seen order.  Each distinct entry is phonified once."""
+    pairs: Counter = Counter()
+    for entry, count in Counter(corpus).items():
         try:
             e_keys, h_keys = entry_keys(entry)
         except NeTranslitError:
             continue  # skipped entries are reported by build_aligned_corpus
         if e_keys and h_keys:
-            prepared.append((e_keys, h_keys))
-    return prepared
+            pairs[(tuple(e_keys), tuple(h_keys))] += count
+    return pairs
 
 
 def corpus_log_likelihood(corpus, costs: AlignmentCostTable) -> float:
-    """Sum of log total alignment probability over all usable entries."""
-    total = 0.0
-    for e_keys, h_keys in _phonify_corpus(corpus):
-        z, _ = _forward_backward(e_keys, h_keys, costs)
-        total += math.log(z) if z > 0.0 else float("-inf")
-    return total
+    """Sum of log total alignment probability over all usable entries,
+    each duplicate counted."""
+    return sum(
+        (count * _forward_backward(e_keys, h_keys, costs)[0]
+         for (e_keys, h_keys), count in _distinct_pairs(corpus).items()),
+        0.0,
+    )
 
 
 def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
     """Estimate match costs by EM over all monotone alignments.
 
     Starts uniform, then repeatedly collects posterior (soft) match counts
-    for every entry and renormalizes them per English phoneme.  Entries
-    that fail phonification are skipped, never fatal.
+    and renormalizes them per English phoneme.  Each iteration runs one
+    scaled forward-backward per distinct phonified (e_keys, h_keys) pair
+    and adds its posteriors times the pair's multiplicity, which equals
+    one pass per occurrence.  Entries that fail phonification are skipped,
+    never fatal.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    prepared = _phonify_corpus(corpus)
-    if not prepared:
+    pairs = _distinct_pairs(corpus)
+    if not pairs:
         raise ValueError("no usable entries in the corpus")
 
-    h_vocab = sorted({h for _, hk in prepared for h in hk})
-    e_vocab = sorted({e for ek, _ in prepared for e in ek})
+    h_vocab = sorted({h for _, hk in pairs for h in hk})
+    e_vocab = sorted({e for ek, _ in pairs for e in ek})
     u = 1.0 / len(h_vocab)
     costs = AlignmentCostTable({e: {h: u for h in h_vocab} for e in e_vocab})
 
     for _ in range(iterations):
         soft: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
-        for e_keys, h_keys in prepared:
+        for (e_keys, h_keys), count in pairs.items():
             _, posteriors = _forward_backward(e_keys, h_keys, costs)
             for e, h, w in posteriors:
-                soft[e][h] += w
+                soft[e][h] += w * count
         probs = {}
         for e, row in soft.items():
             total = sum(row.values())
@@ -255,20 +289,30 @@ def build_aligned_corpus(
     """Hard-align every entry with the trained costs.
 
     Returns the per-entry aligned pair lists plus a record for each entry
-    that had to be skipped (phonification failure or an empty side).
+    that had to be skipped (phonification failure or an empty side), one
+    per occurrence and in input order.  Each distinct entry is phonified
+    and aligned once; its duplicates get copies of that result.
     """
     aligned: list[list[AlignedPair]] = []
     skipped: list[str] = []
+    done: dict[ParallelEntry, list[AlignedPair] | str] = {}
     for entry in corpus:
-        try:
-            e_keys, h_keys = entry_keys(entry)
-        except NeTranslitError as exc:
-            skipped.append(f"{entry.english}\t{entry.hindi}: {exc}")
-            continue
-        if not e_keys or not h_keys:
-            skipped.append(f"{entry.english}\t{entry.hindi}: no phonemes on one side")
-            continue
-        aligned.append(align_monotone(e_keys, h_keys, costs))
+        result = done.get(entry)
+        if result is None:
+            try:
+                e_keys, h_keys = entry_keys(entry)
+            except NeTranslitError as exc:
+                result = f"{entry.english}\t{entry.hindi}: {exc}"
+            else:
+                if e_keys and h_keys:
+                    result = align_monotone(e_keys, h_keys, costs)
+                else:
+                    result = f"{entry.english}\t{entry.hindi}: no phonemes on one side"
+            done[entry] = result
+        if isinstance(result, str):
+            skipped.append(result)
+        else:
+            aligned.append(list(result))
     return aligned, skipped
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import alignment, evaluation, kb as kb_mod, model as model_mod, phonology
 from .decoder import Fallback, UNK_OUTPUT, viterbi
-from .errors import ConfigError, NeTranslitError, UnseenPhonemeError
+from .errors import ConfigError, NeTranslitError, ScriptError, UnseenPhonemeError
 from .pipeline import PipelineConfig, parse_annotations, process_sentence
 
 PROG = "ne-translit"
@@ -160,7 +160,7 @@ def cmd_transliterate(args, config) -> int:
                 continue
             try:
                 decoding = viterbi(trained, phonology.phonify_latin(word), top_k)
-            except UnseenPhonemeError:
+            except (UnseenPhonemeError, ScriptError):
                 if policy is Fallback.ERROR:
                     raise
                 output = word if policy is Fallback.COPY_SOURCE else UNK_OUTPUT

@@ -14,13 +14,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import UnseenPhonemeError
+from .errors import ScriptError, UnseenPhonemeError
 from .model import BOS, EOS, Candidate, TransliterationModel
 from .phonology import PhonemeSequence, phonify_latin
 
 
 class Fallback(Enum):
-    """What to do when a word contains a phoneme the model has never seen."""
+    """What to do with a word the model cannot decode: one with a phoneme
+    the model has never seen, or with a letter outside the Latin script."""
 
     ERROR = "error"
     COPY_SOURCE = "copy"
@@ -160,15 +161,16 @@ def transliterate(
 ) -> str:
     """Latin word in, Hindi string out: segment, decode, concatenate.
 
-    The fallback policy applies only to unseen-phoneme failures; words in
-    the wrong script are always an error.
+    The fallback policy applies to a word the model cannot decode: one
+    with an unseen phoneme, or with a letter outside the Latin script such
+    as the é of José.
     """
-    seq = phonify_latin(word)
-    if not seq:
-        return ""
     try:
+        seq = phonify_latin(word)
+        if not seq:
+            return ""
         decoding = viterbi(model, seq, top_k)
-    except UnseenPhonemeError:
+    except (ScriptError, UnseenPhonemeError):
         if fallback is Fallback.ERROR:
             raise
         return word if fallback is Fallback.COPY_SOURCE else UNK_OUTPUT

@@ -12,7 +12,8 @@ import math
 import random
 from collections import Counter, defaultdict
 
-from ne_translit.alignment import SKIP_PENALTY, ParallelEntry
+from ne_translit.alignment import SKIP_PENALTY, AlignmentCostTable, ParallelEntry, entry_keys
+from ne_translit.errors import NeTranslitError
 from ne_translit.decoder import candidates
 from ne_translit.model import BOS, EOS, TransliterationModel
 
@@ -46,6 +47,65 @@ def enumerate_monotone(e, h, costs):
             yield from walk(i, j + 1, pairs, score + log_skip)
 
     yield from walk(0, 0, [], 0.0)
+
+
+def brute_force_posteriors(e, h, costs):
+    """Total probability of all monotone alignments and the expected count
+    of each (e, h) match pair, summed over every alignment one by one."""
+    total = 0.0
+    weights: dict = defaultdict(float)
+    for pairs, score in enumerate_monotone(e, h, costs):
+        p = math.exp(score)
+        total += p
+        for pair in pairs:
+            weights[pair] += p
+    return total, {pair: w / total for pair, w in weights.items()}
+
+
+def log_total_probability(e, h, costs) -> float:
+    """Log of the total alignment probability by a forward pass in log
+    space, for entries too long to enumerate."""
+    log_skip = math.log(SKIP_PENALTY)
+    prev = None
+    for i in range(len(e) + 1):
+        row = []
+        for j in range(len(h) + 1):
+            terms = [0.0] if i == j == 0 else []
+            if i and j:
+                terms.append(prev[j - 1] + _log(costs.prob(e[i - 1], h[j - 1])))
+            if i:
+                terms.append(prev[j] + log_skip)
+            if j:
+                terms.append(row[j - 1] + log_skip)
+            top = max(terms)
+            row.append(top + math.log(sum(math.exp(t - top) for t in terms)))
+        prev = row
+    return prev[-1]
+
+
+def reference_em(corpus, iterations):
+    """EM by brute-force posteriors, one pass per corpus occurrence; only
+    the phonification (`entry_keys`) is shared with the package."""
+    prepared = []
+    for entry in corpus:
+        try:
+            e_keys, h_keys = entry_keys(entry)
+        except NeTranslitError:
+            continue
+        if e_keys and h_keys:
+            prepared.append((e_keys, h_keys))
+    h_vocab = {h for _, hk in prepared for h in hk}
+    e_vocab = {e for ek, _ in prepared for e in ek}
+    costs = AlignmentCostTable({e: {h: 1.0 / len(h_vocab) for h in h_vocab} for e in e_vocab})
+    for _ in range(iterations):
+        soft: dict = defaultdict(lambda: defaultdict(float))
+        for e_keys, h_keys in prepared:
+            for (e, h), w in brute_force_posteriors(e_keys, h_keys, costs)[1].items():
+                soft[e][h] += w
+        costs = AlignmentCostTable(
+            {e: {h: c / sum(row.values()) for h, c in row.items()} for e, row in soft.items()}
+        )
+    return costs
 
 
 def best_monotone_score(e, h, costs) -> float:

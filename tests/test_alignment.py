@@ -1,4 +1,6 @@
+import math
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -6,15 +8,23 @@ from ne_translit.alignment import (
     AlignedPair,
     AlignmentCostTable,
     ParallelEntry,
+    _forward_backward,
     align_monotone,
     aligned_pair_counts,
     build_aligned_corpus,
     corpus_log_likelihood,
     em_train_alignment,
+    entry_keys,
     load_corpus,
 )
 
-from helpers import best_monotone_score, score_alignment
+from helpers import (
+    best_monotone_score,
+    brute_force_posteriors,
+    log_total_probability,
+    reference_em,
+    score_alignment,
+)
 
 
 def test_equal_length_uniform_is_positional():
@@ -74,6 +84,94 @@ def test_alignment_is_monotone():
         h_indices = [int(p.h[1:]) for p in pairs]
         assert all(a < b for a, b in zip(e_indices, e_indices[1:]))
         assert all(a < b for a, b in zip(h_indices, h_indices[1:]))
+
+
+def test_forward_backward_matches_bruteforce_on_random_instances():
+    rng = random.Random(14)
+    for _ in range(50):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        # small symbol pools, so keys repeat within an entry
+        e = [rng.choice(["e0", "e1", "e2"]) for _ in range(m)]
+        h = [rng.choice(["h0", "h1", "h2"]) for _ in range(n)]
+        probs = {}
+        for ek in sorted(set(e)):
+            if rng.random() < 0.2:
+                continue  # no row: every match of ek gets the default
+            targets = rng.sample(["h0", "h1", "h2"], rng.randint(1, 3))
+            weights = {hk: rng.uniform(0.05, 1.0) for hk in targets}
+            total = sum(weights.values())
+            probs[ek] = {hk: w / total for hk, w in weights.items()}
+        costs = AlignmentCostTable(probs, default=rng.choice([1e-9, 0.01]))
+
+        z, expected = brute_force_posteriors(e, h, costs)
+        log_z, posteriors = _forward_backward(e, h, costs)
+        assert log_z == pytest.approx(math.log(z), rel=1e-9)
+        got = defaultdict(float)
+        for ek, hk, w in posteriors:
+            got[ek, hk] += w
+        assert set(got) == set(expected)
+        for pair, w in expected.items():
+            assert got[pair] == pytest.approx(w, rel=1e-9)
+
+
+def test_long_entry_does_not_underflow():
+    consonants = ["क", "ख", "ग", "घ", "च", "छ", "ज", "झ", "त", "थ", "द", "ध",
+                  "न", "प", "फ", "ब", "भ", "म", "य", "र", "ल", "व", "श", "स"]
+    latin = ["k", "kh", "g", "gh", "ch", "chh", "j", "jh", "t", "th", "d", "dh",
+             "n", "p", "ph", "b", "bh", "m", "y", "r", "l", "v", "sh", "s"]
+    matras = [("", "a"), ("ा", "aa"), ("ि", "i"), ("ी", "ee"), ("ु", "u"),
+              ("ू", "oo"), ("े", "e"), ("ै", "ai"), ("ो", "o"), ("ौ", "au")]
+    aksharas = [(c + mh, cl + ml) for c, cl in zip(consonants, latin) for mh, ml in matras]
+    names = [
+        ParallelEntry("".join(lat for _, lat in group), "".join(dev for dev, _ in group))
+        for group in (aksharas[i:i + 3] for i in range(0, len(aksharas), 3))
+    ]
+    # 100 aksharas alternating a long vowel (two Latin phonemes: "kaa" is
+    # [ka][a]) and a short one
+    long_units = [(consonants[t % 24] + ("ा" if t % 2 == 0 else "ि"),
+                   latin[t % 24] + ("aa" if t % 2 == 0 else "i")) for t in range(100)]
+    long_entry = ParallelEntry("".join(lat for _, lat in long_units), "".join(dev for dev, _ in long_units))
+    e_keys, h_keys = entry_keys(long_entry)
+    assert (len(e_keys), len(h_keys)) == (150, 100)
+
+    keyed = [entry_keys(entry) for entry in names + [long_entry]]
+    h_vocab = {hk for _, hs in keyed for hk in hs}
+    e_vocab = {ek for es, _ in keyed for ek in es}
+    assert len(h_vocab) == 240
+    # the table EM starts from
+    costs = AlignmentCostTable({ek: {hk: 1 / 240 for hk in h_vocab} for ek in e_vocab})
+
+    log_z, posteriors = _forward_backward(e_keys, h_keys, costs)
+    assert posteriors
+    assert math.isfinite(log_z)
+    assert log_z < math.log(5e-324)  # the total itself is below the smallest float
+    assert log_z == pytest.approx(log_total_probability(e_keys, h_keys, costs), rel=1e-9)
+    # 100 Hindi phonemes, nearly every one matched
+    assert 99.0 < sum(w for _, _, w in posteriors) <= 100.0 + 1e-9
+    assert corpus_log_likelihood([long_entry], costs) == pytest.approx(log_z, rel=1e-12)
+
+
+def test_em_matches_reference_on_corpus_with_duplicates():
+    corpus = (
+        [ParallelEntry("Rama", "रामा")] * 3
+        + [ParallelEntry("Mara", "मारा")] * 2
+        + [
+            ParallelEntry("x9y", "रा"),  # digits cannot be phonified
+            ParallelEntry("Rama Kama", "रामा कामा"),
+            ParallelEntry("Amar", "अमर"),
+            ParallelEntry("Radhika", "राधिका"),
+            ParallelEntry("Kamal", "कमल"),
+        ]
+    )
+    random.Random(15).shuffle(corpus)
+    for iterations in (1, 5):
+        table = em_train_alignment(corpus, iterations)
+        expected = reference_em(corpus, iterations)
+        assert set(table.probs) == set(expected.probs)
+        for e, row in expected.probs.items():
+            assert set(table.probs[e]) == set(row)
+            for h, p in row.items():
+                assert table.probs[e][h] == pytest.approx(p, abs=1e-12)
 
 
 def test_em_single_entry_gives_certainty():
@@ -164,6 +262,16 @@ def test_unphonifiable_entry_is_skipped_not_fatal():
     aligned, skipped = build_aligned_corpus(corpus, table)
     assert len(aligned) == 1
     assert len(skipped) == 1 and "x9y" in skipped[0]
+
+
+def test_aligned_corpus_keeps_one_result_per_occurrence():
+    rama, mara, bad = ParallelEntry("Rama", "रामा"), ParallelEntry("Mara", "मारा"), ParallelEntry("x9y", "रा")
+    corpus = [rama, bad, mara, rama, bad, rama]
+    table = em_train_alignment(corpus, iterations=5)
+    aligned, skipped = build_aligned_corpus(corpus, table)
+    assert [[p.e for p in pairs] for pairs in aligned] == [["ra", "ma"], ["ma", "ra"], ["ra", "ma"], ["ra", "ma"]]
+    assert aligned[0] == aligned[2] and aligned[0] is not aligned[2]
+    assert len(skipped) == 2 and skipped[0] == skipped[1] and "x9y" in skipped[0]
 
 
 def test_multi_token_entries_align():

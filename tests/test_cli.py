@@ -1,9 +1,11 @@
+import hashlib
 import io
 import subprocess
 import sys
 
 import pytest
 
+from ne_translit.alignment import build_aligned_corpus, em_train_alignment, load_corpus
 from ne_translit.cli import main
 
 from helpers import make_memorization_corpus
@@ -54,6 +56,31 @@ def test_train_reports_and_is_deterministic(tmp_path, corpus_file, capsys):
     assert "vocabulary" in out
     assert main(["train", str(corpus_file), str(model_b)]) == 0
     assert model_a.read_bytes() == model_b.read_bytes()
+
+
+# SHA-256 of the model `train` writes for the corpus below, recorded with the
+# EM that ran one forward-backward per occurrence: counting each distinct
+# pair once with its multiplicity must not change a byte.
+GOLDEN_MODEL_SHA256 = "1bf76f250f67214f39b6e9f182afb128b705ed87c289f58c68657d6d80b2e504"
+
+
+def test_train_model_bytes_golden_with_duplicates(tmp_path):
+    entries = make_memorization_corpus(n=50, seed=7)
+    lines = [f"{e.english}\t{e.hindi}" for e in entries + entries[:20]]
+    bad = "X9y\tरा"  # digits cannot be phonified
+    lines.insert(10, bad)
+    lines.append(bad)
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model = tmp_path / "model.tsv"
+    assert main(["--quiet", "train", str(corpus), str(model)]) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == GOLDEN_MODEL_SHA256
+
+    loaded, warnings = load_corpus(corpus)
+    assert not warnings and len(loaded) == 72
+    aligned, skipped = build_aligned_corpus(loaded, em_train_alignment(loaded, 10))
+    assert len(aligned) == 70
+    assert len(skipped) == 2 and skipped[0] == skipped[1] and skipped[0].startswith("X9y\t")
 
 
 def test_train_empty_corpus_fails(tmp_path, capsys):
@@ -108,6 +135,19 @@ def test_transliterate_fallback_copy(model_file, capsys, monkeypatch):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "Xylophone\tXylophone\t-"
+
+
+def test_transliterate_fallback_copy_covers_non_latin_letters(model_file, capsys, monkeypatch):
+    code = run_cli(
+        ["transliterate", "--model", str(model_file), "--fallback", "copy"],
+        "Radhika\nJosé\nRadhika\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[1] == "José\tJosé\t-"
+    assert lines[0] == lines[2] and lines[0].startswith("Radhika\tराधिका\t")
 
 
 def test_transliterate_fallback_error_exits_one(model_file, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
 from ne_translit.decoder import Fallback
-from ne_translit.errors import NotFittedError
+from ne_translit.errors import NotFittedError, ScriptError
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
 from ne_translit.kb import load_seed_kb
 from ne_translit.model import TransliterationModel
@@ -53,6 +53,16 @@ def test_fit_accepts_string_fallback(memorization_corpus):
     est = HmmTransliterator(smoothing_k=0.0, fallback="copy")
     est.fit(memorization_corpus)
     assert est.predict(["Zebra"]) == ["Zebra"]
+
+
+def test_predict_falls_back_on_non_latin_letters(memorization_corpus):
+    est = HmmTransliterator(smoothing_k=0.0, fallback="copy").fit(memorization_corpus)
+    assert est.predict(["Radhika", "José"]) == ["राधिका", "José"]
+    est.set_params(fallback="unk")
+    assert est.predict(["José"]) == ["<unk>"]
+    est.set_params(fallback="error")
+    with pytest.raises(ScriptError):
+        est.predict(["José"])
 
 
 def test_transformer_substitutes_sentences(memorization_corpus):
