@@ -69,6 +69,15 @@ class AlignmentCostTable:
             return self.default
         return row.get(h, self.default)
 
+    def grid(self, e, h) -> list[list[float]]:
+        """prob(e[i], h[j]) for every cell, as len(e) rows of len(h)."""
+        default = self.default
+        rows = []
+        for x in e:
+            row = self.probs.get(x)
+            rows.append([default] * len(h) if row is None else [row.get(y, default) for y in h])
+        return rows
+
     def validate(self, tolerance: float = 1e-9) -> None:
         for e, row in self.probs.items():
             if not row:
@@ -102,30 +111,33 @@ def align_monotone(e_seq, h_seq, costs: AlignmentCostTable) -> list[AlignedPair]
     h = _keys(h_seq)
     m, n = len(e), len(h)
     neg = float("-inf")
-    log_skip = math.log(SKIP_PENALTY)
+    log = math.log
+    log_skip = log(SKIP_PENALTY)
+    log_grid = [[log(p) if p > 0.0 else neg for p in row] for row in costs.grid(e, h)]
 
-    score = [[neg] * (n + 1) for _ in range(m + 1)]
-    move = [[0] * (n + 1) for _ in range(m + 1)]
-    score[0][0] = 0.0
-    for i in range(m + 1):
-        for j in range(n + 1):
-            if i == 0 and j == 0:
-                continue
-            best, mv = neg, 0
-            if i > 0 and j > 0:
-                p = costs.prob(e[i - 1], h[j - 1])
-                s = score[i - 1][j - 1] + (math.log(p) if p > 0.0 else neg)
-                if s > best:
-                    best, mv = s, _MATCH
-            if i > 0:
-                s = score[i - 1][j] + log_skip
-                if s > best:
-                    best, mv = s, _SKIP_E
-            if j > 0:
-                s = score[i][j - 1] + log_skip
-                if s > best:
-                    best, mv = s, _SKIP_H
-            score[i][j], move[i][j] = best, mv
+    # Row by row over i = 0..m; move[i][j] is the last move of the best
+    # path to (i, j).  Every cell but (0, 0) has a finite skip score, so
+    # the match move, tried first, only loses to a strictly better skip.
+    prev = [0.0]
+    for _ in range(n):
+        prev.append(prev[-1] + log_skip)
+    move = [[0] + [_SKIP_H] * n]
+    for logs in log_grid:
+        left = prev[0] + log_skip
+        row, moves = [left], [_SKIP_E]
+        for diag, up, lp in zip(prev, prev[1:], logs):
+            best, mv = diag + lp, _MATCH
+            s = up + log_skip
+            if s > best:
+                best, mv = s, _SKIP_E
+            s = left + log_skip
+            if s > best:
+                best, mv = s, _SKIP_H
+            row.append(best)
+            moves.append(mv)
+            left = best
+        move.append(moves)
+        prev = row
 
     pairs: list[AlignedPair] = []
     i, j = m, n
@@ -146,8 +158,8 @@ def _forward_backward(e, h, costs: AlignmentCostTable) -> tuple[float, list[tupl
     """Log total probability over all monotone alignments, plus match posteriors.
 
     EM calls this once per distinct (e, h) pair per iteration.  The match
-    probability of every cell is read once, from an m x n grid built from
-    `costs.probs` and `costs.default`.  Every forward row i is scaled by its
+    probability of every cell is read once, from the m x n grid
+    `costs.grid(e, h)`.  Every forward row i is scaled by its
     sum c_i and every backward row i by the same c_i (Rabiner 1989, section
     V-A), so long entries do not underflow: log z is the log of the scaled
     last forward cell plus the sum of log c_i, and a match posterior is
@@ -156,11 +168,7 @@ def _forward_backward(e, h, costs: AlignmentCostTable) -> tuple[float, list[tupl
     """
     m, n = len(e), len(h)
     eps = SKIP_PENALTY
-    default = costs.default
-    grid = []
-    for x in e:
-        row = costs.probs.get(x)
-        grid.append([default] * n if row is None else [row.get(y, default) for y in h])
+    grid = costs.grid(e, h)
 
     # Forward over i = 0..m: alpha[i][j] covers e[:i] and h[:j], reached by
     # a match from (i-1, j-1), skip-English from (i-1, j) or skip-Hindi from

@@ -19,11 +19,20 @@ from .pipeline import PipelineConfig, parse_annotations, process_sentence
 
 PROG = "ne-translit"
 
+
+def positive_int(text: str) -> int:
+    """int() that also rejects values below 1 with a ValueError."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
 # Flat key = value config file; flags override these.
 CONFIG_KEYS = {
     "smoothing_k": float,
     "em_iterations": int,
-    "top_k": int,
+    "top_k": positive_int,
     "fallback": str,
     "kb_persons": lambda v: v.lower() in ("1", "true", "yes", "on"),
 }
@@ -257,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transliterate", help="transliterate words (one per line)")
     p.add_argument("--model", required=True)
     p.add_argument("--fallback", choices=[f.value for f in Fallback])
-    p.add_argument("--top-k", dest="top_k", type=int)
+    p.add_argument("--top-k", dest="top_k", type=positive_int)
     p.add_argument("--trace", action="store_true", help="append per-position scores")
     p.add_argument("--in", dest="infile", help="read words from a file instead of stdin")
     p.set_defaults(func=cmd_transliterate)
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", help=f"knowledge base file (default: ${kb_mod.SEED_KB_ENV_VAR} or the packaged seed)")
     p.add_argument("--format", choices=["inline", "columnar"], default="inline")
     p.add_argument("--fallback", choices=[f.value for f in Fallback])
-    p.add_argument("--top-k", dest="top_k", type=int)
+    p.add_argument("--top-k", dest="top_k", type=positive_int)
     p.add_argument("--kb-persons", action="store_true", help="let person names consult the KB")
     p.add_argument("--in", dest="infile", help="read sentences from a file instead of stdin")
     p.add_argument("--decisions", help="write one record per entity to this file")

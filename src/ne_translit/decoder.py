@@ -57,10 +57,6 @@ def candidates(model: TransliterationModel, e: str, top_k: int = 10) -> list[Can
     return list(model.candidate_index.get(e, ())[:top_k])
 
 
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else NEG_INF
-
-
 def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
     """Best Hindi sequence for an English phoneme sequence.
 
@@ -87,13 +83,6 @@ def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
 
 
 def _decode(model: TransliterationModel, keys, top_k) -> Decoding:
-    lattice = []
-    for pos, e in enumerate(keys):
-        cs = candidates(model, e, top_k)
-        if not cs:
-            raise UnseenPhonemeError(e, pos)
-        lattice.append([(c.h, _log(c.emission)) for c in cs])
-
     # Back-pointer Viterbi.  Each position keeps one entry (predecessor
     # index, h, score) per state, sorted so that the states' best prefixes
     # are in code-point order: a prefix is its predecessor's prefix plus h,
@@ -101,30 +90,40 @@ def _decode(model: TransliterationModel, keys, top_k) -> Decoding:
     # that order and keeping the first maximum then gives ties to the
     # code-point-smallest prefix without building any prefix tuple.
     log = math.log
+    rows = model.log_transition
     states = [(BOS, 0.0)]
     columns = []
-    for column in lattice:
-        prevs = [(psc, *_transition_row(model, h_prev)) for h_prev, psc in states]
-        ranked = []
-        for h, le in column:
-            scores = [
-                (psc + (log(p) if (p := row.get(h, floor)) > 0.0 else NEG_INF)) + le
-                for psc, row, floor in prevs
-            ]
-            best = max(range(len(scores)), key=scores.__getitem__)
-            ranked.append((best, h, scores[best]))
+    for pos, e in enumerate(keys):
+        cs = candidates(model, e, top_k)
+        if not cs:
+            raise UnseenPhonemeError(e, pos)
+        if len(states) == 1:  # a single predecessor is every state's best
+            h_prev, psc = states[0]
+            row, floor = rows[h_prev]
+            ranked = [(0, c.h, (psc + row.get(c.h, floor)) + log(c.emission)) for c in cs]
+        else:
+            prevs = [(psc, *rows[h_prev]) for h_prev, psc in states]
+            ranked = []
+            for c in cs:
+                h, le = c.h, log(c.emission)
+                scores = [(psc + row.get(h, floor)) + le for psc, row, floor in prevs]
+                best = max(scores)
+                ranked.append((scores.index(best), h, best))
         ranked.sort()  # the h are distinct, so scores are never compared
         columns.append(ranked)
         states = [(h, sc) for _, h, sc in ranked]
 
-    ends = [sc + _log(model.transition_prob(h, EOS)) for h, sc in states]
-    last = max(range(len(ends)), key=ends.__getitem__)
-    best_score = ends[last]
+    ends = []
+    for h, sc in states:
+        row, floor = rows[h]
+        ends.append(sc + row.get(EOS, floor))
+    best_score = max(ends)
     if best_score == NEG_INF:
         # every path has a zero-probability transition, so all sequences tie;
         # the lexicographic tie-break reduces to the smallest candidate per slot
-        best_seq = tuple(min(h for h, _ in column) for column in lattice)
+        best_seq = tuple(min(h for _, h, _ in ranked) for ranked in columns)
     else:
+        last = ends.index(best_score)
         path = []
         for ranked in reversed(columns):
             last, h, _ = ranked[last]
@@ -137,15 +136,6 @@ def _decode(model: TransliterationModel, keys, top_k) -> Decoding:
         h_next = best_seq[i + 1] if i + 1 < len(best_seq) else EOS
         per_position.append(model.position_score(h_prev, h, h_next, keys[i]))
     return Decoding(best_seq, best_score, tuple(per_position))
-
-
-def _transition_row(model: TransliterationModel, h_prev: str) -> tuple[dict[str, float], float]:
-    """The observed targets of h_prev and the probability of any other
-    target, so that row.get(h, floor) == model.transition_prob(h_prev, h)."""
-    row = model.transition.get(h_prev)
-    if row is None:  # no row: every target gets the same uniform guess
-        return {}, model.transition_prob(h_prev, EOS)
-    return row, model.transition_floor[h_prev]
 
 
 def decode_word(model: TransliterationModel, word: str, top_k: int = 10) -> Decoding:

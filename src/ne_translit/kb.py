@@ -31,11 +31,13 @@ class EntityCategory(Enum):
     @classmethod
     def parse(cls, text: str) -> "EntityCategory":
         """Accept either the short code (PER) or the full name (PERSON)."""
-        label = text.strip().upper()
-        for cat in cls:
-            if label in (cat.value, cat.name):
-                return cat
-        raise ValueError(f"unknown entity category {text!r}")
+        category = _CATEGORY_LABELS.get(text.strip().upper())
+        if category is None:
+            raise ValueError(f"unknown entity category {text!r}")
+        return category
+
+
+_CATEGORY_LABELS = {label: cat for cat in EntityCategory for label in (cat.value, cat.name)}
 
 
 def normalize(text: str) -> str:

@@ -9,6 +9,7 @@ are plain count ratios.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,11 +41,12 @@ class TransliterationModel:
 
     `emission` and `transition` hold observed pairs only; `*_floor` holds
     each row's probability for pairs never observed (0.0 when unsmoothed).
-    The tables never change once built.  Decoding lazily adds two derived
-    structures on first use, `candidate_index` and `decode_memo`; neither
-    is part of equality or of the saved file, and both stay correct when
-    threads share one model (the memo is a plain dict that is cleared, not
-    evicted from, when it fills up, so no lock is needed).
+    The tables never change once built.  Decoding lazily adds three derived
+    structures on first use, `candidate_index`, `log_transition` and
+    `decode_memo`; none is part of equality or of the saved file, and all
+    stay correct when threads share one model (the memo is a plain dict
+    that is cleared, not evicted from, when it fills up, so no lock is
+    needed).
     """
 
     emission: dict[str, dict[str, float]]
@@ -68,6 +70,23 @@ class TransliterationModel:
             e: tuple(sorted(found, key=lambda c: (-c.emission, c.h)))
             for e, found in index.items()
         }
+
+    @cached_property
+    def log_transition(self) -> dict[str, tuple[dict[str, float], float]]:
+        """Transition source (BOS included) -> (observed target -> log P,
+        log of the probability of any other target), so that
+        row.get(h, floor) == log(transition_prob(source, h)) for every h,
+        EOS included; -inf where the probability is 0.  Built on first
+        access."""
+        rows = {
+            source: ({h: _log(p) for h, p in row.items()}, _log(self.transition_floor[source]))
+            for source, row in self.transition.items()
+        }
+        for source in (self.emission.keys() | {BOS}) - rows.keys():
+            # no row (only in a model built without validate()): every
+            # target gets transition_prob's uniform guess
+            rows[source] = ({}, _log(self.transition_prob(source, EOS)))
+        return rows
 
     @cached_property
     def decode_memo(self) -> dict:
@@ -145,6 +164,10 @@ class TransliterationModel:
         total = sum(row.values()) + (width - len(row)) * floor
         if abs(total - 1.0) > ROW_SUM_TOLERANCE:
             raise ModelValidationError(f"{kind} row {source!r} sums to {total!r}")
+
+
+def _log(p: float) -> float:
+    return math.log(p) if p > 0.0 else float("-inf")
 
 
 def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:

@@ -40,6 +40,7 @@ LATIN_LETTERS = frozenset(string.ascii_letters)
 LATIN_VOWELS = frozenset("aeiou")
 LATIN_NASALS = frozenset("nm")
 _LATIN_CONSONANTS = LATIN_LETTERS - LATIN_VOWELS - frozenset("AEIOU")
+_LATIN_NASALS_ANY_CASE = LATIN_NASALS | frozenset("NM")
 
 DEV_INDEPENDENT_VOWELS = frozenset(chr(c) for c in range(0x0904, 0x0915)) | frozenset("ॠॡ")
 DEV_CONSONANTS = (
@@ -158,8 +159,10 @@ def structure_of(p: Phoneme) -> str:
     return "".join(tags)
 
 
-def _is_latin_consonant(c: str) -> bool:
-    return c in _LATIN_CONSONANTS
+# Latin phonemes by surface, shared by every phonify_latin call; cleared,
+# not evicted from, once it holds this many.
+PHONEME_INTERN_SIZE = 4096
+_latin_phonemes: dict[str, Phoneme] = {}
 
 
 def phonify_latin(word: str) -> PhonemeSequence:
@@ -177,26 +180,36 @@ def phonify_latin(word: str) -> PhonemeSequence:
     word = unicodedata.normalize("NFC", word)
     if not word:
         return PhonemeSequence((), "", Script.LATIN)
-    for idx, c in enumerate(word):
-        if c not in LATIN_LETTERS:
-            raise ScriptError(f"not a Latin letter: {c!r} at offset {idx} in {word!r}")
+    if not LATIN_LETTERS.issuperset(word):
+        for idx, c in enumerate(word):
+            if c not in LATIN_LETTERS:
+                raise ScriptError(f"not a Latin letter: {c!r} at offset {idx} in {word!r}")
 
-    surfaces = []
+    consonants = _LATIN_CONSONANTS
+    interned = _latin_phonemes
+    phonemes = []
     i, n = 0, len(word)
     while i < n:
         j = i
-        while j < n and _is_latin_consonant(word[j]):
+        while j < n and word[j] in consonants:
             j += 1
         if j == n:  # trailing consonant run, no nucleus left
-            surfaces.append(word[i:])
-            break
-        k = j + 1  # word[j] is the single vowel nucleus
-        if k < n and word[k].lower() in LATIN_NASALS and k + 1 < n and _is_latin_consonant(word[k + 1]):
-            k += 1
-        surfaces.append(word[i:k])
+            k = n
+        else:
+            k = j + 1  # word[j] is the single vowel nucleus
+            if k + 1 < n and word[k] in _LATIN_NASALS_ANY_CASE and word[k + 1] in consonants:
+                k += 1
+        surface = word[i:k]
+        phoneme = interned.get(surface)
+        if phoneme is None:
+            # Each dict call is atomic, so threads need no lock: a race can
+            # only build one phoneme twice, and equal phonemes compare equal.
+            if len(interned) >= PHONEME_INTERN_SIZE:
+                interned.clear()
+            phoneme = interned[surface] = Phoneme(surface, Script.LATIN)
+        phonemes.append(phoneme)
         i = k
-    phonemes = tuple(Phoneme(s, Script.LATIN) for s in surfaces)
-    return PhonemeSequence(phonemes, word, Script.LATIN)
+    return PhonemeSequence(tuple(phonemes), word, Script.LATIN)
 
 
 def phonify_devanagari(word: str) -> PhonemeSequence:

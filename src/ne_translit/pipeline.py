@@ -83,33 +83,35 @@ def parse_inline(line: str) -> tuple[str, list[EntitySpan]]:
     out: list[str] = []
     spans: list[EntitySpan] = []
     i, pos = 0, 0
-    while i < len(line):
-        if line.startswith("[[", i):
-            close = line.find("]]", i + 2)
-            if close == -1:
-                raise AnnotationError(f"unclosed entity marker at offset {i}")
-            body = line[i + 2 : close]
-            if "[[" in body:
-                raise AnnotationError(f"nested entity marker inside the one at offset {i}")
-            sep = body.rfind("|")
-            if sep <= 0:
-                raise AnnotationError(f"entity marker at offset {i} lacks a |category")
-            surface, cat_text = body[:sep], body[sep + 1 :]
-            try:
-                category = EntityCategory.parse(cat_text)
-            except ValueError as exc:
-                raise AnnotationError(f"offset {i}: {exc}") from exc
-            spans.append(EntitySpan(pos, pos + len(surface), surface, category))
-            out.append(surface)
-            pos += len(surface)
-            i = close + 2
-        elif line.startswith("]]", i):
-            raise AnnotationError(f"unbalanced ]] at offset {i}")
-        else:
-            out.append(line[i])
-            pos += 1
-            i += 1
-    return "".join(out), spans
+    while True:
+        # The text up to the first marker opening or stray closing is plain.
+        start = line.find("[[", i)
+        stray = line.find("]]", i)
+        if stray != -1 and (start == -1 or stray < start):
+            raise AnnotationError(f"unbalanced ]] at offset {stray}")
+        if start == -1:
+            out.append(line[i:])
+            return "".join(out), spans
+        out.append(line[i:start])
+        pos += start - i
+        close = line.find("]]", start + 2)
+        if close == -1:
+            raise AnnotationError(f"unclosed entity marker at offset {start}")
+        body = line[start + 2 : close]
+        if "[[" in body:
+            raise AnnotationError(f"nested entity marker inside the one at offset {start}")
+        sep = body.rfind("|")
+        if sep <= 0:
+            raise AnnotationError(f"entity marker at offset {start} lacks a |category")
+        surface, cat_text = body[:sep], body[sep + 1 :]
+        try:
+            category = EntityCategory.parse(cat_text)
+        except ValueError as exc:
+            raise AnnotationError(f"offset {start}: {exc}") from exc
+        spans.append(EntitySpan(pos, pos + len(surface), surface, category))
+        out.append(surface)
+        pos += len(surface)
+        i = close + 2
 
 
 def format_inline(sentence: str, spans) -> str:

@@ -12,10 +12,18 @@ import math
 import random
 from collections import Counter, defaultdict
 
-from ne_translit.alignment import SKIP_PENALTY, AlignmentCostTable, ParallelEntry, entry_keys
-from ne_translit.errors import NeTranslitError
+from ne_translit.alignment import (
+    SKIP_PENALTY,
+    AlignedPair,
+    AlignmentCostTable,
+    ParallelEntry,
+    entry_keys,
+)
+from ne_translit.errors import AnnotationError, NeTranslitError
 from ne_translit.decoder import candidates
+from ne_translit.kb import EntityCategory
 from ne_translit.model import BOS, EOS, TransliterationModel
+from ne_translit.pipeline import EntitySpan
 
 NEG_INF = float("-inf")
 
@@ -106,6 +114,42 @@ def reference_em(corpus, iterations):
             {e: {h: c / sum(row.values()) for h, c in row.items()} for e, row in soft.items()}
         )
     return costs
+
+
+def reference_align_monotone(e, h, costs):
+    """The hard aligner cell by cell, one costs.prob call per cell: the
+    implementation align_monotone must reproduce, tie order included."""
+    m, n = len(e), len(h)
+    log_skip = math.log(SKIP_PENALTY)
+    score = [[NEG_INF] * (n + 1) for _ in range(m + 1)]
+    move = [[None] * (n + 1) for _ in range(m + 1)]
+    score[0][0] = 0.0
+    for i in range(m + 1):
+        for j in range(n + 1):
+            if i == 0 and j == 0:
+                continue
+            best, mv = NEG_INF, None
+            if i > 0 and j > 0:
+                s = score[i - 1][j - 1] + _log(costs.prob(e[i - 1], h[j - 1]))
+                if s > best:
+                    best, mv = s, "match"
+            if i > 0 and score[i - 1][j] + log_skip > best:
+                best, mv = score[i - 1][j] + log_skip, "skip-e"
+            if j > 0 and score[i][j - 1] + log_skip > best:
+                best, mv = score[i][j - 1] + log_skip, "skip-h"
+            score[i][j], move[i][j] = best, mv
+    pairs = []
+    i, j = m, n
+    while i > 0 or j > 0:
+        mv = move[i][j]
+        if mv == "match":
+            pairs.append(AlignedPair(e[i - 1], h[j - 1]))
+            i, j = i - 1, j - 1
+        elif mv == "skip-e":
+            i -= 1
+        else:
+            j -= 1
+    return pairs[::-1]
 
 
 def best_monotone_score(e, h, costs) -> float:
@@ -217,8 +261,6 @@ def build_random_model(rng: random.Random, n_h=5, n_e=6, discrete=False) -> Tran
 
 def random_aligned_corpus(rng: random.Random, max_pairs=100):
     """Random per-entry aligned pair lists over small synthetic vocabularies."""
-    from ne_translit.alignment import AlignedPair
-
     e_syms = [f"e{i}" for i in range(rng.randint(2, 8))]
     h_syms = [f"h{i}" for i in range(rng.randint(2, 8))]
     corpus = []
@@ -258,3 +300,40 @@ def make_memorization_corpus(n=50, seed=7) -> list[ParallelEntry]:
         hindi = "".join(h for _, h in picks)
         entries[english] = ParallelEntry(english.capitalize(), hindi)
     return list(entries.values())
+
+
+# --- annotation parsing reference -------------------------------------------
+
+def reference_parse_inline(line: str):
+    """`[[surface|CAT]]` parsing one character at a time: the parser
+    pipeline.parse_inline must reproduce, error messages included."""
+    out = []
+    spans = []
+    i, pos = 0, 0
+    while i < len(line):
+        if line.startswith("[[", i):
+            close = line.find("]]", i + 2)
+            if close == -1:
+                raise AnnotationError(f"unclosed entity marker at offset {i}")
+            body = line[i + 2 : close]
+            if "[[" in body:
+                raise AnnotationError(f"nested entity marker inside the one at offset {i}")
+            sep = body.rfind("|")
+            if sep <= 0:
+                raise AnnotationError(f"entity marker at offset {i} lacks a |category")
+            surface, cat_text = body[:sep], body[sep + 1 :]
+            label = cat_text.strip().upper()
+            matches = [cat for cat in EntityCategory if label in (cat.value, cat.name)]
+            if not matches:
+                raise AnnotationError(f"offset {i}: unknown entity category {cat_text!r}")
+            spans.append(EntitySpan(pos, pos + len(surface), surface, matches[0]))
+            out.append(surface)
+            pos += len(surface)
+            i = close + 2
+        elif line.startswith("]]", i):
+            raise AnnotationError(f"unbalanced ]] at offset {i}")
+        else:
+            out.append(line[i])
+            pos += 1
+            i += 1
+    return "".join(out), spans

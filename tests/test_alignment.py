@@ -5,6 +5,7 @@ from collections import defaultdict
 import pytest
 
 from ne_translit.alignment import (
+    SKIP_PENALTY,
     AlignedPair,
     AlignmentCostTable,
     ParallelEntry,
@@ -20,6 +21,7 @@ from ne_translit.alignment import (
 
 from helpers import (
     best_monotone_score,
+    reference_align_monotone,
     brute_force_posteriors,
     log_total_probability,
     reference_em,
@@ -65,6 +67,23 @@ def test_dp_matches_bruteforce_on_random_instances():
         pairs = align_monotone(e, h, costs)
         achieved = score_alignment(e, h, [(p.e, p.h) for p in pairs], costs)
         assert achieved == pytest.approx(best_monotone_score(e, h, costs), abs=1e-9)
+
+
+def test_dp_matches_the_cell_by_cell_reference_including_ties():
+    rng = random.Random(14)
+    for trial in range(400):
+        e_syms = [f"e{i}" for i in range(rng.randint(1, 3))]
+        h_syms = [f"h{i}" for i in range(rng.randint(1, 3))]
+        e = [rng.choice(e_syms) for _ in range(rng.randint(0, 6))]
+        h = [rng.choice(h_syms) for _ in range(rng.randint(0, 6))]
+        probs = {}
+        for ek in rng.sample(e_syms, rng.randint(0, len(e_syms))):  # rows may be missing
+            weights = {hk: rng.choice((1, 1, 2)) for hk in rng.sample(h_syms, rng.randint(1, len(h_syms)))}
+            probs[ek] = {hk: w / sum(weights.values()) for hk, w in weights.items()}
+        # a default of 0 gives -inf cells; SKIP_PENALTY**2 ties one match with two skips
+        default = rng.choice((1e-9, 0.0, 1.0, SKIP_PENALTY, SKIP_PENALTY**2))
+        costs = AlignmentCostTable(probs, default=default)
+        assert align_monotone(e, h, costs) == reference_align_monotone(e, h, costs), (e, h, costs)
 
 
 def test_alignment_is_monotone():

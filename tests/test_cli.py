@@ -7,8 +7,9 @@ import pytest
 
 from ne_translit.alignment import build_aligned_corpus, em_train_alignment, load_corpus
 from ne_translit.cli import main
+from ne_translit.model import save_model
 
-from helpers import make_memorization_corpus
+from helpers import make_memorization_corpus, reference_parse_inline
 
 CORPUS_LINES = [f"{e.english}\t{e.hindi}" for e in make_memorization_corpus(n=20, seed=3)]
 
@@ -229,6 +230,73 @@ def test_translate_custom_kb(tmp_path, model_file, capsys, monkeypatch):
     )
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "हिंदुस्तान won."
+
+
+@pytest.mark.parametrize("command", ["transliterate", "translate"])
+def test_top_k_below_one_is_a_usage_error(command, model_file, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--model", str(model_file), "--top-k", "0"])
+    assert excinfo.value.code == 2
+    assert "--top-k" in capsys.readouterr().err
+
+
+def test_config_top_k_below_one_is_a_one_line_error(tmp_path, model_file, capsys, monkeypatch):
+    config = tmp_path / "config.ini"
+    config.write_text("top_k = 0\n", encoding="utf-8")
+    code = run_cli(
+        ["--config", str(config), "transliterate", "--model", str(model_file)],
+        "Radhika\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"ne-translit: error: {config}: line 1: bad value for 'top_k': '0'"]
+
+
+# A KB hit, multi-token entities, punctuation inside entities, a non-Latin
+# letter and an unseen phoneme (both falling back), a lower-case category,
+# and non-ASCII punctuation and doubled spaces outside the spans.
+TRANSLATE_LINES = [
+    "[[India|LOC]] and [[Radhika|PER]] met in [[Bubu Kami|LOC]].",
+    "[[Tashabu-Nisa|PER]]’s  friend «[[Kacha|ORG]]» left…",
+    "[[José|PER]] — [[Vari, Dadhi|PER]] and [[Finance Ministry|ORG]]!",
+    "  No entities here:  “quoted”  text.  ",
+    "[[Zanzibar|LOC]] calls [[Marijami|per]].",
+]
+
+# SHA-256 of (stdout, --decisions file) of `translate --fallback copy` on
+# TRANSLATE_LINES, in either format, recorded with the character-by-character
+# annotation parser and the decoder that took math.log of every transition
+# it read.
+GOLDEN_TRANSLATE_SHA256 = (
+    "e5c6832f8f7f54bf042d7fde842e89900cb918eb0b7a55ddfcf434448a0e0333",
+    "8ade19a5ded1757b94b7a0c1fe9ff1be3121904f396d00888408e41807854775",
+)
+
+
+def _columnar(line):
+    sentence, spans = reference_parse_inline(line)
+    return sentence + "".join(f"\t{s.start},{s.end},{s.category.value}" for s in spans)
+
+
+@pytest.mark.parametrize("fmt", ["inline", "columnar"])
+def test_translate_bytes_golden(fmt, tmp_path, memorization_model, capsys):
+    model = tmp_path / "model.tsv"
+    save_model(memorization_model, model)
+    kb = tmp_path / "kb.tsv"
+    kb.write_text("India\tभारत\tLOC\nFinance Ministry\tवित्त मंत्रालय\tORG\n", encoding="utf-8")
+    lines = TRANSLATE_LINES if fmt == "inline" else [_columnar(line) for line in TRANSLATE_LINES]
+    infile = tmp_path / "in.txt"
+    infile.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    decisions = tmp_path / "decisions.tsv"
+    argv = ["translate", "--model", str(model), "--kb", str(kb), "--fallback", "copy",
+            "--format", fmt, "--in", str(infile), "--decisions", str(decisions)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == len(lines)
+    got = tuple(hashlib.sha256(data).hexdigest() for data in (out.encode("utf-8"), decisions.read_bytes()))
+    assert got == GOLDEN_TRANSLATE_SHA256
 
 
 def test_evaluate_renders_report(tmp_path, capsys):

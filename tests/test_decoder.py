@@ -83,6 +83,10 @@ def test_viterbi_matches_exhaustive_search():
         seq, score = exhaustive_decode(m, keys, top_k=5)
         assert decoding.hindi_sequence == seq
         assert decoding.score == score
+        padded = (BOS, *seq, EOS)
+        assert decoding.per_position == tuple(
+            m.position_score(padded[i], h, padded[i + 2], e) for i, (h, e) in enumerate(zip(seq, keys))
+        )
 
 
 def test_viterbi_score_is_the_path_log_product(single_entry_model):

@@ -123,3 +123,26 @@ def test_category_parse_accepts_codes_and_names():
     assert EntityCategory.parse("location") is EntityCategory.LOCATION
     with pytest.raises(ValueError):
         EntityCategory.parse("CITY")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("PER", EntityCategory.PERSON),
+        ("per", EntityCategory.PERSON),
+        (" Person\t", EntityCategory.PERSON),
+        ("LoC", EntityCategory.LOCATION),
+        ("\tlocation ", EntityCategory.LOCATION),
+        ("ORG", EntityCategory.ORGANIZATION),
+        (" organization", EntityCategory.ORGANIZATION),
+        ("OrGaNiZaTiOn\n", EntityCategory.ORGANIZATION),
+    ],
+)
+def test_category_parse_folds_case_and_strips_whitespace(text, expected):
+    assert EntityCategory.parse(text) is expected
+
+
+@pytest.mark.parametrize("text", ["", " ", "CITY", "PE R", "PERS", "ORGANISATION", "Person.", "PER|LOC"])
+def test_category_parse_rejects_other_labels(text):
+    with pytest.raises(ValueError, match="unknown entity category"):
+        EntityCategory.parse(text)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -116,6 +118,32 @@ def test_save_load_round_trip_smoothed(tmp_path):
     loaded = load_model(path)
     assert loaded == m
     loaded.validate()
+
+
+@pytest.mark.parametrize("smoothing_k", [0.0, 0.25])
+def test_log_transition_rows_are_the_logs_of_transition_prob(smoothing_k, tmp_path):
+    rng = random.Random(26)
+    m = estimate(random_aligned_corpus(rng, max_pairs=60), smoothing_k=smoothing_k)
+    path = tmp_path / "model.txt"
+    save_model(m, path)
+    loaded = load_model(path)
+    assert "log_transition" not in vars(loaded)  # built on first use, not by the loader
+    rows = loaded.log_transition
+    assert set(rows) == set(m.h_vocab) | {BOS}
+    zeros = 0
+    for source, (row, floor) in rows.items():
+        for h in sorted(m.h_vocab) + [EOS]:
+            p = m.transition_prob(source, h)
+            assert row.get(h, floor) == (math.log(p) if p > 0.0 else float("-inf"))
+            zeros += p == 0.0
+    assert (zeros > 0) == (smoothing_k == 0.0)
+
+
+def test_log_transition_covers_sources_without_a_row():
+    m = estimate([[AlignedPair("a", "अ")]], smoothing_k=0.0)
+    bare = dataclasses.replace(m, transition={}, transition_floor={})  # not validated
+    uniform = math.log(bare.transition_prob("अ", EOS))
+    assert bare.log_transition == {BOS: ({}, uniform), "अ": ({}, uniform)}
 
 
 def test_save_is_deterministic(tmp_path):

@@ -3,6 +3,7 @@ import unicodedata
 
 import pytest
 
+from ne_translit import phonology
 from ne_translit.errors import MalformedWordError, ScriptError
 from ne_translit.phonology import (
     CharClass,
@@ -189,6 +190,24 @@ def test_keys_are_case_folded():
 def test_empty_word_gives_empty_sequence():
     assert len(phonify_latin("")) == 0
     assert len(phonify_devanagari("")) == 0
+
+
+def test_interned_latin_phonemes_never_exceed_their_bound(monkeypatch):
+    monkeypatch.setattr(phonology, "PHONEME_INTERN_SIZE", 5)
+    monkeypatch.setattr(phonology, "_latin_phonemes", {})
+    assert phonify_latin("Amar")[1] is phonify_latin("Kama")[1]  # one interned "ma"
+    rng = random.Random(27)
+    for _ in range(300):
+        word = "".join(rng.choice("aeiouAkmnrstKhNM") for _ in range(rng.randint(1, 8)))
+        seq = phonify_latin(word)
+        assert seq.phonemes == tuple(Phoneme(s, Script.LATIN) for s in seq.surfaces())
+        assert "".join(seq.surfaces()) == word
+        assert 1 <= len(phonology._latin_phonemes) <= 5
+
+
+def test_latin_error_names_the_first_non_latin_letter():
+    with pytest.raises(ScriptError, match=r"not a Latin letter: 'é' at offset 3 in 'Joséé3'"):
+        phonify_latin("Joséé3")
 
 
 def test_latin_rejects_non_letters():

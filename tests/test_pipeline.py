@@ -12,8 +12,11 @@ from ne_translit.pipeline import (
     Route,
     format_inline,
     parse_annotations,
+    parse_inline,
     process_sentence,
 )
+
+from helpers import reference_parse_inline
 
 INDIA_LINE = "[[India|LOC]] is a great country."
 
@@ -52,6 +55,30 @@ def test_parse_inline_two_spans_offsets():
 def test_parse_inline_rejects_malformed(line):
     with pytest.raises(AnnotationError):
         parse_annotations(line, "inline")
+
+
+FUZZ_PIECES = [
+    "[", "]", "|", "[[", "]]", "||", "PER", "loc", " Org ", "Person", "XYZ",
+    "a", "Ra", " ", "é", "—", "|PER]]", "[[Ra|", "]]]", "[[Ra|PER]]", "[[é, a|Org]]",
+]
+
+
+def test_parse_inline_matches_the_character_scanner_on_fuzz():
+    rng = random.Random(22)
+    parsed = rejected = 0
+    for _ in range(20000):
+        line = "".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(0, 10)))
+        try:
+            expected = reference_parse_inline(line)
+        except AnnotationError as exc:
+            with pytest.raises(AnnotationError) as got:
+                parse_inline(line)
+            assert str(got.value) == str(exc), line
+            rejected += 1
+        else:
+            assert parse_inline(line) == expected, line
+            parsed += expected[1] != []
+    assert parsed > 1000 and rejected > 1000  # both outcomes well exercised
 
 
 def test_inline_round_trip():
