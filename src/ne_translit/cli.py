@@ -206,11 +206,21 @@ def cmd_translate(args, config) -> int:
     )
     decisions_out = open(args.decisions, "w", encoding="utf-8") if args.decisions else None
     stream = _open_input(args)
+    failed = False
     try:
         for lineno, raw in enumerate(stream, start=1):
             line = raw.rstrip("\n")
-            sentence, spans = parse_annotations(line, args.format)
-            processed = process_sentence(sentence, spans, knowledge, trained, pipeline_config)
+            try:
+                sentence, spans = parse_annotations(line, args.format)
+                processed = process_sentence(sentence, spans, knowledge, trained, pipeline_config)
+            except NeTranslitError as exc:
+                if args.on_error == "abort":
+                    raise
+                # one output line per input line, so later lines stay aligned
+                print(f"{PROG}: error: line {lineno}: {exc}", file=sys.stderr)
+                print("" if args.on_error == "skip" else line)
+                failed = True
+                continue
             print(processed.substituted)
             if decisions_out:
                 for decision in processed.decisions:
@@ -227,7 +237,7 @@ def cmd_translate(args, config) -> int:
             decisions_out.close()
         if stream is not sys.stdin:
             stream.close()
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_evaluate(args, config) -> int:
@@ -280,6 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb-persons", action="store_true", help="let person names consult the KB")
     p.add_argument("--in", dest="infile", help="read sentences from a file instead of stdin")
     p.add_argument("--decisions", help="write one record per entity to this file")
+    p.add_argument(
+        "--on-error",
+        dest="on_error",
+        choices=["abort", "skip", "passthrough"],
+        default="abort",
+        help="for a line that fails: stop (default), print an empty line, or print it "
+        "unchanged; skip and passthrough report each such line and exit 1 at the end",
+    )
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("evaluate", help="score system outputs against gold translations")

@@ -83,59 +83,68 @@ def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
 
 
 def _decode(model: TransliterationModel, keys, top_k) -> Decoding:
-    # Back-pointer Viterbi.  Each position keeps one entry (predecessor
-    # index, h, score) per state, sorted so that the states' best prefixes
-    # are in code-point order: a prefix is its predecessor's prefix plus h,
-    # so that order is (predecessor index, h).  Scanning predecessors in
-    # that order and keeping the first maximum then gives ties to the
+    # Back-pointer Viterbi over int symbol ids (model.h_ids, code-point
+    # order).  Each position keeps one entry (predecessor index, h id,
+    # score) per state, sorted so that the states' best prefixes are in
+    # code-point order: a prefix is its predecessor's prefix plus h, so that
+    # order is (predecessor index, h id).  Scanning predecessors in that
+    # order and keeping the first maximum then gives ties to the
     # code-point-smallest prefix without building any prefix tuple.
     log = math.log
+    ids = model.h_ids
     rows = model.log_transition
-    states = [(BOS, 0.0)]
+    boundary = len(rows) - 1  # BOS as a source, EOS as a target
+    prevs = [(0.0, rows[boundary])]  # (score, transition row) per state
     columns = []
     for pos, e in enumerate(keys):
         cs = candidates(model, e, top_k)
         if not cs:
             raise UnseenPhonemeError(e, pos)
-        if len(states) == 1:  # a single predecessor is every state's best
-            h_prev, psc = states[0]
-            row, floor = rows[h_prev]
-            ranked = [(0, c.h, (psc + row.get(c.h, floor)) + log(c.emission)) for c in cs]
-        else:
-            prevs = [(psc, *rows[h_prev]) for h_prev, psc in states]
+        if len(prevs) == 1:  # a single predecessor is every state's best
+            psc, row = prevs[0]
             ranked = []
             for c in cs:
-                h, le = c.h, log(c.emission)
-                scores = [(psc + row.get(h, floor)) + le for psc, row, floor in prevs]
+                h = ids[c.h]
+                ranked.append((0, h, (psc + row[h]) + log(c.emission)))
+        else:
+            ranked = []
+            for c in cs:
+                h, le = ids[c.h], log(c.emission)
+                scores = [(psc + row[h]) + le for psc, row in prevs]
                 best = max(scores)
                 ranked.append((scores.index(best), h, best))
         ranked.sort()  # the h are distinct, so scores are never compared
         columns.append(ranked)
-        states = [(h, sc) for _, h, sc in ranked]
+        prevs = [(sc, rows[h]) for _, h, sc in ranked]
 
-    ends = []
-    for h, sc in states:
-        row, floor = rows[h]
-        ends.append(sc + row.get(EOS, floor))
+    ends = [sc + row[boundary] for sc, row in prevs]
     best_score = max(ends)
+    symbols = model.h_symbols
     if best_score == NEG_INF:
         # every path has a zero-probability transition, so all sequences tie;
         # the lexicographic tie-break reduces to the smallest candidate per slot
-        best_seq = tuple(min(h for _, h, _ in ranked) for ranked in columns)
+        path = [symbols[min(h for _, h, _ in ranked)] for ranked in columns]
     else:
         last = ends.index(best_score)
         path = []
         for ranked in reversed(columns):
             last, h, _ = ranked[last]
-            path.append(h)
-        best_seq = tuple(reversed(path))
+            path.append(symbols[h])
+        path.reverse()
 
-    per_position = []
-    for i, h in enumerate(best_seq):
-        h_prev = best_seq[i - 1] if i > 0 else BOS
-        h_next = best_seq[i + 1] if i + 1 < len(best_seq) else EOS
-        per_position.append(model.position_score(h_prev, h, h_next, keys[i]))
-    return Decoding(best_seq, best_score, tuple(per_position))
+    # Per-position composite scores, multiplied in position_score's order:
+    # emission times the transitions into and out of the position.  A
+    # candidate's emission is the observed emission[h][e], which is what
+    # emission_prob returns for it.
+    emission, transition, t_floor = model.emission, model.transition, model.transition_floor
+    ts = []
+    h_prev = BOS
+    for h in path + [EOS]:
+        row = transition.get(h_prev)
+        ts.append(model.transition_prob(h_prev, h) if row is None else row.get(h, t_floor[h_prev]))
+        h_prev = h
+    per_position = [emission[h][e] * ts[i] * ts[i + 1] for i, (h, e) in enumerate(zip(path, keys))]
+    return Decoding(tuple(path), best_score, tuple(per_position))
 
 
 def decode_word(model: TransliterationModel, word: str, top_k: int = 10) -> Decoding:

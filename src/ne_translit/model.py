@@ -41,9 +41,10 @@ class TransliterationModel:
 
     `emission` and `transition` hold observed pairs only; `*_floor` holds
     each row's probability for pairs never observed (0.0 when unsmoothed).
-    The tables never change once built.  Decoding lazily adds three derived
-    structures on first use, `candidate_index`, `log_transition` and
-    `decode_memo`; none is part of equality or of the saved file, and all
+    The tables never change once built.  Decoding lazily adds derived
+    structures on first use: `candidate_index`, the symbol ids `h_symbols`
+    and `h_ids`, the dense `log_transition` rows, and `decode_memo`.  None
+    is part of equality or of the saved file, and all
     stay correct when threads share one model (the memo is a plain dict
     that is cleared, not evicted from, when it fills up, so no lock is
     needed).
@@ -72,20 +73,43 @@ class TransliterationModel:
         }
 
     @cached_property
-    def log_transition(self) -> dict[str, tuple[dict[str, float], float]]:
-        """Transition source (BOS included) -> (observed target -> log P,
-        log of the probability of any other target), so that
-        row.get(h, floor) == log(transition_prob(source, h)) for every h,
-        EOS included; -inf where the probability is 0.  Built on first
-        access."""
-        rows = {
-            source: ({h: _log(p) for h, p in row.items()}, _log(self.transition_floor[source]))
-            for source, row in self.transition.items()
-        }
-        for source in (self.emission.keys() | {BOS}) - rows.keys():
-            # no row (only in a model built without validate()): every
-            # target gets transition_prob's uniform guess
-            rows[source] = ({}, _log(self.transition_prob(source, EOS)))
+    def h_symbols(self) -> tuple[str, ...]:
+        """Every Hindi phoneme with an emission row, in code-point order;
+        a symbol's position is its id in the decode tables."""
+        return tuple(sorted(self.emission))
+
+    @cached_property
+    def h_ids(self) -> dict[str, int]:
+        """Hindi phoneme -> its index in h_symbols, and EOS -> the last id,
+        len(h_symbols).  BOS, a source only, shares that last id as a row
+        of log_transition; it has no entry here.  Built on first access."""
+        ids = {h: i for i, h in enumerate(self.h_symbols)}
+        ids[EOS] = len(ids)
+        return ids
+
+    @cached_property
+    def log_transition(self) -> list[list[float]]:
+        """Dense log transition rows, one per source in h_symbols order with
+        BOS last, each indexed by target id (h_ids, EOS last): so
+        rows[i][j] == log(transition_prob(source i, target j)).  Targets
+        never observed after a source hold its row's log floor, and -inf
+        stands for a probability of 0.  Built on first access."""
+        ids = self.h_ids
+        width = len(ids)
+        rows = []
+        for source in (*self.h_symbols, BOS):
+            row = self.transition.get(source)
+            if row is None:
+                # no row (only in a model built without validate()): every
+                # target gets transition_prob's uniform guess
+                rows.append([_log(self.transition_prob(source, EOS))] * width)
+                continue
+            dense = [_log(self.transition_floor[source])] * width
+            for target, p in row.items():
+                j = ids.get(target)
+                if j is not None:
+                    dense[j] = _log(p)
+            rows.append(dense)
         return rows
 
     @cached_property

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 from .decoder import Fallback, UNK_OUTPUT, viterbi
 from .errors import AnnotationError, ScriptError, UnseenPhonemeError
@@ -169,26 +170,20 @@ def _transliterate_token(token, model, config):
     out: list[str] = []
     score = 0.0
     fell_back = False
-    i, n = 0, len(token)
-    while i < n:
-        if token[i].isalpha():
-            j = i
-            while j < n and token[j].isalpha():
-                j += 1
-            run = token[i:j]
-            try:
-                decoding = viterbi(model, phonify_latin(run), config.top_k)
-                out.append("".join(decoding.hindi_sequence))
-                score += decoding.score
-            except (UnseenPhonemeError, ScriptError):
-                if config.fallback is Fallback.ERROR:
-                    raise
-                fell_back = True
-                out.append(run if config.fallback is Fallback.COPY_SOURCE else UNK_OUTPUT)
-            i = j
-        else:
-            out.append(token[i])
-            i += 1
+    for is_run, chars in groupby(token, str.isalpha):
+        text = "".join(chars)
+        if not is_run:
+            out.append(text)
+            continue
+        try:
+            decoding = viterbi(model, phonify_latin(text), config.top_k)
+            out.append("".join(decoding.hindi_sequence))
+            score += decoding.score
+        except (UnseenPhonemeError, ScriptError):
+            if config.fallback is Fallback.ERROR:
+                raise
+            fell_back = True
+            out.append(text if config.fallback is Fallback.COPY_SOURCE else UNK_OUTPUT)
     return "".join(out), score, fell_back
 
 

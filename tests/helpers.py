@@ -19,10 +19,11 @@ from ne_translit.alignment import (
     ParallelEntry,
     entry_keys,
 )
-from ne_translit.errors import AnnotationError, NeTranslitError
-from ne_translit.decoder import candidates
+from ne_translit.errors import AnnotationError, NeTranslitError, ScriptError, UnseenPhonemeError
+from ne_translit.decoder import UNK_OUTPUT, Fallback, candidates, viterbi
 from ne_translit.kb import EntityCategory
 from ne_translit.model import BOS, EOS, TransliterationModel
+from ne_translit.phonology import phonify_latin
 from ne_translit.pipeline import EntitySpan
 
 NEG_INF = float("-inf")
@@ -337,3 +338,35 @@ def reference_parse_inline(line: str):
             pos += 1
             i += 1
     return "".join(out), spans
+
+
+# --- letter-run scanning reference ------------------------------------------
+
+def reference_transliterate_token(token, model, config):
+    """Letter runs found one character at a time with str.isalpha(): the
+    scanner pipeline._transliterate_token must reproduce, fallbacks and
+    errors included."""
+    out = []
+    score = 0.0
+    fell_back = False
+    i, n = 0, len(token)
+    while i < n:
+        if token[i].isalpha():
+            j = i
+            while j < n and token[j].isalpha():
+                j += 1
+            run = token[i:j]
+            try:
+                decoding = viterbi(model, phonify_latin(run), config.top_k)
+                out.append("".join(decoding.hindi_sequence))
+                score += decoding.score
+            except (UnseenPhonemeError, ScriptError):
+                if config.fallback is Fallback.ERROR:
+                    raise
+                fell_back = True
+                out.append(run if config.fallback is Fallback.COPY_SOURCE else UNK_OUTPUT)
+            i = j
+        else:
+            out.append(token[i])
+            i += 1
+    return "".join(out), score, fell_back

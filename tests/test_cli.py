@@ -232,6 +232,59 @@ def test_translate_custom_kb(tmp_path, model_file, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[0] == "हिंदुस्तान won."
 
 
+BATCH_WITH_A_BAD_LINE = "[[Radhika|PER]] sang.\n[[Bad|XYZ]] x\n[[Radhika|PER]] sang.\n"
+BAD_LINE_ERROR = "ne-translit: error: line 2: offset 0: unknown entity category 'XYZ'"
+
+
+@pytest.mark.parametrize("on_error", [None, "abort"])
+def test_translate_aborts_on_a_bad_line_by_default(on_error, model_file, capsys, monkeypatch):
+    argv = ["translate", "--model", str(model_file)]
+    if on_error:
+        argv += ["--on-error", on_error]
+    code = run_cli(argv, BATCH_WITH_A_BAD_LINE, monkeypatch=monkeypatch)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "राधिका sang.\n"
+    assert captured.err == "ne-translit: error: offset 0: unknown entity category 'XYZ'\n"
+
+
+@pytest.mark.parametrize(
+    "on_error, bad_output", [("skip", ""), ("passthrough", "[[Bad|XYZ]] x")]
+)
+def test_translate_on_error_keeps_the_batch_line_aligned(
+    on_error, bad_output, tmp_path, model_file, capsys, monkeypatch
+):
+    decisions = tmp_path / "decisions.tsv"
+    argv = ["translate", "--model", str(model_file), "--on-error", on_error, "--decisions", str(decisions)]
+    code = run_cli(argv, BATCH_WITH_A_BAD_LINE, monkeypatch=monkeypatch)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["राधिका sang.", bad_output, "राधिका sang."]
+    assert captured.err.splitlines() == [BAD_LINE_ERROR]
+    records = [line.split("\t")[:2] for line in decisions.read_text(encoding="utf-8").splitlines()]
+    assert records == [["1", "0"], ["3", "0"]]
+
+
+def test_translate_on_error_reports_every_bad_line(model_file, capsys, monkeypatch):
+    lines = ["[[Bad|XYZ]] x", "[[Zanzibar|LOC]] calls.", "fine", "[[unclosed|PER", ""]
+    argv = ["translate", "--model", str(model_file), "--on-error", "passthrough"]
+    code = run_cli(argv, "\n".join(lines) + "\n", monkeypatch=monkeypatch)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines  # every bad line passed through unchanged
+    errors = captured.err.splitlines()
+    assert [e.split(":")[2] for e in errors] == [" line 1", " line 2", " line 4"]
+
+
+def test_translate_on_error_exits_zero_when_no_line_fails(model_file, capsys, monkeypatch):
+    argv = ["translate", "--model", str(model_file), "--on-error", "skip"]
+    code = run_cli(argv, "[[Radhika|PER]] sang.\nplain\n", monkeypatch=monkeypatch)
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["राधिका sang.", "plain"]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("command", ["transliterate", "translate"])
 def test_top_k_below_one_is_a_usage_error(command, model_file, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -89,6 +89,28 @@ def test_viterbi_matches_exhaustive_search():
         )
 
 
+def test_viterbi_on_sources_without_a_transition_row():
+    # Only a model built without validate() lacks rows; transition_prob then
+    # gives every target of such a source its uniform guess.
+    rng = random.Random(34)
+    for trial in range(40):
+        m = build_random_model(rng, discrete=True)
+        dropped = rng.sample(sorted(m.transition), rng.randint(1, len(m.transition)))
+        bare = dataclasses.replace(
+            m,
+            transition={s: row for s, row in m.transition.items() if s not in dropped},
+            transition_floor={s: f for s, f in m.transition_floor.items() if s not in dropped},
+        )
+        keys = [rng.choice(sorted(m.e_vocab)) for _ in range(rng.randint(1, 5))]
+        decoding = viterbi(bare, keys, top_k=5)
+        seq, score = exhaustive_decode(bare, keys, top_k=5)
+        assert (decoding.hindi_sequence, decoding.score) == (seq, score)
+        padded = (BOS, *seq, EOS)
+        assert decoding.per_position == tuple(
+            bare.position_score(padded[i], h, padded[i + 2], e) for i, (h, e) in enumerate(zip(seq, keys))
+        )
+
+
 def test_viterbi_score_is_the_path_log_product(single_entry_model):
     decoding = viterbi(single_entry_model, phonify_latin("Amar"))
     m = single_entry_model

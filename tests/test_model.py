@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -127,14 +128,18 @@ def test_log_transition_rows_are_the_logs_of_transition_prob(smoothing_k, tmp_pa
     path = tmp_path / "model.txt"
     save_model(m, path)
     loaded = load_model(path)
-    assert "log_transition" not in vars(loaded)  # built on first use, not by the loader
-    rows = loaded.log_transition
-    assert set(rows) == set(m.h_vocab) | {BOS}
+    for name in ("h_symbols", "h_ids", "log_transition"):
+        assert name not in vars(loaded)  # built on first use, not by the loader
+    rows, ids = loaded.log_transition, loaded.h_ids
+    sources = sorted(m.h_vocab) + [BOS]
+    targets = sorted(m.h_vocab) + [EOS]
+    assert len(rows) == len(sources)
+    assert all(len(row) == len(targets) for row in rows)
     zeros = 0
-    for source, (row, floor) in rows.items():
-        for h in sorted(m.h_vocab) + [EOS]:
+    for i, source in enumerate(sources):
+        for h in targets:
             p = m.transition_prob(source, h)
-            assert row.get(h, floor) == (math.log(p) if p > 0.0 else float("-inf"))
+            assert rows[i][ids[h]] == (math.log(p) if p > 0.0 else float("-inf"))
             zeros += p == 0.0
     assert (zeros > 0) == (smoothing_k == 0.0)
 
@@ -143,7 +148,18 @@ def test_log_transition_covers_sources_without_a_row():
     m = estimate([[AlignedPair("a", "अ")]], smoothing_k=0.0)
     bare = dataclasses.replace(m, transition={}, transition_floor={})  # not validated
     uniform = math.log(bare.transition_prob("अ", EOS))
-    assert bare.log_transition == {BOS: ({}, uniform), "अ": ({}, uniform)}
+    assert bare.h_ids == {"अ": 0, EOS: 1}
+    assert bare.log_transition == [[uniform, uniform], [uniform, uniform]]
+
+
+def test_symbol_ids_follow_code_point_order():
+    pairs = [AlignedPair("a", h) for h in ("क्ष", "आ", "b", "अं", "ज़", "अ", "क")]
+    m = estimate([pairs], smoothing_k=0.1)
+    assert m.h_symbols == tuple(sorted(m.h_vocab))
+    ids = m.h_ids
+    assert ids[EOS] == len(m.h_vocab)
+    for a, b in itertools.product(m.h_vocab, repeat=2):
+        assert (ids[a] < ids[b]) == (a < b)
 
 
 def test_save_is_deterministic(tmp_path):

@@ -1,5 +1,7 @@
 import random
+import sys
 import unicodedata
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -195,6 +197,7 @@ def test_empty_word_gives_empty_sequence():
 def test_interned_latin_phonemes_never_exceed_their_bound(monkeypatch):
     monkeypatch.setattr(phonology, "PHONEME_INTERN_SIZE", 5)
     monkeypatch.setattr(phonology, "_latin_phonemes", {})
+    monkeypatch.setattr(phonology, "_latin_words", {})  # so every word is segmented afresh
     assert phonify_latin("Amar")[1] is phonify_latin("Kama")[1]  # one interned "ma"
     rng = random.Random(27)
     for _ in range(300):
@@ -203,6 +206,73 @@ def test_interned_latin_phonemes_never_exceed_their_bound(monkeypatch):
         assert seq.phonemes == tuple(Phoneme(s, Script.LATIN) for s in seq.surfaces())
         assert "".join(seq.surfaces()) == word
         assert 1 <= len(phonology._latin_phonemes) <= 5
+
+
+def _random_latin_words(seed, count):
+    rng = random.Random(seed)
+    return ["".join(rng.choice("aeiouAkmnrstKhNM") for _ in range(rng.randint(1, 8))) for _ in range(count)]
+
+
+def test_a_repeated_latin_word_returns_the_same_sequence(monkeypatch):
+    monkeypatch.setattr(phonology, "_latin_words", {})
+    first = phonify_latin("Radhika")
+    assert phonify_latin("Radhika") is first
+    assert first.bracketed() == "[Ra][dhi][ka]"
+
+
+def test_latin_word_table_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(phonology, "PHONEME_INTERN_SIZE", 5)
+    monkeypatch.setattr(phonology, "_latin_phonemes", {})
+    monkeypatch.setattr(phonology, "_latin_words", {})
+    for word in _random_latin_words(28, 300):
+        seq = phonify_latin(word)
+        assert "".join(seq.surfaces()) == seq.source_word == word
+        assert phonology._latin_words[word] is seq
+        assert 1 <= len(phonology._latin_words) <= 5
+
+
+def test_a_word_that_fails_to_segment_is_never_stored(monkeypatch):
+    monkeypatch.setattr(phonology, "_latin_words", {})
+    for word in ("José", unicodedata.normalize("NFD", "José"), "José"):
+        with pytest.raises(ScriptError):
+            phonify_latin(word)
+    assert phonology._latin_words == {}
+
+
+# The table is keyed by the word as given, before NFC.  An ASCII word is its
+# own NFC and NFD form; the KELVIN SIGN spelling is one that only NFC turns
+# into Latin letters.
+KAMAL_SPELLINGS = [
+    unicodedata.normalize("NFC", "Kamal"),
+    unicodedata.normalize("NFD", "Kamal"),
+    "\u212aamal",
+]
+
+
+@pytest.mark.parametrize("first", range(len(KAMAL_SPELLINGS)))
+def test_normalization_variants_give_equal_sequences(first, monkeypatch):
+    monkeypatch.setattr(phonology, "_latin_words", {})
+    seq = phonify_latin(KAMAL_SPELLINGS[first])
+    assert seq.source_word == "Kamal"
+    for spelling in KAMAL_SPELLINGS:
+        assert phonify_latin(spelling) == seq
+
+
+def test_threads_phonifying_while_the_word_table_clears_match_serial(monkeypatch):
+    monkeypatch.setattr(phonology, "PHONEME_INTERN_SIZE", 5)
+    monkeypatch.setattr(phonology, "_latin_phonemes", {})
+    monkeypatch.setattr(phonology, "_latin_words", {})
+    words = _random_latin_words(29, 2000)
+    expected = [phonify_latin(word) for word in words]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda ws: [phonify_latin(w) for w in ws], [words] * 4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == expected for result in results)
+    assert 1 <= len(phonology._latin_words) <= 5 + 3  # a racing thread may add one more
 
 
 def test_latin_error_names_the_first_non_latin_letter():

@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
 from ne_translit.decoder import Fallback, UNK_OUTPUT
 from ne_translit.errors import AnnotationError, ScriptError, UnseenPhonemeError
 from ne_translit.kb import EntityCategory, KBEntry, KnowledgeBase, load_seed_kb
+from ne_translit import pipeline
 from ne_translit.pipeline import (
     EntityDecision,
     EntitySpan,
@@ -16,7 +18,7 @@ from ne_translit.pipeline import (
     process_sentence,
 )
 
-from helpers import reference_parse_inline
+from helpers import CV_UNITS, reference_parse_inline, reference_transliterate_token
 
 INDIA_LINE = "[[India|LOC]] is a great country."
 
@@ -262,3 +264,28 @@ def test_decision_score_invariants():
         EntityDecision(span, Route.KB_HIT, "x", score=1.0)
     with pytest.raises(ValueError):
         EntityDecision(span, Route.TRANSLITERATED, "x", score=None)
+
+
+@pytest.mark.parametrize("fallback", list(Fallback))
+def test_letter_runs_match_the_character_scanner(fallback, memorization_model):
+    # CV units decode; "zu" is an unseen phoneme; é is a letter outside the
+    # Latin script; digits, apostrophes, hyphens and dashes are not letters.
+    pieces = [english for english, _ in CV_UNITS] + ["zu", "é", "7", "'", "-", "—"]
+    config = PipelineConfig(fallback=fallback)
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(400):
+        token = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 6)))
+        try:
+            expected = reference_transliterate_token(token, memorization_model, config)
+        except (UnseenPhonemeError, ScriptError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                pipeline._transliterate_token(token, memorization_model, config)
+            outcomes.add(type(exc))
+            continue
+        assert pipeline._transliterate_token(token, memorization_model, config) == expected
+        outcomes.add(expected[2])
+    if fallback is Fallback.ERROR:
+        assert outcomes == {False, UnseenPhonemeError, ScriptError}
+    else:
+        assert outcomes == {False, True}
