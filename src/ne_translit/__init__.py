@@ -9,11 +9,12 @@ from .alignment import (
     AlignedPair,
     AlignmentCostTable,
     ParallelEntry,
+    align_corpus,
     align_monotone,
     em_train_alignment,
     load_corpus,
 )
-from .decoder import Candidate, Decoding, Fallback, candidates, decode_word, transliterate, viterbi
+from .decoder import Candidate, Decoding, Fallback, candidates, decode_or_fallback, transliterate, viterbi
 from .errors import NeTranslitError
 from .estimator import HmmTransliterator, NamedEntityTranslator
 from .evaluation import AccuracyReport, GoldRecord, evaluate, render_report
@@ -69,10 +70,11 @@ __all__ = [
     "Route",
     "Script",
     "TransliterationModel",
+    "align_corpus",
     "align_monotone",
     "candidates",
     "classify_char",
-    "decode_word",
+    "decode_or_fallback",
     "em_train_alignment",
     "estimate",
     "evaluate",

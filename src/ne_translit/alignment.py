@@ -17,6 +17,7 @@ from pathlib import Path
 from .errors import CorpusError, NeTranslitError
 from .kb import EntityCategory
 from .phonology import PhonemeSequence, phonify_devanagari, phonify_latin
+from .textfile import read_lines
 
 # Probability charged for every skip move; not re-estimated by EM.
 SKIP_PENALTY = 1e-4
@@ -324,6 +325,17 @@ def build_aligned_corpus(
     return aligned, skipped
 
 
+def align_corpus(
+    corpus, iterations: int = 10
+) -> tuple[AlignmentCostTable, list[list[AlignedPair]], list[str]]:
+    """EM, then hard alignment: the trained costs, the pair lists of the
+    entries that kept a match pair (in input order, ready for estimate),
+    and a record per skipped entry.  Raises ValueError if none is usable."""
+    costs = em_train_alignment(corpus, iterations)
+    aligned, skipped = build_aligned_corpus(corpus, costs)
+    return costs, [pairs for pairs in aligned if pairs], skipped
+
+
 def aligned_pair_counts(aligned_corpus) -> Counter:
     """Counts of match pairs, for the inspection dump."""
     counts: Counter = Counter()
@@ -340,17 +352,9 @@ def load_corpus(path) -> tuple[list[ParallelEntry], list[str]]:
     column; '#' starts a comment.  Malformed lines become warnings, not
     errors, so one bad line cannot ruin a training run.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     entries: list[ParallelEntry] = []
     warnings: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(Path(path), CorpusError, "corpus"):
         cols = line.split("\t")
         if len(cols) not in (2, 3) or not cols[0].strip() or not cols[1].strip():
             warnings.append(f"line {lineno}: expected english<TAB>hindi[<TAB>category]")

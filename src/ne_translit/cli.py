@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import alignment, evaluation, kb as kb_mod, model as model_mod, phonology
-from .decoder import Fallback, UNK_OUTPUT, viterbi
-from .errors import ConfigError, NeTranslitError, ScriptError, UnseenPhonemeError
+from .decoder import Fallback, decode_or_fallback
+from .errors import ConfigError, NeTranslitError
 from .pipeline import PipelineConfig, parse_annotations, process_sentence
+from .textfile import read_lines
+
+# Not called here (decode_or_fallback makes the call), but the benchmark's
+# tracer patches this name on this module.
+from .decoder import viterbi  # noqa: F401
 
 PROG = "ne-translit"
 
@@ -39,15 +43,8 @@ CONFIG_KEYS = {
 
 
 def parse_config(path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path, ConfigError, "config"):
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key = value")
         key, _, value = (part.strip() for part in line.partition("="))
@@ -103,50 +100,42 @@ def cmd_phonify(args, config) -> int:
     return 0
 
 
-def cmd_align_dump(args, config) -> int:
+def _align_corpus(args, config) -> tuple[list, int]:
+    """Load and align the corpus, warning about each line or entry left
+    out; returns the aligned entries and how many were left out."""
     entries, warnings = alignment.load_corpus(args.corpus)
     for warning in warnings:
         if not args.quiet:
             print(f"{PROG}: warning: {args.corpus}: {warning}", file=sys.stderr)
     iterations = int(_setting(args, config, "em_iterations", 10))
     try:
-        costs = alignment.em_train_alignment(entries, iterations)
+        _, usable, skipped = alignment.align_corpus(entries, iterations)
     except ValueError as exc:
         raise NeTranslitError(str(exc)) from exc
-    aligned, skipped = alignment.build_aligned_corpus(entries, costs)
     for record in skipped:
         if not args.quiet:
             print(f"{PROG}: warning: skipped {record}", file=sys.stderr)
-    counts = alignment.aligned_pair_counts(aligned)
+    return usable, len(entries) - len(usable) + len(warnings)
+
+
+def cmd_align_dump(args, config) -> int:
+    usable, _ = _align_corpus(args, config)
+    counts = alignment.aligned_pair_counts(usable)
     for (e, h), count in sorted(counts.items()):
         print(f"{e}\t{h}\t{count}")
     return 0
 
 
 def cmd_train(args, config) -> int:
-    entries, warnings = alignment.load_corpus(args.corpus)
-    for warning in warnings:
-        if not args.quiet:
-            print(f"{PROG}: warning: {args.corpus}: {warning}", file=sys.stderr)
-    iterations = int(_setting(args, config, "em_iterations", 10))
-    smoothing_k = float(_setting(args, config, "smoothing_k", 0.1))
-    try:
-        costs = alignment.em_train_alignment(entries, iterations)
-    except ValueError as exc:
-        raise NeTranslitError(str(exc)) from exc
-    aligned, skipped = alignment.build_aligned_corpus(entries, costs)
-    for record in skipped:
-        if not args.quiet:
-            print(f"{PROG}: warning: skipped {record}", file=sys.stderr)
-    usable = [pairs for pairs in aligned if pairs]
+    usable, skipped_count = _align_corpus(args, config)
     if not usable:
         raise NeTranslitError("no usable entries after alignment")
+    smoothing_k = float(_setting(args, config, "smoothing_k", 0.1))
     try:
         trained = model_mod.estimate(usable, smoothing_k)
     except ValueError as exc:
         raise NeTranslitError(str(exc)) from exc
     model_mod.save_model(trained, args.model_out)
-    skipped_count = len(entries) - len(usable) + len(warnings)
     _info(args, f"trained on {len(usable)} entries ({skipped_count} skipped)")
     _info(
         args,
@@ -167,15 +156,10 @@ def cmd_transliterate(args, config) -> int:
             word = raw.strip()
             if not word:
                 continue
-            try:
-                decoding = viterbi(trained, phonology.phonify_latin(word), top_k)
-            except (UnseenPhonemeError, ScriptError):
-                if policy is Fallback.ERROR:
-                    raise
-                output = word if policy is Fallback.COPY_SOURCE else UNK_OUTPUT
-                print(f"{word}\t{output}\t-")
+            hindi, decoding = decode_or_fallback(trained, word, policy, top_k)
+            if decoding is None:
+                print(f"{word}\t{hindi}\t-")
                 continue
-            hindi = "".join(decoding.hindi_sequence)
             line = f"{word}\t{hindi}\t{decoding.score:.6f}"
             if args.trace:
                 trace = " ".join(
@@ -204,10 +188,11 @@ def cmd_translate(args, config) -> int:
         top_k=int(_setting(args, config, "top_k", 10)),
         kb_persons=bool(args.kb_persons or config.get("kb_persons", False)),
     )
-    decisions_out = open(args.decisions, "w", encoding="utf-8") if args.decisions else None
-    stream = _open_input(args)
+    stream = _open_input(args)  # before the decisions file, so a missing input leaves none behind
+    decisions_out = None
     failed = False
     try:
+        decisions_out = open(args.decisions, "w", encoding="utf-8") if args.decisions else None
         for lineno, raw in enumerate(stream, start=1):
             line = raw.rstrip("\n")
             try:

@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import phonology
 from .errors import ScriptError, UnseenPhonemeError
 from .model import BOS, EOS, Candidate, TransliterationModel
-from .phonology import PhonemeSequence, phonify_latin
+from .phonology import PhonemeSequence
 
 
 class Fallback(Enum):
@@ -62,27 +63,13 @@ def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
 
     Accepts a PhonemeSequence or an iterable of already-folded keys.
     Raises UnseenPhonemeError when some position has no candidates;
-    the caller decides the fallback policy.  Successful decodings are
-    memoized on the model, keyed by the phoneme keys and top_k.
+    the caller decides the fallback policy.  Nothing is memoized here:
+    decode_or_fallback keeps the per-model memo of decoded words.
     """
     keys = e_seq.keys() if isinstance(e_seq, PhonemeSequence) else [str(e) for e in e_seq]
     if not keys:
         raise ValueError("cannot decode an empty phoneme sequence")
-    memo = model.decode_memo
-    memo_key = (tuple(keys), top_k)
-    decoding = memo.get(memo_key)
-    if decoding is None:
-        decoding = _decode(model, keys, top_k)
-        # Each dict call is atomic, so threads sharing the model need no
-        # lock: a race can only decode a word twice (same result) or let
-        # the memo pass MEMO_SIZE by one entry per racing thread.
-        if len(memo) >= MEMO_SIZE:
-            memo.clear()
-        memo[memo_key] = decoding
-    return decoding
 
-
-def _decode(model: TransliterationModel, keys, top_k) -> Decoding:
     # Back-pointer Viterbi over int symbol ids (model.h_ids, code-point
     # order).  Each position keeps one entry (predecessor index, h id,
     # score) per state, sorted so that the states' best prefixes are in
@@ -147,9 +134,42 @@ def _decode(model: TransliterationModel, keys, top_k) -> Decoding:
     return Decoding(tuple(path), best_score, tuple(per_position))
 
 
-def decode_word(model: TransliterationModel, word: str, top_k: int = 10) -> Decoding:
-    """Phonify a single Latin word and decode it."""
-    return viterbi(model, phonify_latin(word), top_k)
+def decode_or_fallback(
+    model: TransliterationModel,
+    word: str,
+    fallback: Fallback = Fallback.ERROR,
+    top_k: int = 10,
+) -> tuple[str, Decoding | None]:
+    """Segment a Latin word and decode it: (Hindi output, its Decoding).
+
+    A word the model cannot decode (an unseen phoneme, or a letter outside
+    the Latin script such as the é of José) gets the fallback output and
+    None; the empty word gives ("", None).  Successful decodings are
+    memoized on the model by the word as given and top_k, so a repeated
+    word skips both segmentation and Viterbi.
+    """
+    memo = model.decode_memo
+    memo_key = (word, top_k)
+    found = memo.get(memo_key)
+    if found is not None:
+        return found
+    try:
+        seq = phonology.phonify_latin(word)
+        if not seq:
+            return "", None
+        decoding = viterbi(model, seq, top_k)
+    except (ScriptError, UnseenPhonemeError):
+        if fallback is Fallback.ERROR:
+            raise
+        return (word if fallback is Fallback.COPY_SOURCE else UNK_OUTPUT), None
+    found = "".join(decoding.hindi_sequence), decoding
+    # Each dict call is atomic, so threads sharing the model need no lock:
+    # a race can only decode a word twice (same result) or let the memo
+    # pass MEMO_SIZE by one entry per racing thread.
+    if len(memo) >= MEMO_SIZE:
+        memo.clear()
+    memo[memo_key] = found
+    return found
 
 
 def transliterate(
@@ -158,19 +178,5 @@ def transliterate(
     fallback: Fallback = Fallback.ERROR,
     top_k: int = 10,
 ) -> str:
-    """Latin word in, Hindi string out: segment, decode, concatenate.
-
-    The fallback policy applies to a word the model cannot decode: one
-    with an unseen phoneme, or with a letter outside the Latin script such
-    as the é of José.
-    """
-    try:
-        seq = phonify_latin(word)
-        if not seq:
-            return ""
-        decoding = viterbi(model, seq, top_k)
-    except (ScriptError, UnseenPhonemeError):
-        if fallback is Fallback.ERROR:
-            raise
-        return word if fallback is Fallback.COPY_SOURCE else UNK_OUTPUT
-    return "".join(decoding.hindi_sequence)
+    """Latin word in, Hindi string out (see decode_or_fallback)."""
+    return decode_or_fallback(model, word, fallback, top_k)[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import inspect
 
-from .alignment import ParallelEntry, build_aligned_corpus, em_train_alignment
+from .alignment import ParallelEntry, align_corpus
 from .decoder import Fallback, transliterate
 from .errors import NotFittedError
 from .kb import KnowledgeBase, normalize
@@ -73,9 +73,7 @@ class HmmTransliterator(ParamsMixin):
     def fit(self, X, y=None):
         """X: parallel entries, as ParallelEntry or (english, hindi) pairs."""
         entries = _coerce_entries(X)
-        self.alignment_ = em_train_alignment(entries, int(self.em_iterations))
-        aligned, skipped = build_aligned_corpus(entries, self.alignment_)
-        usable = [pairs for pairs in aligned if pairs]
+        self.alignment_, usable, skipped = align_corpus(entries, int(self.em_iterations))
         self.model_: TransliterationModel = estimate(usable, float(self.smoothing_k))
         self.skipped_ = tuple(skipped)
         self.n_entries_ = len(usable)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .errors import EvaluationError
 from .kb import EntityCategory, normalize
+from .textfile import read_lines
 
 # Display order of the per-category rows.
 CATEGORY_ORDER = (EntityCategory.PERSON, EntityCategory.LOCATION, EntityCategory.ORGANIZATION)
@@ -117,15 +118,8 @@ def render_report(report: AccuracyReport, format: str = "text") -> str:
 def load_gold(path) -> list[GoldRecord]:
     """Read `english<TAB>category<TAB>gold_hindi` lines; '#' comments."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise EvaluationError(f"cannot read gold file {path}: {exc}") from exc
     records: list[GoldRecord] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path, EvaluationError, "gold file"):
         cols = line.split("\t")
         if len(cols) != 3:
             raise EvaluationError(f"{path}: line {lineno}: expected english<TAB>category<TAB>hindi")
@@ -141,10 +135,11 @@ def load_gold(path) -> list[GoldRecord]:
 
 
 def load_system(path) -> list[str]:
-    """Read system outputs, one per line, index-aligned with the gold file."""
+    """Read system outputs, one per line, index-aligned with the gold file.
+    Lines end at a newline only, as in read_lines, and are kept as they are."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise EvaluationError(f"cannot read system file {path}: {exc}") from exc
-    return text.splitlines()
+    return text.removesuffix("\n").split("\n") if text else []

@@ -17,6 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import KnowledgeBaseError
+from .textfile import read_lines
 
 _WHITESPACE_RUNS = re.compile(r"\s+")
 
@@ -98,15 +99,8 @@ def load_kb(path, allow_person: bool = False) -> KnowledgeBase:
     naming the offending line.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise KnowledgeBaseError(f"cannot read knowledge base {path}: {exc}") from exc
     kb = KnowledgeBase()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path, KnowledgeBaseError, "knowledge base"):
         cols = line.split("\t")
         if len(cols) != 3:
             raise KnowledgeBaseError(f"{path}: line {lineno}: expected english<TAB>hindi<TAB>category")

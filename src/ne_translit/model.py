@@ -43,11 +43,11 @@ class TransliterationModel:
     each row's probability for pairs never observed (0.0 when unsmoothed).
     The tables never change once built.  Decoding lazily adds derived
     structures on first use: `candidate_index`, the symbol ids `h_symbols`
-    and `h_ids`, the dense `log_transition` rows, and `decode_memo`.  None
-    is part of equality or of the saved file, and all
-    stay correct when threads share one model (the memo is a plain dict
-    that is cleared, not evicted from, when it fills up, so no lock is
-    needed).
+    and `h_ids`, the dense `log_transition` rows, and `decode_memo`, the
+    decoded words that `decoder.decode_or_fallback` remembers.  None is
+    part of equality or of the saved file, and all stay correct when
+    threads share one model (the memo is a plain dict that is cleared, not
+    evicted from, when it fills up, so no lock is needed).
     """
 
     emission: dict[str, dict[str, float]]
@@ -114,7 +114,8 @@ class TransliterationModel:
 
     @cached_property
     def decode_memo(self) -> dict:
-        """(phoneme keys, top_k) -> Decoding, filled and bounded by the decoder."""
+        """(word, top_k) -> (output, Decoding), filled and bounded by
+        decoder.decode_or_fallback."""
         return {}
 
     def emission_prob(self, h: str, e: str) -> float:

@@ -159,13 +159,10 @@ def structure_of(p: Phoneme) -> str:
     return "".join(tags)
 
 
-# Latin phonemes by surface, and whole segmentations by the word as given,
-# shared by every phonify_latin call; each is cleared, not evicted from, once
-# it holds this many.  Sequences are immutable, so a word seen again gets
-# the same object back.
+# Latin phonemes by surface, shared by every phonify_latin call; cleared,
+# not evicted from, once it holds this many.
 PHONEME_INTERN_SIZE = 4096
 _latin_phonemes: dict[str, Phoneme] = {}
-_latin_words: dict[str, PhonemeSequence] = {}
 
 
 def phonify_latin(word: str) -> PhonemeSequence:
@@ -180,13 +177,10 @@ def phonify_latin(word: str) -> PhonemeSequence:
          all-consonant word) is one standalone phoneme;
       4. adjacent vowels land in separate phonemes.
 
-    A word segmented before, spelled the same, gets the same sequence
-    object back.
+    Phonemes come from a bounded intern table, so equal surfaces share one
+    Phoneme object until the table is cleared.
     """
-    seq = _latin_words.get(word)
-    if seq is not None:
-        return seq
-    raw, word = word, unicodedata.normalize("NFC", word)
+    word = unicodedata.normalize("NFC", word)
     if not LATIN_LETTERS.issuperset(word):
         for idx, c in enumerate(word):
             if c not in LATIN_LETTERS:
@@ -216,14 +210,7 @@ def phonify_latin(word: str) -> PhonemeSequence:
             phoneme = interned[surface] = Phoneme(surface, Script.LATIN)
         phonemes.append(phoneme)
         i = k
-    seq = PhonemeSequence(tuple(phonemes), word, Script.LATIN)
-    # Only successful segmentations get here, so a ScriptError is never
-    # stored.  As above no lock is needed: a race can only segment a word
-    # twice or let the table pass its bound by one entry per racing thread.
-    if len(_latin_words) >= PHONEME_INTERN_SIZE:
-        _latin_words.clear()
-    _latin_words[raw] = seq
-    return seq
+    return PhonemeSequence(tuple(phonemes), word, Script.LATIN)
 
 
 def phonify_devanagari(word: str) -> PhonemeSequence:

@@ -13,11 +13,15 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 
-from .decoder import Fallback, UNK_OUTPUT, viterbi
-from .errors import AnnotationError, ScriptError, UnseenPhonemeError
+from .decoder import Fallback, decode_or_fallback
+from .errors import AnnotationError
 from .kb import EntityCategory, KnowledgeBase
 from .model import TransliterationModel
-from .phonology import phonify_latin
+
+# Not called here (decode_or_fallback makes these calls), but the
+# benchmark's tracer patches both names on this module.
+from .decoder import viterbi  # noqa: F401
+from .phonology import phonify_latin  # noqa: F401
 
 
 class Route(Enum):
@@ -163,9 +167,9 @@ def parse_annotations(line: str, format: str = "inline") -> tuple[str, list[Enti
 def _transliterate_token(token, model, config):
     """Transliterate the letter runs of one token, copying everything else.
 
-    A run the model cannot decode (an unseen phoneme, or a letter outside
-    the Latin script such as the é of José) gets the fallback policy.
-    Returns (output, summed log score, whether any run fell back).
+    A run the model cannot decode gets the fallback policy (see
+    decode_or_fallback).  Returns (output, summed log score, whether any
+    run fell back).
     """
     out: list[str] = []
     score = 0.0
@@ -175,15 +179,12 @@ def _transliterate_token(token, model, config):
         if not is_run:
             out.append(text)
             continue
-        try:
-            decoding = viterbi(model, phonify_latin(text), config.top_k)
-            out.append("".join(decoding.hindi_sequence))
-            score += decoding.score
-        except (UnseenPhonemeError, ScriptError):
-            if config.fallback is Fallback.ERROR:
-                raise
+        output, decoding = decode_or_fallback(model, text, config.fallback, config.top_k)
+        out.append(output)
+        if decoding is None:
             fell_back = True
-            out.append(text if config.fallback is Fallback.COPY_SOURCE else UNK_OUTPUT)
+        else:
+            score += decoding.score
     return "".join(out), score, fell_back
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from ne_translit.alignment import AlignedPair, ParallelEntry, build_aligned_corpus, em_train_alignment
+from ne_translit.alignment import AlignedPair, ParallelEntry, align_corpus
 from ne_translit.model import estimate
 
 from helpers import make_memorization_corpus
@@ -15,9 +15,8 @@ def pytest_runtest_logreport(report):
 
 
 def train_model(entries, smoothing_k=0.0, iterations=10):
-    costs = em_train_alignment(entries, iterations)
-    aligned, _ = build_aligned_corpus(entries, costs)
-    return estimate([pairs for pairs in aligned if pairs], smoothing_k)
+    _, usable, _ = align_corpus(entries, iterations)
+    return estimate(usable, smoothing_k)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from ne_translit.alignment import (
     AlignmentCostTable,
     ParallelEntry,
     _forward_backward,
+    align_corpus,
     align_monotone,
     aligned_pair_counts,
     build_aligned_corpus,
@@ -339,6 +340,25 @@ def test_load_corpus_tolerates_bad_lines(tmp_path):
     assert len(warnings) == 2
     assert any("line 3" in w for w in warnings)
     assert any("line 5" in w for w in warnings)
+
+
+def test_load_corpus_splits_lines_at_newlines_only(tmp_path):
+    # str.splitlines would also split at the form feed, train on Kumar/राम
+    # and report the bad line as line 3
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("Ram\fKumar\tराम\nbad line\nSita\tसीता\n", encoding="utf-8")
+    entries, warnings = load_corpus(corpus)
+    assert entries == [ParallelEntry("Ram\fKumar", "राम"), ParallelEntry("Sita", "सीता")]
+    assert warnings == ["line 2: expected english<TAB>hindi[<TAB>category]"]
+
+
+def test_align_corpus_is_em_then_hard_alignment_without_empty_entries():
+    corpus = [ParallelEntry("Rama", "रामा"), ParallelEntry("x9y", "रा"), ParallelEntry("Mara", "मारा")]
+    costs, usable, skipped = align_corpus(corpus, 5)
+    assert costs == em_train_alignment(corpus, 5)
+    aligned, expected_skipped = build_aligned_corpus(corpus, costs)
+    assert usable == [pairs for pairs in aligned if pairs] and len(usable) == 2
+    assert skipped == expected_skipped and len(skipped) == 1
 
 
 def test_cost_table_validate_catches_bad_rows():

@@ -1,10 +1,15 @@
+import gc
 import hashlib
 import io
+import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import ne_translit
 from ne_translit.alignment import build_aligned_corpus, em_train_alignment, load_corpus
 from ne_translit.cli import main
 from ne_translit.model import save_model
@@ -175,6 +180,18 @@ def test_translate_uses_kb_and_writes_decisions(tmp_path, model_file, capsys, mo
     fields = records[1].split("\t")
     assert fields[:7] == ["2", "0", "7", "Radhika", "PER", "TRANSLITERATED", "राधिका"]
     assert len(fields) == 8  # transliterated records carry a score
+
+
+def test_translate_with_a_missing_input_leaves_no_decisions_file(tmp_path, model_file, capsys):
+    decisions = tmp_path / "decisions.tsv"
+    argv = ["translate", "--model", str(model_file), "--decisions", str(decisions), "--in", str(tmp_path / "missing")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not decisions.exists()
+    assert "missing" in capsys.readouterr().err
 
 
 def test_translate_fallback_decision_has_no_score(tmp_path, model_file, capsys, monkeypatch):
@@ -411,6 +428,9 @@ def test_missing_required_flag_exits_two(capsys):
 
 
 def test_console_entry_point_via_subprocess(tmp_path):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(ne_translit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("\n".join(CORPUS_LINES) + "\n", encoding="utf-8")
     model = tmp_path / "model.txt"
@@ -418,6 +438,7 @@ def test_console_entry_point_via_subprocess(tmp_path):
         [sys.executable, "-m", "ne_translit", "--quiet", "train", str(corpus), str(model)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert train.returncode == 0, train.stderr
     result = subprocess.run(
@@ -425,10 +446,11 @@ def test_console_entry_point_via_subprocess(tmp_path):
         input="Cherapunji\n",
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "Cherapunji\t[Che][ra][pun][ji]"
     usage = subprocess.run(
-        [sys.executable, "-m", "ne_translit", "nonsense"], capture_output=True, text=True
+        [sys.executable, "-m", "ne_translit", "nonsense"], capture_output=True, text=True, env=env
     )
     assert usage.returncode == 2

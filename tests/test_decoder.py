@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+import unicodedata
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,11 +14,11 @@ from ne_translit.decoder import (
     Fallback,
     UNK_OUTPUT,
     candidates,
-    decode_word,
+    decode_or_fallback,
     transliterate,
     viterbi,
 )
-from ne_translit.errors import UnseenPhonemeError
+from ne_translit.errors import ScriptError, UnseenPhonemeError
 from ne_translit.model import BOS, EOS, TransliterationModel, estimate
 from ne_translit.alignment import AlignedPair
 from ne_translit.phonology import phonify_latin
@@ -163,8 +164,8 @@ def test_transliterate_empty_word(single_entry_model):
 
 
 def test_decode_word_is_deterministic(memorization_model):
-    first = decode_word(memorization_model, "Radhika")
-    second = decode_word(memorization_model, "Radhika")
+    first = viterbi(memorization_model, phonify_latin("Radhika"))
+    second = viterbi(memorization_model, phonify_latin("Radhika"))
     assert first == second
 
 
@@ -239,14 +240,32 @@ def test_viterbi_matches_exhaustive_search_on_all_tie_models():
             assert decoding.score == score
 
 
+# Syllables that build_random_model's English symbols e0, e1, ... are renamed
+# to, in the same sorted order, so that words made of them segment back
+# into exactly those symbols.
+SYLLABLES = ["ba", "di", "ku", "mo", "pe", "sa"]
+
+
+def latin_random_model(rng):
+    m = build_random_model(rng, n_e=len(SYLLABLES))
+    names = dict(zip(sorted(m.e_vocab), SYLLABLES))
+    return dataclasses.replace(
+        m,
+        emission={h: {names[e]: p for e, p in row.items()} for h, row in m.emission.items()},
+        e_vocab=frozenset(names.values()),
+    )
+
+
 def test_memo_returns_equal_decodings(memorization_model, memorization_corpus):
     shared = dataclasses.replace(memorization_model)
     words = [entry.english for entry in memorization_corpus[:10]]
-    first = [decode_word(shared, word) for word in words]
+    first = [decode_or_fallback(shared, word) for word in words]
     assert len(shared.decode_memo) == len(words)
-    again = [decode_word(shared, word) for word in words]
-    fresh = [decode_word(dataclasses.replace(memorization_model), word) for word in words]
+    again = [decode_or_fallback(shared, word) for word in words]
+    fresh = [decode_or_fallback(dataclasses.replace(memorization_model), word) for word in words]
     assert again == first == fresh
+    assert all(a is f for a, f in zip(again, first))  # repeats come from the memo
+    assert [output for output, _ in first] == [transliterate(shared, word) for word in words]
 
 
 def test_memo_keeps_top_k_apart():
@@ -262,33 +281,45 @@ def test_memo_keeps_top_k_apart():
     )
     m.validate()
     for _ in range(2):
-        assert viterbi(m, ["x"], top_k=2).hindi_sequence == ("B",)
-        assert viterbi(m, ["x"], top_k=1).hindi_sequence == ("A",)
-    assert set(m.decode_memo) == {(("x",), 2), (("x",), 1)}
+        assert decode_or_fallback(m, "x", top_k=2)[1].hindi_sequence == ("B",)
+        assert decode_or_fallback(m, "x", top_k=1)[1].hindi_sequence == ("A",)
+    assert set(m.decode_memo) == {("x", 2), ("x", 1)}
 
 
 def test_memo_never_exceeds_its_bound(monkeypatch):
     monkeypatch.setattr(decoder, "MEMO_SIZE", 5)
     rng = random.Random(43)
-    m = build_random_model(rng)
-    e_syms = sorted(m.e_vocab)
+    m = latin_random_model(rng)
     for _ in range(200):
-        keys = [rng.choice(e_syms) for _ in range(rng.randint(1, 4))]
+        keys = [rng.choice(SYLLABLES) for _ in range(rng.randint(1, 4))]
         expected = exhaustive_decode(m, keys, top_k=3)
-        decoding = viterbi(m, keys, top_k=3)
+        output, decoding = decode_or_fallback(m, "".join(keys), top_k=3)
         assert (decoding.hindi_sequence, decoding.score) == expected
+        assert output == "".join(expected[0])
         assert 1 <= len(m.decode_memo) <= 5
 
 
 def test_memo_caches_successes_only(single_entry_model):
-    with pytest.raises(UnseenPhonemeError):
-        viterbi(single_entry_model, ["a", "zz"])
+    # an unseen phoneme, and the é of José in NFC and NFD
+    failing = [
+        ("Amarzz", UnseenPhonemeError),
+        ("José", ScriptError),
+        (unicodedata.normalize("NFD", "José"), ScriptError),
+    ]
+    for word, error in failing:
+        with pytest.raises(error):
+            decode_or_fallback(single_entry_model, word)
+        assert decode_or_fallback(single_entry_model, word, Fallback.COPY_SOURCE) == (word, None)
+        assert decode_or_fallback(single_entry_model, word, Fallback.UNK_MARKER) == (UNK_OUTPUT, None)
+    assert decode_or_fallback(single_entry_model, "") == ("", None)
     assert single_entry_model.decode_memo == {}
+    assert decode_or_fallback(single_entry_model, "Amar")[0] == "अमर"
+    assert set(single_entry_model.decode_memo) == {("Amar", 10)}
 
 
 def test_decode_state_does_not_keep_the_model_alive(memorization_model):
     m = dataclasses.replace(memorization_model)
-    decode_word(m, "Radhika")
+    decode_or_fallback(m, "Radhika")
     assert m.candidate_index and m.decode_memo
     ref = weakref.ref(m)
     del m
@@ -298,7 +329,7 @@ def test_decode_state_does_not_keep_the_model_alive(memorization_model):
 def test_threads_sharing_a_model_match_serial_decoding(monkeypatch, memorization_model, memorization_corpus):
     monkeypatch.setattr(decoder, "MEMO_SIZE", 7)  # force clears while other threads read
     words = [entry.english for entry in memorization_corpus]
-    serial = [decode_word(dataclasses.replace(memorization_model), word) for word in words]
+    serial = [decode_or_fallback(dataclasses.replace(memorization_model), word) for word in words]
     shared = dataclasses.replace(memorization_model)
 
     def work(seed):
@@ -307,7 +338,7 @@ def test_threads_sharing_a_model_match_serial_decoding(monkeypatch, memorization
         got = [None] * len(words)
         for _ in range(5):
             for i in order:
-                got[i] = decode_word(shared, words[i])
+                got[i] = decode_or_fallback(shared, words[i])
         return got
 
     interval = sys.getswitchinterval()

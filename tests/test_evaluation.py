@@ -165,3 +165,14 @@ def test_load_gold_errors_name_the_line(tmp_path):
     with pytest.raises(EvaluationError) as excinfo:
         load_gold(path)
     assert "line 2" in str(excinfo.value)
+
+
+def test_load_system_splits_lines_at_newlines_only(tmp_path):
+    # str.splitlines would make two outputs of the line with U+2028 in it
+    path = tmp_path / "system.txt"
+    path.write_text("राम\u2028सीता\n\nभारत\n", encoding="utf-8")
+    assert load_system(path) == ["राम\u2028सीता", "", "भारत"]
+    path.write_text("भारत", encoding="utf-8")
+    assert load_system(path) == ["भारत"]
+    path.write_text("", encoding="utf-8")
+    assert load_system(path) == []
