@@ -9,11 +9,13 @@ failures print a single-line diagnostic and exit 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import alignment, evaluation, kb as kb_mod, model as model_mod, phonology
 from .decoder import Fallback, decode_or_fallback
 from .errors import ConfigError, NeTranslitError
+from .model import BOS, EOS
 from .pipeline import PipelineConfig, parse_annotations, process_sentence
 from .textfile import read_lines
 
@@ -32,13 +34,23 @@ def positive_int(text: str) -> int:
     return value
 
 
+def boolean(text: str) -> bool:
+    """1/true/yes/on or 0/false/no/off, any case; a ValueError otherwise."""
+    value = text.lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
 # Flat key = value config file; flags override these.
 CONFIG_KEYS = {
     "smoothing_k": float,
     "em_iterations": int,
     "top_k": positive_int,
     "fallback": str,
-    "kb_persons": lambda v: v.lower() in ("1", "true", "yes", "on"),
+    "kb_persons": boolean,
 }
 
 
@@ -74,10 +86,11 @@ def _fallback_policy(value) -> Fallback:
 
 
 def _open_input(args):
+    """The --in file, or stdin (left open on exit), as a context manager."""
     path = getattr(args, "infile", None)
     if path:
         return open(path, "r", encoding="utf-8")
-    return sys.stdin
+    return contextlib.nullcontext(sys.stdin)
 
 
 def _info(args, message):
@@ -86,17 +99,13 @@ def _info(args, message):
 
 
 def cmd_phonify(args, config) -> int:
-    stream = _open_input(args)
-    try:
+    with _open_input(args) as stream:
         for raw in stream:
             word = raw.strip()
             if not word:
                 continue
             seq = phonology.phonify(word)
             print(f"{word}\t{seq.bracketed()}")
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
     return 0
 
 
@@ -150,8 +159,7 @@ def cmd_transliterate(args, config) -> int:
     trained = model_mod.load_model(args.model)
     top_k = int(_setting(args, config, "top_k", 10))
     policy = _fallback_policy(_setting(args, config, "fallback", "error"))
-    stream = _open_input(args)
-    try:
+    with _open_input(args) as stream:
         for raw in stream:
             word = raw.strip()
             if not word:
@@ -162,37 +170,36 @@ def cmd_transliterate(args, config) -> int:
                 continue
             line = f"{word}\t{hindi}\t{decoding.score:.6f}"
             if args.trace:
-                trace = " ".join(
-                    f"{h}:{p:.6g}" for h, p in zip(decoding.hindi_sequence, decoding.per_position)
+                # each position's composite score, from a second segmentation
+                # of the word (decode_or_fallback keeps only the path)
+                path = (BOS, *decoding.hindi_sequence, EOS)
+                keys = phonology.phonify_latin(word).keys()
+                line += "\t" + " ".join(
+                    f"{h}:{trained.position_score(path[i], h, path[i + 2], e):.6g}"
+                    for i, (h, e) in enumerate(zip(decoding.hindi_sequence, keys))
                 )
-                line += f"\t{trace}"
             print(line)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
     return 0
-
-
-def _load_kb_for(args) -> kb_mod.KnowledgeBase:
-    allow_person = bool(args.kb_persons)
-    if args.kb:
-        return kb_mod.load_kb(args.kb, allow_person=allow_person)
-    return kb_mod.load_seed_kb(allow_person=allow_person)
 
 
 def cmd_translate(args, config) -> int:
     trained = model_mod.load_model(args.model)
-    knowledge = _load_kb_for(args)
+    kb_persons = bool(_setting(args, config, "kb_persons", False))
+    if args.kb:
+        knowledge = kb_mod.load_kb(args.kb, allow_person=kb_persons)
+    else:
+        knowledge = kb_mod.load_seed_kb(allow_person=kb_persons)
     pipeline_config = PipelineConfig(
         fallback=_fallback_policy(_setting(args, config, "fallback", "error")),
         top_k=int(_setting(args, config, "top_k", 10)),
-        kb_persons=bool(args.kb_persons or config.get("kb_persons", False)),
+        kb_persons=kb_persons,
     )
-    stream = _open_input(args)  # before the decisions file, so a missing input leaves none behind
-    decisions_out = None
     failed = False
-    try:
-        decisions_out = open(args.decisions, "w", encoding="utf-8") if args.decisions else None
+    # the input opens first, so a missing input leaves no decisions file behind
+    with (
+        _open_input(args) as stream,
+        open(args.decisions, "w", encoding="utf-8") if args.decisions else contextlib.nullcontext() as decisions_out,
+    ):
         for lineno, raw in enumerate(stream, start=1):
             line = raw.rstrip("\n")
             try:
@@ -217,11 +224,6 @@ def cmd_translate(args, config) -> int:
                     if decision.score is not None:
                         record += f"\t{decision.score:.6f}"
                     decisions_out.write(record + "\n")
-    finally:
-        if decisions_out:
-            decisions_out.close()
-        if stream is not sys.stdin:
-            stream.close()
     return 1 if failed else 0
 
 
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["inline", "columnar"], default="inline")
     p.add_argument("--fallback", choices=[f.value for f in Fallback])
     p.add_argument("--top-k", dest="top_k", type=positive_int)
-    p.add_argument("--kb-persons", action="store_true", help="let person names consult the KB")
+    p.add_argument("--kb-persons", action="store_true", default=None, help="let person names consult the KB")
     p.add_argument("--in", dest="infile", help="read sentences from a file instead of stdin")
     p.add_argument("--decisions", help="write one record per entity to this file")
     p.add_argument(

@@ -2,10 +2,10 @@
 
 The decoded sequence maximizes the full path product: the start
 transition, one emission and one incoming transition per position, and
-the end transition.  Per-position composite scores (emission times both
-neighboring transitions) are reported alongside as diagnostics.
-Scores accumulate in log domain; ties pick the code-point-smallest
-Hindi sequence so output is reproducible.
+the end transition.  Scores accumulate in log domain; ties pick the
+code-point-smallest Hindi sequence so output is reproducible.  The
+per-position composite scores that `transliterate --trace` prints come
+from TransliterationModel.position_score over the decoded path.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from enum import Enum
 
 from . import phonology
 from .errors import ScriptError, UnseenPhonemeError
-from .model import BOS, EOS, Candidate, TransliterationModel
+from .model import Candidate, TransliterationModel
 from .phonology import PhonemeSequence
 
 
@@ -39,12 +39,11 @@ MEMO_SIZE = 4096
 
 @dataclass(frozen=True)
 class Decoding:
-    """One decoded word: Hindi phonemes (one per English phoneme), the
-    total log score, and the per-position composite scores."""
+    """One decoded word: Hindi phonemes (one per English phoneme) and the
+    total log score of the path."""
 
     hindi_sequence: tuple[str, ...]
     score: float
-    per_position: tuple[float, ...]
 
 
 def candidates(model: TransliterationModel, e: str, top_k: int = 10) -> list[Candidate]:
@@ -119,19 +118,7 @@ def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
             path.append(symbols[h])
         path.reverse()
 
-    # Per-position composite scores, multiplied in position_score's order:
-    # emission times the transitions into and out of the position.  A
-    # candidate's emission is the observed emission[h][e], which is what
-    # emission_prob returns for it.
-    emission, transition, t_floor = model.emission, model.transition, model.transition_floor
-    ts = []
-    h_prev = BOS
-    for h in path + [EOS]:
-        row = transition.get(h_prev)
-        ts.append(model.transition_prob(h_prev, h) if row is None else row.get(h, t_floor[h_prev]))
-        h_prev = h
-    per_position = [emission[h][e] * ts[i] * ts[i + 1] for i, (h, e) in enumerate(zip(path, keys))]
-    return Decoding(tuple(path), best_score, tuple(per_position))
+    return Decoding(tuple(path), best_score)
 
 
 def decode_or_fallback(

@@ -16,6 +16,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ModelFormatError, ModelValidationError, ModelVersionError
+from .textfile import read_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -285,21 +286,17 @@ def save_model(model: TransliterationModel, path) -> None:
 
 
 def load_model(path) -> TransliterationModel:
-    """Read a model file written by save_model, validating everything."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read model {path}: {exc}") from exc
+    """Read a model file written by save_model, validating everything.
 
+    Lines are read like every other input file (textfile.read_lines):
+    stripped, blank and '#' lines skipped, ending at a newline only.
+    """
+    path = Path(path)
     meta: dict[str, str] = {}
     tables: dict[str, dict[str, dict[str, float]]] = {"emission": {}, "transition": {}}
     floors: dict[str, dict[str, float]] = {"emission": {}, "transition": {}}
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(path, ModelFormatError, "model"):
         if line in ("[meta]", "[emission]", "[transition]"):
             section = line[1:-1]
             continue

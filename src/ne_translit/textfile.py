@@ -15,9 +15,8 @@ def read_lines(path, error, what: str) -> list[tuple[int, str]]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    lines = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append((lineno, line))
-    return lines
+    return [
+        (lineno, line)
+        for lineno, raw in enumerate(text.split("\n"), start=1)
+        if (line := raw.strip()) and line[0] != "#"
+    ]

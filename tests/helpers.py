@@ -215,6 +215,16 @@ def exhaustive_decode(model, keys, top_k=10):
     return best_seq, best_score
 
 
+def trace_items(model, seq, keys):
+    """position_score over (BOS, *seq, EOS), each formatted as
+    `transliterate --trace` prints it."""
+    padded = (BOS, *seq, EOS)
+    return [
+        f"{h}:{model.position_score(padded[i], h, padded[i + 2], e):.6g}"
+        for i, (h, e) in enumerate(zip(seq, keys))
+    ]
+
+
 # --- random model construction --------------------------------------------
 
 def _normalized_row(rng, targets, discrete):

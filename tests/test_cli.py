@@ -11,10 +11,12 @@ import pytest
 
 import ne_translit
 from ne_translit.alignment import build_aligned_corpus, em_train_alignment, load_corpus
-from ne_translit.cli import main
-from ne_translit.model import save_model
+from ne_translit.cli import main, parse_config
+from ne_translit.decoder import viterbi
+from ne_translit.model import load_model, save_model
+from ne_translit.phonology import phonify_latin
 
-from helpers import make_memorization_corpus, reference_parse_inline
+from helpers import make_memorization_corpus, reference_parse_inline, trace_items
 
 CORPUS_LINES = [f"{e.english}\t{e.hindi}" for e in make_memorization_corpus(n=20, seed=3)]
 
@@ -133,6 +135,56 @@ def test_transliterate_trace_adds_per_position_column(model_file, capsys, monkey
     assert all(":" in item for item in items)
 
 
+TRACE_WORDS = ["Radhika", "Kamala", "Xylophone", "Radhika", "José", "", "Pusaki", "Kamala"] + [
+    line.split("\t")[0] for line in CORPUS_LINES[:6]
+]
+
+# SHA-256 of `transliterate --trace --fallback copy` stdout on TRACE_WORDS for
+# a model trained on CORPUS_LINES at each smoothing constant, recorded when
+# viterbi computed the per-position scores of every decoding.  The input has
+# repeated words (memo hits), words that fall back (an unseen phoneme, a
+# non-Latin letter) and, unsmoothed, a zero-probability path (Pusaki).
+GOLDEN_TRACE_SHA256 = {
+    "0": "985fd020539a28f806a7c769a10b3a1677d3caca831a67267bcda3fed4711c5c",
+    "0.25": "6006db0123a1c7cd55cb3d835f530ead0f5db1b491b6fc34c592a4d2f9301e26",
+}
+
+
+def _trace_run(smoothing_k, tmp_path, corpus_file, capsys):
+    model = tmp_path / "model.txt"
+    assert main(["--quiet", "train", str(corpus_file), str(model), "--smoothing-k", smoothing_k]) == 0
+    words = tmp_path / "words.txt"
+    words.write_text("".join(f"{w}\n" for w in TRACE_WORDS), encoding="utf-8")
+    argv = ["transliterate", "--model", str(model), "--trace", "--fallback", "copy", "--in", str(words)]
+    assert main(argv) == 0
+    return model, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("smoothing_k", sorted(GOLDEN_TRACE_SHA256))
+def test_transliterate_trace_bytes_golden(smoothing_k, tmp_path, corpus_file, capsys):
+    _, out = _trace_run(smoothing_k, tmp_path, corpus_file, capsys)
+    lines = out.splitlines()
+    assert len(lines) == len([w for w in TRACE_WORDS if w])
+    assert sum(line.endswith("\t-") for line in lines) == 4  # Kamala twice, Xylophone, José
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_TRACE_SHA256[smoothing_k]
+
+
+@pytest.mark.parametrize("smoothing_k", sorted(GOLDEN_TRACE_SHA256))
+def test_trace_items_are_position_scores_of_the_decoded_path(smoothing_k, tmp_path, corpus_file, capsys):
+    model_path, out = _trace_run(smoothing_k, tmp_path, corpus_file, capsys)
+    trained = load_model(model_path)
+    traced = 0
+    for line in out.splitlines():
+        cols = line.split("\t")
+        if cols[2] == "-":
+            assert len(cols) == 3
+            continue
+        keys = phonify_latin(cols[0]).keys()
+        assert cols[3].split(" ") == trace_items(trained, viterbi(trained, keys).hindi_sequence, keys)
+        traced += 1
+    assert traced == 9
+
+
 def test_transliterate_fallback_copy(model_file, capsys, monkeypatch):
     code = run_cli(
         ["transliterate", "--model", str(model_file), "--fallback", "copy"],
@@ -192,6 +244,13 @@ def test_translate_with_a_missing_input_leaves_no_decisions_file(tmp_path, model
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert not decisions.exists()
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["phonify", "transliterate", "translate"])
+def test_reading_stdin_leaves_it_open(command, model_file, monkeypatch):
+    argv = [command] if command == "phonify" else [command, "--model", str(model_file), "--fallback", "copy"]
+    assert run_cli(argv, "Radhika\n", monkeypatch=monkeypatch) == 0
+    assert not sys.stdin.closed
 
 
 def test_translate_fallback_decision_has_no_score(tmp_path, model_file, capsys, monkeypatch):
@@ -322,6 +381,48 @@ def test_config_top_k_below_one_is_a_one_line_error(tmp_path, model_file, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"ne-translit: error: {config}: line 1: bad value for 'top_k': '0'"]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_kb_persons_from_flag_or_config_loads_person_rows(how, tmp_path, model_file, capsys, monkeypatch):
+    kb = tmp_path / "kb.tsv"
+    kb.write_text("Amitabh\tअमिताभ\tPER\n", encoding="utf-8")
+    config = tmp_path / "config.ini"
+    config.write_text("kb_persons = true\n", encoding="utf-8")
+    argv = ["translate", "--model", str(model_file), "--kb", str(kb)]
+    argv = argv + ["--kb-persons"] if how == "flag" else ["--config", str(config)] + argv
+    assert run_cli(argv, "[[Amitabh|PER]] spoke.\n", monkeypatch=monkeypatch) == 0
+    assert capsys.readouterr().out == "अमिताभ spoke.\n"
+
+    argv = ["translate", "--model", str(model_file), "--kb", str(kb)]
+    assert run_cli(argv, "[[Amitabh|PER]] spoke.\n", monkeypatch=monkeypatch) == 1
+    assert "PER entries need the person-lookup extension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1", True), ("true", True), ("Yes", True), ("ON", True),
+     ("0", False), ("false", False), ("no", False), ("Off", False)],
+)
+def test_config_kb_persons_reads_booleans(text, value, tmp_path):
+    config = tmp_path / "config.ini"
+    config.write_text(f"kb_persons = {text}\n", encoding="utf-8")
+    assert parse_config(config) == {"kb_persons": value}
+
+
+@pytest.mark.parametrize("text", ["ture", "", "2", "y"])
+def test_config_kb_persons_rejects_other_values(text, tmp_path, model_file, capsys, monkeypatch):
+    config = tmp_path / "config.ini"
+    config.write_text(f"kb_persons = {text}\n", encoding="utf-8")
+    code = run_cli(
+        ["--config", str(config), "translate", "--model", str(model_file)],
+        "[[India|LOC]] is here.\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"ne-translit: error: {config}: line 1: bad value for 'kb_persons': {text!r}"]
 
 
 # A KB hit, multi-token entities, punctuation inside entities, a non-Latin

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import random
 import sys
@@ -8,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from ne_translit import decoder
+from ne_translit import cli, decoder, model as model_mod
 from ne_translit.decoder import (
     Candidate,
     Fallback,
@@ -23,7 +24,7 @@ from ne_translit.model import BOS, EOS, TransliterationModel, estimate
 from ne_translit.alignment import AlignedPair
 from ne_translit.phonology import phonify_latin
 
-from helpers import build_random_model, exhaustive_decode
+from helpers import build_random_model, exhaustive_decode, trace_items
 
 
 def test_candidates_single_entry(single_entry_model):
@@ -56,11 +57,19 @@ def test_candidates_truncates_to_top_k():
         candidates(m, "ka", top_k=0)
 
 
-def test_viterbi_single_path(single_entry_model):
+def cli_trace(monkeypatch, capsys, model, word):
+    """The --trace items CLI transliterate prints for word, with model
+    standing in for the loaded model file."""
+    monkeypatch.setattr(model_mod, "load_model", lambda path: model)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(word + "\n"))
+    assert cli.main(["transliterate", "--model", "in-memory", "--trace"]) == 0
+    return capsys.readouterr().out.rstrip("\n").split("\t")[3].split(" ")
+
+
+def test_viterbi_single_path(single_entry_model, monkeypatch, capsys):
     decoding = viterbi(single_entry_model, phonify_latin("Amar"))
     assert decoding.hindi_sequence == ("अ", "म", "र")
-    assert len(decoding.per_position) == 3
-    assert decoding.per_position[0] == pytest.approx(1.0)
+    assert cli_trace(monkeypatch, capsys, single_entry_model, "Amar") == ["अ:1", "म:1", "र:1"]
 
 
 def test_viterbi_length_one_is_plain_argmax():
@@ -74,28 +83,25 @@ def test_viterbi_length_one_is_plain_argmax():
         assert decoding.score == score
 
 
-def test_viterbi_matches_exhaustive_search():
+def test_viterbi_matches_exhaustive_search(monkeypatch, capsys):
     rng = random.Random(32)
     for trial in range(200):
-        m = build_random_model(rng, discrete=trial % 2 == 1)
+        m = latin_random_model(rng, discrete=trial % 2 == 1)
         length = rng.randint(1, 6)
         keys = [rng.choice(sorted(m.e_vocab)) for _ in range(length)]
         decoding = viterbi(m, keys, top_k=5)
         seq, score = exhaustive_decode(m, keys, top_k=5)
         assert decoding.hindi_sequence == seq
         assert decoding.score == score
-        padded = (BOS, *seq, EOS)
-        assert decoding.per_position == tuple(
-            m.position_score(padded[i], h, padded[i + 2], e) for i, (h, e) in enumerate(zip(seq, keys))
-        )
+        assert cli_trace(monkeypatch, capsys, m, "".join(keys)) == trace_items(m, seq, keys)
 
 
-def test_viterbi_on_sources_without_a_transition_row():
+def test_viterbi_on_sources_without_a_transition_row(monkeypatch, capsys):
     # Only a model built without validate() lacks rows; transition_prob then
     # gives every target of such a source its uniform guess.
     rng = random.Random(34)
     for trial in range(40):
-        m = build_random_model(rng, discrete=True)
+        m = latin_random_model(rng, discrete=True)
         dropped = rng.sample(sorted(m.transition), rng.randint(1, len(m.transition)))
         bare = dataclasses.replace(
             m,
@@ -106,10 +112,7 @@ def test_viterbi_on_sources_without_a_transition_row():
         decoding = viterbi(bare, keys, top_k=5)
         seq, score = exhaustive_decode(bare, keys, top_k=5)
         assert (decoding.hindi_sequence, decoding.score) == (seq, score)
-        padded = (BOS, *seq, EOS)
-        assert decoding.per_position == tuple(
-            bare.position_score(padded[i], h, padded[i + 2], e) for i, (h, e) in enumerate(zip(seq, keys))
-        )
+        assert cli_trace(monkeypatch, capsys, bare, "".join(keys)) == trace_items(bare, seq, keys)
 
 
 def test_viterbi_score_is_the_path_log_product(single_entry_model):
@@ -246,8 +249,8 @@ def test_viterbi_matches_exhaustive_search_on_all_tie_models():
 SYLLABLES = ["ba", "di", "ku", "mo", "pe", "sa"]
 
 
-def latin_random_model(rng):
-    m = build_random_model(rng, n_e=len(SYLLABLES))
+def latin_random_model(rng, discrete=False):
+    m = build_random_model(rng, n_e=len(SYLLABLES), discrete=discrete)
     names = dict(zip(sorted(m.e_vocab), SYLLABLES))
     return dataclasses.replace(
         m,

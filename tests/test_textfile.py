@@ -2,11 +2,12 @@ import re
 
 import pytest
 
-from ne_translit.alignment import load_corpus
+from ne_translit.alignment import AlignedPair, load_corpus
 from ne_translit.cli import parse_config
-from ne_translit.errors import ConfigError, CorpusError, EvaluationError, KnowledgeBaseError
+from ne_translit.errors import ConfigError, CorpusError, EvaluationError, KnowledgeBaseError, ModelFormatError
 from ne_translit.evaluation import load_gold
 from ne_translit.kb import load_kb
+from ne_translit.model import estimate, load_model, save_model
 from ne_translit.textfile import read_lines
 
 
@@ -17,6 +18,7 @@ from ne_translit.textfile import read_lines
         (load_kb, KnowledgeBaseError, "knowledge base"),
         (load_gold, EvaluationError, "gold file"),
         (parse_config, ConfigError, "config"),
+        (load_model, ModelFormatError, "model"),
     ],
 )
 def test_an_unreadable_file_raises_the_loaders_own_error(loader, error, what, tmp_path):
@@ -36,3 +38,23 @@ def test_config_line_numbers_count_newlines_only(tmp_path):
     path.write_text("top_k = 3 \nnope\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"line 2: expected key = value"):
         parse_config(path)
+
+
+def test_model_line_numbers_count_newlines_only(tmp_path):
+    # str.splitlines would also end the version line at its form feed and
+    # report the garbage line as line 5
+    path = tmp_path / "model.txt"
+    path.write_text("[meta]\nsmoothing_k\t0\nversion\t1\f\nnot a row\n", encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=r"line 4: expected key<TAB>value$"):
+        load_model(path)
+
+
+def test_model_blank_and_comment_lines_are_ignored(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(estimate([[AlignedPair("a", "अ"), AlignedPair("ma", "म")]], smoothing_k=0.1), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    padded = ["# saved by a test", ""] + [f" {line}\t " if "\t" in line else line for line in lines]
+    padded.insert(5, "   # indented comment")
+    commented = tmp_path / "commented.txt"
+    commented.write_text("\n".join(padded), encoding="utf-8")
+    assert load_model(commented) == load_model(path)
