@@ -15,14 +15,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import phonology
-from .errors import ScriptError, UnseenPhonemeError
+from .errors import ScriptError, UnseenPhonemeError, ZeroProbabilityError
 from .model import Candidate, TransliterationModel
 from .phonology import PhonemeSequence
 
 
 class Fallback(Enum):
     """What to do with a word the model cannot decode: one with a phoneme
-    the model has never seen, or with a letter outside the Latin script."""
+    the model has never seen, with a letter outside the Latin script, or
+    whose every path has probability 0 (possible only without smoothing)."""
 
     ERROR = "error"
     COPY_SOURCE = "copy"
@@ -129,9 +130,10 @@ def decode_or_fallback(
 ) -> tuple[str, Decoding | None]:
     """Segment a Latin word and decode it: (Hindi output, its Decoding).
 
-    A word the model cannot decode (an unseen phoneme, or a letter outside
-    the Latin script such as the é of José) gets the fallback output and
-    None; the empty word gives ("", None).  Successful decodings are
+    A word the model cannot decode (an unseen phoneme, a letter outside
+    the Latin script such as the é of José, or a best path of probability
+    0) gets the fallback output and None, or under Fallback.ERROR the
+    error; the empty word gives ("", None).  Successful decodings are
     memoized on the model by the word as given and top_k, so a repeated
     word skips both segmentation and Viterbi.
     """
@@ -145,7 +147,9 @@ def decode_or_fallback(
         if not seq:
             return "", None
         decoding = viterbi(model, seq, top_k)
-    except (ScriptError, UnseenPhonemeError):
+        if decoding.score == NEG_INF:
+            raise ZeroProbabilityError(word)
+    except (ScriptError, UnseenPhonemeError, ZeroProbabilityError):
         if fallback is Fallback.ERROR:
             raise
         return (word if fallback is Fallback.COPY_SOURCE else UNK_OUTPUT), None

@@ -48,6 +48,14 @@ class UnseenPhonemeError(NeTranslitError):
         self.position = position
 
 
+class ZeroProbabilityError(NeTranslitError):
+    """Every Hindi sequence for a word has probability 0 under the model."""
+
+    def __init__(self, word: str):
+        super().__init__(f"every transliteration of {word!r} has probability 0 under this model")
+        self.word = word
+
+
 class KnowledgeBaseError(NeTranslitError):
     """A knowledge-base file is malformed or contains duplicates."""
 

@@ -9,7 +9,6 @@ only falls through to transliteration on a miss.
 from __future__ import annotations
 
 import os
-import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -18,8 +17,6 @@ from pathlib import Path
 
 from .errors import KnowledgeBaseError
 from .textfile import read_lines
-
-_WHITESPACE_RUNS = re.compile(r"\s+")
 
 SEED_KB_ENV_VAR = "NE_TRANSLIT_SEED_KB"
 
@@ -42,8 +39,18 @@ _CATEGORY_LABELS = {label: cat for cat in EntityCategory for label in (cat.value
 
 
 def normalize(text: str) -> str:
-    """Normal form used for matching: NFC, case-folded, single spaces."""
-    return _WHITESPACE_RUNS.sub(" ", unicodedata.normalize("NFC", text).casefold()).strip()
+    """Normal form used for matching: NFC, then case-folded, then every run
+    of Unicode whitespace made one space, with none at either end."""
+    # str.split() breaks at exactly the characters that re's \s matches
+    return " ".join(unicodedata.normalize("NFC", text).casefold().split())
+
+
+def _check_normal_form(key: str) -> None:
+    """Raise ValueError unless key is a fixed point of normalize.  A few
+    outputs of normalize are not: U+0130 casefolds to i + U+0307 after NFC
+    has run, so a following U+0316 is left out of canonical order."""
+    if key != normalize(key):
+        raise ValueError(f"key {key!r} is not in normal form")
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,7 @@ class KBEntry:
     category: EntityCategory
 
     def __post_init__(self):
-        if self.english_normalized != normalize(self.english_normalized):
-            raise ValueError(f"key {self.english_normalized!r} is not in normal form")
+        _check_normal_form(self.english_normalized)
         if not self.hindi:
             raise ValueError("translation must be non-empty")
 
@@ -68,12 +74,13 @@ class KnowledgeBase:
             self.add(entry)
 
     def add(self, entry: KBEntry) -> None:
-        key = (entry.category, entry.english_normalized)
-        if key in self._table:
-            raise KnowledgeBaseError(
-                f"duplicate entry for {entry.english_normalized!r} ({entry.category.value})"
-            )
-        self._table[key] = entry.hindi
+        self._insert(entry.category, entry.english_normalized, entry.hindi)
+
+    def _insert(self, category: EntityCategory, key: str, hindi: str) -> None:
+        """Store one row; key must already be in normal form."""
+        if (category, key) in self._table:
+            raise KnowledgeBaseError(f"duplicate entry for {key!r} ({category.value})")
+        self._table[category, key] = hindi
 
     def lookup(self, entity: str, category: EntityCategory) -> str | None:
         """Exact match only; None means fall through to transliteration."""
@@ -100,24 +107,26 @@ def load_kb(path, allow_person: bool = False) -> KnowledgeBase:
     """
     path = Path(path)
     kb = KnowledgeBase()
+    # one pass per row, with no KBEntry built: this is translate's set-up cost
     for lineno, line in read_lines(path, KnowledgeBaseError, "knowledge base"):
         cols = line.split("\t")
         if len(cols) != 3:
             raise KnowledgeBaseError(f"{path}: line {lineno}: expected english<TAB>hindi<TAB>category")
-        english, hindi, cat_text = (c.strip() for c in cols)
+        english, hindi, cat_text = cols[0].strip(), cols[1].strip(), cols[2].strip()
         if not english or not hindi:
             raise KnowledgeBaseError(f"{path}: line {lineno}: empty entity or translation")
-        try:
-            category = EntityCategory.parse(cat_text)
-        except ValueError as exc:
-            raise KnowledgeBaseError(f"{path}: line {lineno}: {exc}") from exc
+        category = _CATEGORY_LABELS.get(cat_text.upper())
+        if category is None:
+            raise KnowledgeBaseError(f"{path}: line {lineno}: unknown entity category {cat_text!r}")
         if category is EntityCategory.PERSON and not allow_person:
             raise KnowledgeBaseError(
                 f"{path}: line {lineno}: PER entries need the person-lookup extension"
             )
+        key = normalize(english)
         try:
-            kb.add(KBEntry(normalize(english), hindi, category))
-        except KnowledgeBaseError as exc:
+            _check_normal_form(key)
+            kb._insert(category, key, hindi)
+        except (ValueError, KnowledgeBaseError) as exc:
             raise KnowledgeBaseError(f"{path}: line {lineno}: {exc}") from exc
     return kb
 

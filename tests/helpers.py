@@ -19,7 +19,13 @@ from ne_translit.alignment import (
     ParallelEntry,
     entry_keys,
 )
-from ne_translit.errors import AnnotationError, NeTranslitError, ScriptError, UnseenPhonemeError
+from ne_translit.errors import (
+    AnnotationError,
+    NeTranslitError,
+    ScriptError,
+    UnseenPhonemeError,
+    ZeroProbabilityError,
+)
 from ne_translit.decoder import UNK_OUTPUT, Fallback, candidates, viterbi
 from ne_translit.kb import EntityCategory
 from ne_translit.model import BOS, EOS, TransliterationModel
@@ -355,7 +361,7 @@ def reference_parse_inline(line: str):
 def reference_transliterate_token(token, model, config):
     """Letter runs found one character at a time with str.isalpha(): the
     scanner pipeline._transliterate_token must reproduce, fallbacks and
-    errors included."""
+    errors included.  A run whose best path has probability 0 falls back."""
     out = []
     score = 0.0
     fell_back = False
@@ -368,9 +374,11 @@ def reference_transliterate_token(token, model, config):
             run = token[i:j]
             try:
                 decoding = viterbi(model, phonify_latin(run), config.top_k)
+                if decoding.score == NEG_INF:
+                    raise ZeroProbabilityError(run)
                 out.append("".join(decoding.hindi_sequence))
                 score += decoding.score
-            except (UnseenPhonemeError, ScriptError):
+            except (UnseenPhonemeError, ScriptError, ZeroProbabilityError):
                 if config.fallback is Fallback.ERROR:
                     raise
                 fell_back = True

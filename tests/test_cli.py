@@ -143,11 +143,15 @@ TRACE_WORDS = ["Radhika", "Kamala", "Xylophone", "Radhika", "José", "", "Pusaki
 # a model trained on CORPUS_LINES at each smoothing constant, recorded when
 # viterbi computed the per-position scores of every decoding.  The input has
 # repeated words (memo hits), words that fall back (an unseen phoneme, a
-# non-Latin letter) and, unsmoothed, a zero-probability path (Pusaki).
+# non-Latin letter) and, unsmoothed, a zero-probability path (Pusaki).  The
+# "0" entry was recorded again when such a path became a fallback: only the
+# Pusaki line changed, from `पूसाकी\t-inf\tपू:0 सा:0 की:0` to `Pusaki\t-`.
 GOLDEN_TRACE_SHA256 = {
-    "0": "985fd020539a28f806a7c769a10b3a1677d3caca831a67267bcda3fed4711c5c",
+    "0": "6af4bdb20ef6eff16b94abb2c0bb0ad4465de5fc4aa30c04ca3dee2848621f8d",
     "0.25": "6006db0123a1c7cd55cb3d835f530ead0f5db1b491b6fc34c592a4d2f9301e26",
 }
+# Kamala twice, Xylophone and José fall back; unsmoothed, Pusaki too
+TRACE_FALLBACKS = {"0": 5, "0.25": 4}
 
 
 def _trace_run(smoothing_k, tmp_path, corpus_file, capsys):
@@ -165,7 +169,7 @@ def test_transliterate_trace_bytes_golden(smoothing_k, tmp_path, corpus_file, ca
     _, out = _trace_run(smoothing_k, tmp_path, corpus_file, capsys)
     lines = out.splitlines()
     assert len(lines) == len([w for w in TRACE_WORDS if w])
-    assert sum(line.endswith("\t-") for line in lines) == 4  # Kamala twice, Xylophone, José
+    assert sum(line.endswith("\t-") for line in lines) == TRACE_FALLBACKS[smoothing_k]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_TRACE_SHA256[smoothing_k]
 
 
@@ -182,7 +186,7 @@ def test_trace_items_are_position_scores_of_the_decoded_path(smoothing_k, tmp_pa
         keys = phonify_latin(cols[0]).keys()
         assert cols[3].split(" ") == trace_items(trained, viterbi(trained, keys).hindi_sequence, keys)
         traced += 1
-    assert traced == 9
+    assert traced == len([w for w in TRACE_WORDS if w]) - TRACE_FALLBACKS[smoothing_k]
 
 
 def test_transliterate_fallback_copy(model_file, capsys, monkeypatch):
@@ -273,6 +277,33 @@ def test_translate_fallback_decision_has_no_score(tmp_path, model_file, capsys, 
     fields = decisions.read_text(encoding="utf-8").strip().split("\t")
     assert fields[5] == "FALLBACK"
     assert len(fields) == 7  # no trailing score column
+
+
+ZERO_PROBABILITY_ERROR = "ne-translit: error: every transliteration of 'Pusaki' has probability 0 under this model\n"
+
+
+def test_transliterate_zero_probability_word_falls_back(model_file, capsys, monkeypatch):
+    # every path for Pusaki has a transition the unsmoothed model never saw
+    argv = ["transliterate", "--model", str(model_file)]
+    assert run_cli(argv + ["--fallback", "copy"], "Pusaki\n", monkeypatch=monkeypatch) == 0
+    assert capsys.readouterr().out == "Pusaki\tPusaki\t-\n"
+    assert run_cli(argv + ["--fallback", "unk"], "Pusaki\n", monkeypatch=monkeypatch) == 0
+    assert capsys.readouterr().out == "Pusaki\t<unk>\t-\n"
+    assert run_cli(argv, "Pusaki\n", monkeypatch=monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", ZERO_PROBABILITY_ERROR)
+
+
+def test_translate_zero_probability_entity_falls_back(tmp_path, model_file, capsys, monkeypatch):
+    decisions = tmp_path / "decisions.tsv"
+    argv = ["translate", "--model", str(model_file), "--decisions", str(decisions)]
+    code = run_cli(argv + ["--fallback", "copy"], "[[Pusaki|PER]] came.\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert capsys.readouterr().out == "Pusaki came.\n"
+    assert decisions.read_text(encoding="utf-8") == "1\t0\t6\tPusaki\tPER\tFALLBACK\tPusaki\n"
+    assert run_cli(argv, "[[Pusaki|PER]] came.\n", monkeypatch=monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", ZERO_PROBABILITY_ERROR)
 
 
 def test_translate_non_latin_entity_falls_back(tmp_path, model_file, capsys, monkeypatch):

@@ -19,12 +19,12 @@ from ne_translit.decoder import (
     transliterate,
     viterbi,
 )
-from ne_translit.errors import ScriptError, UnseenPhonemeError
+from ne_translit.errors import ScriptError, UnseenPhonemeError, ZeroProbabilityError
 from ne_translit.model import BOS, EOS, TransliterationModel, estimate
 from ne_translit.alignment import AlignedPair
 from ne_translit.phonology import phonify_latin
 
-from helpers import build_random_model, exhaustive_decode, trace_items
+from helpers import NEG_INF, build_random_model, exhaustive_decode, trace_items
 
 
 def test_candidates_single_entry(single_entry_model):
@@ -59,11 +59,18 @@ def test_candidates_truncates_to_top_k():
 
 def cli_trace(monkeypatch, capsys, model, word):
     """The --trace items CLI transliterate prints for word, with model
-    standing in for the loaded model file."""
+    standing in for the loaded model file; None if the word fell back."""
     monkeypatch.setattr(model_mod, "load_model", lambda path: model)
     monkeypatch.setattr(sys, "stdin", io.StringIO(word + "\n"))
-    assert cli.main(["transliterate", "--model", "in-memory", "--trace"]) == 0
-    return capsys.readouterr().out.rstrip("\n").split("\t")[3].split(" ")
+    assert cli.main(["transliterate", "--model", "in-memory", "--trace", "--fallback", "copy"]) == 0
+    cols = capsys.readouterr().out.rstrip("\n").split("\t")
+    return None if cols[2] == "-" else cols[3].split(" ")
+
+
+def expected_trace(model, seq, score, keys):
+    """trace_items of the best path, or None for a path of probability 0,
+    which the CLI routes to the fallback."""
+    return None if score == NEG_INF else trace_items(model, seq, keys)
 
 
 def test_viterbi_single_path(single_entry_model, monkeypatch, capsys):
@@ -93,7 +100,7 @@ def test_viterbi_matches_exhaustive_search(monkeypatch, capsys):
         seq, score = exhaustive_decode(m, keys, top_k=5)
         assert decoding.hindi_sequence == seq
         assert decoding.score == score
-        assert cli_trace(monkeypatch, capsys, m, "".join(keys)) == trace_items(m, seq, keys)
+        assert cli_trace(monkeypatch, capsys, m, "".join(keys)) == expected_trace(m, seq, score, keys)
 
 
 def test_viterbi_on_sources_without_a_transition_row(monkeypatch, capsys):
@@ -112,7 +119,7 @@ def test_viterbi_on_sources_without_a_transition_row(monkeypatch, capsys):
         decoding = viterbi(bare, keys, top_k=5)
         seq, score = exhaustive_decode(bare, keys, top_k=5)
         assert (decoding.hindi_sequence, decoding.score) == (seq, score)
-        assert cli_trace(monkeypatch, capsys, bare, "".join(keys)) == trace_items(bare, seq, keys)
+        assert cli_trace(monkeypatch, capsys, bare, "".join(keys)) == expected_trace(bare, seq, score, keys)
 
 
 def test_viterbi_score_is_the_path_log_product(single_entry_model):
@@ -296,18 +303,25 @@ def test_memo_never_exceeds_its_bound(monkeypatch):
     for _ in range(200):
         keys = [rng.choice(SYLLABLES) for _ in range(rng.randint(1, 4))]
         expected = exhaustive_decode(m, keys, top_k=3)
-        output, decoding = decode_or_fallback(m, "".join(keys), top_k=3)
-        assert (decoding.hindi_sequence, decoding.score) == expected
-        assert output == "".join(expected[0])
-        assert 1 <= len(m.decode_memo) <= 5
+        if expected[1] == NEG_INF:
+            with pytest.raises(ZeroProbabilityError):
+                decode_or_fallback(m, "".join(keys), top_k=3)
+        else:
+            output, decoding = decode_or_fallback(m, "".join(keys), top_k=3)
+            assert (decoding.hindi_sequence, decoding.score) == expected
+            assert output == "".join(expected[0])
+            assert 1 <= len(m.decode_memo)
+        assert len(m.decode_memo) <= 5
 
 
 def test_memo_caches_successes_only(single_entry_model):
-    # an unseen phoneme, and the é of José in NFC and NFD
+    # an unseen phoneme, the é of José in NFC and NFD, and a word whose only
+    # path has probability 0 (the model never starts a word with र)
     failing = [
         ("Amarzz", UnseenPhonemeError),
         ("José", ScriptError),
         (unicodedata.normalize("NFD", "José"), ScriptError),
+        ("R", ZeroProbabilityError),
     ]
     for word, error in failing:
         with pytest.raises(error):

@@ -1,7 +1,7 @@
 import pytest
 
 from ne_translit.decoder import Fallback
-from ne_translit.errors import NotFittedError, ScriptError
+from ne_translit.errors import NotFittedError, ScriptError, ZeroProbabilityError
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
 from ne_translit.kb import load_seed_kb
 from ne_translit.model import TransliterationModel
@@ -47,6 +47,17 @@ def test_fit_predict_memorizes(memorization_corpus):
     expected = [e.hindi for e in memorization_corpus]
     assert est.predict(words) == expected
     assert est.score(words, expected) == 1.0
+
+
+def test_predict_zero_probability_word_falls_back(memorization_corpus):
+    # unsmoothed, the model never saw the transitions of Rama
+    pairs = [(e.english, e.hindi) for e in memorization_corpus]
+    assert HmmTransliterator(smoothing_k=0.0, fallback="copy").fit(pairs).predict(["Radhika", "Rama"]) == [
+        "राधिका",
+        "Rama",
+    ]
+    with pytest.raises(ZeroProbabilityError, match="'Rama'"):
+        HmmTransliterator(smoothing_k=0.0).fit(pairs).predict(["Rama"])
 
 
 def test_fit_accepts_string_fallback(memorization_corpus):

@@ -1,4 +1,7 @@
 import random
+import re
+import sys
+import unicodedata
 
 import pytest
 
@@ -18,6 +21,36 @@ def test_normalize_examples():
     assert normalize("  Indian   Institute of Technology ") == "indian institute of technology"
     assert normalize("भारत") == "भारत"
     assert normalize("  Finance\t\tMINISTRY  ") == "finance ministry"
+
+
+_WHITESPACE_RUNS = re.compile(r"\s+")
+
+
+def regex_normalize(text):
+    """The earlier regex definition of normalize, kept as the oracle."""
+    return _WHITESPACE_RUNS.sub(" ", unicodedata.normalize("NFC", text).casefold()).strip()
+
+
+def test_normalize_matches_the_regex_definition_and_is_idempotent():
+    # every code point that is whitespace, has a nonzero combining class, or
+    # changes under casefold or NFC, alone and in contexts that put it
+    # between letters, next to itself, next to whitespace and next to a mark
+    nfc, combining = unicodedata.normalize, unicodedata.combining
+    special = [
+        c for c in map(chr, range(sys.maxunicode + 1))
+        if c.isspace() or combining(c) or c.casefold() != c or nfc("NFC", c) != c
+    ]
+    assert len(special) > 3000
+    for c in special:
+        for text in (c, f"a{c}b", f" {c}{c}\t", f"A\u0301{c}", f"x\u00a0{c}\u3000y"):
+            once = normalize(text)
+            assert once == regex_normalize(text), ascii(text)
+            assert normalize(once) == once, ascii(text)
+        # A mark after c can break idempotence (I WITH DOT ABOVE casefolds to
+        # i + U+0307, which NFC then reorders after a U+0316); load_kb
+        # rejects such a key, so only the oracle is checked here.
+        text = f"{c}\u0316"
+        assert normalize(text) == regex_normalize(text), ascii(text)
 
 
 def test_normalize_is_idempotent_on_random_strings():
@@ -146,3 +179,93 @@ def test_category_parse_folds_case_and_strips_whitespace(text, expected):
 def test_category_parse_rejects_other_labels(text):
     with pytest.raises(ValueError, match="unknown entity category"):
         EntityCategory.parse(text)
+
+
+# Unicode whitespace runs inside names (NBSP, the ideographic space U+3000,
+# the \x1c-\x1f separators), NFD input, a casefold collision (Straße and
+# STRASSE) kept apart by category, padded and long-form category labels,
+# and a PER row under its long label.  Line 9 is the last row; a comment
+# and a blank line sit before it, so line numbers count them.
+KB_ROWS = [
+    "# header comment",
+    "New\u00a0\u00a0Delhi\tनई दिल्ली\tLOC",
+    "",
+    "Tokyo \u3000\u3000Tower\tटोक्यो टावर\t Organization",
+    "Big\x1c\x1f Apple\t बिग ऐप्पल \tlocation",
+    "Zu\u0308rich\tज्यूरिख\tloc",
+    "Stra\u00dfe\tस्ट्रासे संघ\tORG",
+    "STRASSE\tस्ट्रासे नगर\tLoc",
+    "Gandhi\tगांधी\tPerson",
+]
+
+KB_TABLE = [
+    ("big apple", "बिग ऐप्पल", "LOC"),
+    ("new delhi", "नई दिल्ली", "LOC"),
+    ("strasse", "स्ट्रासे नगर", "LOC"),
+    ("zürich", "ज्यूरिख", "LOC"),
+    ("strasse", "स्ट्रासे संघ", "ORG"),
+    ("tokyo tower", "टोक्यो टावर", "ORG"),
+    ("gandhi", "गांधी", "PER"),
+]
+
+
+def _write_kb(tmp_path, rows):
+    path = tmp_path / "kb.tsv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+def test_load_kb_table_in_normal_form(tmp_path):
+    kb = load_kb(_write_kb(tmp_path, KB_ROWS), allow_person=True)
+    assert [(e.english_normalized, e.hindi, e.category.value) for e in kb.entries()] == KB_TABLE
+    assert kb.lookup("NEW delhi", EntityCategory.LOCATION) == "नई दिल्ली"
+    assert kb.lookup("Zürich", EntityCategory.LOCATION) == "ज्यूरिख"
+    assert kb.lookup("strasse", EntityCategory.ORGANIZATION) == "स्ट्रासे संघ"
+
+
+@pytest.mark.parametrize(
+    "last_row, allow_person, message",
+    [
+        ("STRASSE\tअन्य\tORG", True, "duplicate entry for 'strasse' (ORG)"),
+        ("new delhi\tअन्य\tLOCATION", True, "duplicate entry for 'new delhi' (LOC)"),
+        ("Zürich\tअन्य\tLOC", True, "duplicate entry for 'zürich' (LOC)"),
+        ("India only", True, "expected english<TAB>hindi<TAB>category"),
+        ("a\tb\tLOC\textra", True, "expected english<TAB>hindi<TAB>category"),
+        ("Mars\t\u3000\tLOC", True, "empty entity or translation"),
+        ("Mars\tमंगल\t planet", True, "unknown entity category 'planet'"),
+        (KB_ROWS[-1], False, "PER entries need the person-lookup extension"),
+    ],
+)
+def test_load_kb_diagnostics_name_path_and_line(tmp_path, last_row, allow_person, message):
+    path = _write_kb(tmp_path, KB_ROWS[:-1] + [last_row])
+    with pytest.raises(KnowledgeBaseError) as excinfo:
+        load_kb(path, allow_person=allow_person)
+    assert str(excinfo.value) == f"{path}: line 9: {message}"
+
+
+def test_load_kb_unreadable_file_diagnostic(tmp_path):
+    path = tmp_path / "missing.tsv"
+    with pytest.raises(KnowledgeBaseError) as excinfo:
+        load_kb(path)
+    assert str(excinfo.value) == f"cannot read knowledge base {path}: [Errno 2] No such file or directory: '{path}'"
+
+
+def test_load_kb_reports_a_name_whose_key_is_not_in_normal_form(tmp_path):
+    # casefold turns U+0130 into i + U+0307 after NFC has run, leaving U+0307
+    # before U+0316; a second NFC reorders them, so the key is not a fixed
+    # point of normalize
+    key = "i\u0307\u0316stanbul"
+    path = _write_kb(tmp_path, KB_ROWS[:-1] + ["\u0130\u0316stanbul\tइस्तांबुल\tLOC"])
+    with pytest.raises(KnowledgeBaseError) as excinfo:
+        load_kb(path)
+    assert str(excinfo.value) == f"{path}: line 9: key {key!r} is not in normal form"
+    with pytest.raises(ValueError, match="not in normal form"):
+        KBEntry(key, "इस्तांबुल", EntityCategory.LOCATION)
+
+
+def test_add_rejects_a_duplicate_key_in_one_category():
+    kb = KnowledgeBase([KBEntry("delhi", "दिल्ली", EntityCategory.LOCATION)])
+    with pytest.raises(KnowledgeBaseError) as excinfo:
+        kb.add(KBEntry("delhi", "दिल्ली शहर", EntityCategory.LOCATION))
+    assert str(excinfo.value) == "duplicate entry for 'delhi' (LOC)"
+    assert kb.lookup("Delhi", EntityCategory.LOCATION) == "दिल्ली"

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from ne_translit.decoder import Fallback, UNK_OUTPUT
-from ne_translit.errors import AnnotationError, ScriptError, UnseenPhonemeError
+from ne_translit.errors import AnnotationError, ScriptError, UnseenPhonemeError, ZeroProbabilityError
 from ne_translit.kb import EntityCategory, KBEntry, KnowledgeBase, load_seed_kb
 from ne_translit import pipeline
 from ne_translit.pipeline import (
@@ -152,10 +152,10 @@ def test_person_skips_the_kb_by_default(memorization_model):
 
 
 def test_multi_token_entity_joined_with_single_spaces(memorization_model):
-    line = "[[Radhika   Rama|PER]] arrived."
+    line = "[[Radhika   Kami|PER]] arrived."
     sentence, spans = parse_annotations(line, "inline")
     processed = process_sentence(sentence, spans, KnowledgeBase(), memorization_model)
-    assert processed.substituted == "राधिका रामा arrived."
+    assert processed.substituted == "राधिका कामी arrived."
 
 
 def test_fallback_route_on_unseen_phoneme(india_model):
@@ -233,8 +233,14 @@ def test_route_is_kb_hit_iff_lookup_succeeds(memorization_model, memorization_co
 def test_decisions_come_back_in_span_order(memorization_model):
     line = "[[Radhika|PER]] met [[Rama|PER]] and [[Kama|PER]]."
     sentence, spans = parse_annotations(line, "inline")
-    processed = process_sentence(sentence, spans, None, memorization_model)
+    config = PipelineConfig(fallback=Fallback.COPY_SOURCE)
+    processed = process_sentence(sentence, spans, None, memorization_model, config)
     assert [d.span for d in processed.decisions] == spans
+    # the unsmoothed model gives Rama and Kama probability 0: they fall back
+    assert [d.route for d in processed.decisions] == [Route.TRANSLITERATED, Route.FALLBACK, Route.FALLBACK]
+    assert processed.substituted == "राधिका met Rama and Kama."
+    with pytest.raises(ZeroProbabilityError, match="'Rama'"):
+        process_sentence(sentence, spans, None, memorization_model)
 
 
 def test_span_validation_rejects_bad_spans(india_model):
@@ -278,7 +284,7 @@ def test_letter_runs_match_the_character_scanner(fallback, memorization_model):
         token = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 6)))
         try:
             expected = reference_transliterate_token(token, memorization_model, config)
-        except (UnseenPhonemeError, ScriptError) as exc:
+        except (UnseenPhonemeError, ScriptError, ZeroProbabilityError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 pipeline._transliterate_token(token, memorization_model, config)
             outcomes.add(type(exc))
@@ -286,6 +292,6 @@ def test_letter_runs_match_the_character_scanner(fallback, memorization_model):
         assert pipeline._transliterate_token(token, memorization_model, config) == expected
         outcomes.add(expected[2])
     if fallback is Fallback.ERROR:
-        assert outcomes == {False, UnseenPhonemeError, ScriptError}
+        assert outcomes == {False, UnseenPhonemeError, ScriptError, ZeroProbabilityError}
     else:
         assert outcomes == {False, True}
