@@ -49,7 +49,7 @@ CONFIG_KEYS = {
     "smoothing_k": float,
     "em_iterations": int,
     "top_k": positive_int,
-    "fallback": str,
+    "fallback": Fallback,
     "kb_persons": boolean,
 }
 
@@ -76,13 +76,6 @@ def _setting(args, config, key, default):
     if key in config:
         return config[key]
     return default
-
-
-def _fallback_policy(value) -> Fallback:
-    try:
-        return Fallback(value)
-    except ValueError as exc:
-        raise ConfigError(f"unknown fallback policy {value!r}") from exc
 
 
 def _open_input(args):
@@ -158,7 +151,7 @@ def cmd_train(args, config) -> int:
 def cmd_transliterate(args, config) -> int:
     trained = model_mod.load_model(args.model)
     top_k = int(_setting(args, config, "top_k", 10))
-    policy = _fallback_policy(_setting(args, config, "fallback", "error"))
+    policy = Fallback(_setting(args, config, "fallback", "error"))
     with _open_input(args) as stream:
         for raw in stream:
             word = raw.strip()
@@ -190,7 +183,7 @@ def cmd_translate(args, config) -> int:
     else:
         knowledge = kb_mod.load_seed_kb(allow_person=kb_persons)
     pipeline_config = PipelineConfig(
-        fallback=_fallback_policy(_setting(args, config, "fallback", "error")),
+        fallback=Fallback(_setting(args, config, "fallback", "error")),
         top_k=int(_setting(args, config, "top_k", 10)),
         kb_persons=kb_persons,
     )
@@ -306,10 +299,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config) if args.config else {}
         return args.func(args, config)
-    except NeTranslitError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NeTranslitError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -133,34 +133,37 @@ def decode_or_fallback(
     A word the model cannot decode (an unseen phoneme, a letter outside
     the Latin script such as the é of José, or a best path of probability
     0) gets the fallback output and None, or under Fallback.ERROR the
-    error; the empty word gives ("", None).  Successful decodings are
-    memoized on the model by the word as given and top_k, so a repeated
-    word skips both segmentation and Viterbi.
+    error; the empty word gives ("", None).  Each word's outcome, its
+    decoding or () for a word that falls back, is memoized on the model by
+    the word as given and top_k, so a repeated word skips both
+    segmentation and Viterbi; the policy is applied on every call, and
+    under Fallback.ERROR a word that falls back is decoded again to raise.
     """
     memo = model.decode_memo
     memo_key = (word, top_k)
     found = memo.get(memo_key)
-    if found is not None:
+    if found is None or (not found and fallback is Fallback.ERROR):
+        try:
+            seq = phonology.phonify_latin(word)
+            if not seq:
+                return "", None
+            decoding = viterbi(model, seq, top_k)
+            if decoding.score == NEG_INF:
+                raise ZeroProbabilityError(word)
+            found = "".join(decoding.hindi_sequence), decoding
+        except (ScriptError, UnseenPhonemeError, ZeroProbabilityError):
+            if fallback is Fallback.ERROR:
+                raise
+            found = ()
+        # Each dict call is atomic, so threads sharing the model need no lock:
+        # a race can only decode a word twice (same result) or let the memo
+        # pass MEMO_SIZE by one entry per racing thread.
+        if len(memo) >= MEMO_SIZE:
+            memo.clear()
+        memo[memo_key] = found
+    if found:
         return found
-    try:
-        seq = phonology.phonify_latin(word)
-        if not seq:
-            return "", None
-        decoding = viterbi(model, seq, top_k)
-        if decoding.score == NEG_INF:
-            raise ZeroProbabilityError(word)
-    except (ScriptError, UnseenPhonemeError, ZeroProbabilityError):
-        if fallback is Fallback.ERROR:
-            raise
-        return (word if fallback is Fallback.COPY_SOURCE else UNK_OUTPUT), None
-    found = "".join(decoding.hindi_sequence), decoding
-    # Each dict call is atomic, so threads sharing the model need no lock:
-    # a race can only decode a word twice (same result) or let the memo
-    # pass MEMO_SIZE by one entry per racing thread.
-    if len(memo) >= MEMO_SIZE:
-        memo.clear()
-    memo[memo_key] = found
-    return found
+    return (word if fallback is Fallback.COPY_SOURCE else UNK_OUTPUT), None
 
 
 def transliterate(

@@ -39,16 +39,18 @@ _CATEGORY_LABELS = {label: cat for cat in EntityCategory for label in (cat.value
 
 
 def normalize(text: str) -> str:
-    """Normal form used for matching: NFC, then case-folded, then every run
-    of Unicode whitespace made one space, with none at either end."""
+    """Normal form used for matching: NFC, then case-folded and NFC again,
+    then every run of Unicode whitespace made one space, with none at
+    either end.  The second NFC puts back in canonical order the marks that
+    casefold can emit (U+0130 becomes i + U+0307), so normalize is
+    idempotent."""
+    nfc = unicodedata.normalize
     # str.split() breaks at exactly the characters that re's \s matches
-    return " ".join(unicodedata.normalize("NFC", text).casefold().split())
+    return " ".join(nfc("NFC", nfc("NFC", text).casefold()).split())
 
 
 def _check_normal_form(key: str) -> None:
-    """Raise ValueError unless key is a fixed point of normalize.  A few
-    outputs of normalize are not: U+0130 casefolds to i + U+0307 after NFC
-    has run, so a following U+0316 is left out of canonical order."""
+    """Raise ValueError unless key is a fixed point of normalize."""
     if key != normalize(key):
         raise ValueError(f"key {key!r} is not in normal form")
 

@@ -45,7 +45,7 @@ class TransliterationModel:
     The tables never change once built.  Decoding lazily adds derived
     structures on first use: `candidate_index`, the symbol ids `h_symbols`
     and `h_ids`, the dense `log_transition` rows, and `decode_memo`, the
-    decoded words that `decoder.decode_or_fallback` remembers.  None is
+    word outcomes that `decoder.decode_or_fallback` remembers.  None is
     part of equality or of the saved file, and all stay correct when
     threads share one model (the memo is a plain dict that is cleared, not
     evicted from, when it fills up, so no lock is needed).
@@ -115,8 +115,8 @@ class TransliterationModel:
 
     @cached_property
     def decode_memo(self) -> dict:
-        """(word, top_k) -> (output, Decoding), filled and bounded by
-        decoder.decode_or_fallback."""
+        """(word, top_k) -> (output, Decoding), or () for a word that falls
+        back; filled and bounded by decoder.decode_or_fallback."""
         return {}
 
     def emission_prob(self, h: str, e: str) -> float:

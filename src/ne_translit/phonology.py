@@ -8,7 +8,10 @@ aksharas: an independent vowel, or a consonant cluster with its optional
 matra, either one optionally carrying a nasalization sign.
 
 Segmentation is lossless: concatenating the phoneme surfaces of a word
-always reproduces the (NFC-normalized) word exactly.
+always reproduces the (NFC-normalized) word exactly.  A PhonemeSequence
+holds those surfaces as strings, which is all that decoding, alignment
+and printing read; Phoneme objects, with their script and structure tag,
+are built only when a caller iterates or indexes the sequence.
 """
 
 from __future__ import annotations
@@ -106,19 +109,27 @@ class Phoneme:
 
 @dataclass(frozen=True)
 class PhonemeSequence:
-    """Ordered phonemes of one word, all in the same script."""
+    """Ordered phonemes of one word, all in the same script, held as their
+    surfaces; the Phoneme objects (phonemes, iteration, indexing) are
+    built on demand."""
 
-    phonemes: tuple[Phoneme, ...]
+    units: tuple[str, ...]
     source_word: str
     script: Script
 
     def __post_init__(self):
-        joined = "".join([p.surface for p in self.phonemes])
+        if "" in self.units:
+            raise ValueError("phoneme surface must be non-empty")
+        joined = "".join(self.units)
         if joined != self.source_word:
             raise ValueError(f"segmentation of {self.source_word!r} is not lossless: {joined!r}")
 
+    @property
+    def phonemes(self) -> tuple[Phoneme, ...]:
+        return tuple([Phoneme(s, self.script) for s in self.units])
+
     def __len__(self) -> int:
-        return len(self.phonemes)
+        return len(self.units)
 
     def __iter__(self):
         return iter(self.phonemes)
@@ -127,14 +138,14 @@ class PhonemeSequence:
         return self.phonemes[i]
 
     def surfaces(self) -> list[str]:
-        return [p.surface for p in self.phonemes]
+        return list(self.units)
 
     def keys(self) -> list[str]:
         """Case-folded surfaces, the form probability tables are keyed by."""
-        return [p.key() for p in self.phonemes]
+        return [s.casefold() for s in self.units]
 
     def bracketed(self) -> str:
-        return "".join(f"[{p.surface}]" for p in self.phonemes)
+        return "".join([f"[{s}]" for s in self.units])
 
 
 def structure_of(p: Phoneme) -> str:
@@ -159,12 +170,6 @@ def structure_of(p: Phoneme) -> str:
     return "".join(tags)
 
 
-# Latin phonemes by surface, shared by every phonify_latin call; cleared,
-# not evicted from, once it holds this many.
-PHONEME_INTERN_SIZE = 4096
-_latin_phonemes: dict[str, Phoneme] = {}
-
-
 def phonify_latin(word: str) -> PhonemeSequence:
     """Segment a Latin-script word.
 
@@ -177,8 +182,8 @@ def phonify_latin(word: str) -> PhonemeSequence:
          all-consonant word) is one standalone phoneme;
       4. adjacent vowels land in separate phonemes.
 
-    Phonemes come from a bounded intern table, so equal surfaces share one
-    Phoneme object until the table is cleared.
+    The sequence holds the phoneme surfaces as slices of the NFC word;
+    no Phoneme object is built unless a caller asks for one.
     """
     word = unicodedata.normalize("NFC", word)
     if not LATIN_LETTERS.issuperset(word):
@@ -187,8 +192,7 @@ def phonify_latin(word: str) -> PhonemeSequence:
                 raise ScriptError(f"not a Latin letter: {c!r} at offset {idx} in {word!r}")
 
     consonants = _LATIN_CONSONANTS
-    interned = _latin_phonemes
-    phonemes = []
+    units = []
     i, n = 0, len(word)
     while i < n:
         j = i
@@ -200,17 +204,9 @@ def phonify_latin(word: str) -> PhonemeSequence:
             k = j + 1  # word[j] is the single vowel nucleus
             if k + 1 < n and word[k] in _LATIN_NASALS_ANY_CASE and word[k + 1] in consonants:
                 k += 1
-        surface = word[i:k]
-        phoneme = interned.get(surface)
-        if phoneme is None:
-            # Each dict call is atomic, so threads need no lock: a race can
-            # only build one phoneme twice, and equal phonemes compare equal.
-            if len(interned) >= PHONEME_INTERN_SIZE:
-                interned.clear()
-            phoneme = interned[surface] = Phoneme(surface, Script.LATIN)
-        phonemes.append(phoneme)
+        units.append(word[i:k])
         i = k
-    return PhonemeSequence(tuple(phonemes), word, Script.LATIN)
+    return PhonemeSequence(tuple(units), word, Script.LATIN)
 
 
 def phonify_devanagari(word: str) -> PhonemeSequence:
@@ -225,7 +221,7 @@ def phonify_devanagari(word: str) -> PhonemeSequence:
     if not word:
         return PhonemeSequence((), "", Script.DEVANAGARI)
 
-    surfaces = []
+    units = []
     i, n = 0, len(word)
     while i < n:
         c = word[i]
@@ -252,9 +248,8 @@ def phonify_devanagari(word: str) -> PhonemeSequence:
             raise MalformedWordError(f"dependent sign {c!r} with no base consonant", offset=i)
         else:
             raise ScriptError(f"not a Devanagari letter or sign: {c!r} at offset {i} in {word!r}")
-        surfaces.append(word[start:i])
-    phonemes = tuple(Phoneme(s, Script.DEVANAGARI) for s in surfaces)
-    return PhonemeSequence(phonemes, word, Script.DEVANAGARI)
+        units.append(word[start:i])
+    return PhonemeSequence(tuple(units), word, Script.DEVANAGARI)
 
 
 def detect_script(word: str) -> Script:

@@ -12,7 +12,7 @@ import pytest
 import ne_translit
 from ne_translit.alignment import build_aligned_corpus, em_train_alignment, load_corpus
 from ne_translit.cli import main, parse_config
-from ne_translit.decoder import viterbi
+from ne_translit.decoder import Fallback, viterbi
 from ne_translit.model import load_model, save_model
 from ne_translit.phonology import phonify_latin
 
@@ -454,6 +454,32 @@ def test_config_kb_persons_rejects_other_values(text, tmp_path, model_file, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"ne-translit: error: {config}: line 1: bad value for 'kb_persons': {text!r}"]
+
+
+def test_config_fallback_reads_each_policy(tmp_path):
+    config = tmp_path / "config.ini"
+    for policy in Fallback:
+        config.write_text(f"fallback = {policy.value}\n", encoding="utf-8")
+        assert parse_config(config) == {"fallback": policy}
+
+
+@pytest.mark.parametrize("command", ["train", "transliterate", "translate"])
+def test_config_fallback_is_checked_when_the_file_is_parsed(
+    command, tmp_path, corpus_file, model_file, capsys, monkeypatch
+):
+    config = tmp_path / "config.ini"
+    config.write_text("fallback = bogus\n", encoding="utf-8")
+    model_out = tmp_path / "out.model"
+    argv = {
+        "train": ["train", str(corpus_file), str(model_out)],
+        "transliterate": ["transliterate", "--model", str(model_file)],
+        "translate": ["translate", "--model", str(model_file)],
+    }[command]
+    assert run_cli(["--config", str(config)] + argv, "Radhika\n", monkeypatch=monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"ne-translit: error: {config}: line 1: bad value for 'fallback': 'bogus'"]
+    assert not model_out.exists()
 
 
 # A KB hit, multi-token entities, punctuation inside entities, a non-Latin

@@ -314,24 +314,62 @@ def test_memo_never_exceeds_its_bound(monkeypatch):
         assert len(m.decode_memo) <= 5
 
 
-def test_memo_caches_successes_only(single_entry_model):
-    # an unseen phoneme, the é of José in NFC and NFD, and a word whose only
-    # path has probability 0 (the model never starts a word with र)
-    failing = [
-        ("Amarzz", UnseenPhonemeError),
-        ("José", ScriptError),
-        (unicodedata.normalize("NFD", "José"), ScriptError),
-        ("R", ZeroProbabilityError),
-    ]
-    for word, error in failing:
-        with pytest.raises(error):
+# an unseen phoneme, the é of José in NFC and NFD, and a word whose only
+# path has probability 0 (the model never starts a word with र)
+UNDECODABLE = [
+    ("Amarzz", UnseenPhonemeError),
+    ("José", ScriptError),
+    (unicodedata.normalize("NFD", "José"), ScriptError),
+    ("R", ZeroProbabilityError),
+]
+
+
+def test_memo_caches_each_outcome_and_applies_the_policy_per_call(single_entry_model):
+    memo = single_entry_model.decode_memo
+    for word, error in UNDECODABLE:
+        with pytest.raises(error) as first:
             decode_or_fallback(single_entry_model, word)
-        assert decode_or_fallback(single_entry_model, word, Fallback.COPY_SOURCE) == (word, None)
-        assert decode_or_fallback(single_entry_model, word, Fallback.UNK_MARKER) == (UNK_OUTPUT, None)
+        assert (word, 10) not in memo
+        for _ in range(2):
+            assert decode_or_fallback(single_entry_model, word, Fallback.COPY_SOURCE) == (word, None)
+            assert decode_or_fallback(single_entry_model, word, Fallback.UNK_MARKER) == (UNK_OUTPUT, None)
+        assert memo[word, 10] == ()
+        with pytest.raises(error) as again:
+            decode_or_fallback(single_entry_model, word)
+        assert str(again.value) == str(first.value)
+        assert memo[word, 10] == ()
     assert decode_or_fallback(single_entry_model, "") == ("", None)
-    assert single_entry_model.decode_memo == {}
-    assert decode_or_fallback(single_entry_model, "Amar")[0] == "अमर"
-    assert set(single_entry_model.decode_memo) == {("Amar", 10)}
+    assert set(memo) == {(word, 10) for word, _ in UNDECODABLE}
+    output, decoding = decode_or_fallback(single_entry_model, "Amar")
+    assert output == "अमर"
+    assert memo["Amar", 10] == (output, decoding)
+    assert decode_or_fallback(single_entry_model, "Amar", Fallback.UNK_MARKER) == (output, decoding)
+
+
+def test_a_repeated_word_that_falls_back_is_segmented_and_decoded_once(monkeypatch, single_entry_model):
+    calls = {"phonify_latin": 0, "viterbi": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(decoder.phonology, "phonify_latin")
+    counted(decoder, "viterbi")
+    words = ["José", "Amarzz", "R"]  # José fails in phonify_latin, before viterbi
+    for _ in range(3):
+        for word in words:
+            assert decode_or_fallback(single_entry_model, word, Fallback.COPY_SOURCE) == (word, None)
+            assert decode_or_fallback(single_entry_model, word, Fallback.UNK_MARKER) == (UNK_OUTPUT, None)
+    assert calls == {"phonify_latin": 3, "viterbi": 2}
+    # under error a remembered fallback is decoded again, to raise afresh
+    with pytest.raises(UnseenPhonemeError):
+        decode_or_fallback(single_entry_model, "Amarzz")
+    assert calls == {"phonify_latin": 4, "viterbi": 3}
 
 
 def test_decode_state_does_not_keep_the_model_alive(memorization_model):
@@ -345,8 +383,11 @@ def test_decode_state_does_not_keep_the_model_alive(memorization_model):
 
 def test_threads_sharing_a_model_match_serial_decoding(monkeypatch, memorization_model, memorization_corpus):
     monkeypatch.setattr(decoder, "MEMO_SIZE", 7)  # force clears while other threads read
-    words = [entry.english for entry in memorization_corpus]
-    serial = [decode_or_fallback(dataclasses.replace(memorization_model), word) for word in words]
+    # two words that fall back, so the memo also holds fallback outcomes
+    words = [entry.english for entry in memorization_corpus] + ["José", "Xyzzy"]
+    copy = Fallback.COPY_SOURCE
+    serial = [decode_or_fallback(dataclasses.replace(memorization_model), word, copy) for word in words]
+    assert serial[-2:] == [("José", None), ("Xyzzy", None)]
     shared = dataclasses.replace(memorization_model)
 
     def work(seed):
@@ -355,7 +396,7 @@ def test_threads_sharing_a_model_match_serial_decoding(monkeypatch, memorization
         got = [None] * len(words)
         for _ in range(5):
             for i in order:
-                got[i] = decode_or_fallback(shared, words[i])
+                got[i] = decode_or_fallback(shared, words[i], copy)
         return got
 
     interval = sys.getswitchinterval()

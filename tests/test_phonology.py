@@ -5,11 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from ne_translit import phonology
 from ne_translit.errors import MalformedWordError, ScriptError
 from ne_translit.phonology import (
     CharClass,
     Phoneme,
+    PhonemeSequence,
     Script,
     classify_char,
     detect_script,
@@ -194,17 +194,60 @@ def test_empty_word_gives_empty_sequence():
     assert len(phonify_devanagari("")) == 0
 
 
-def test_interned_latin_phonemes_never_exceed_their_bound(monkeypatch):
-    monkeypatch.setattr(phonology, "PHONEME_INTERN_SIZE", 5)
-    monkeypatch.setattr(phonology, "_latin_phonemes", {})
-    assert phonify_latin("Amar")[1] is phonify_latin("Kama")[1]  # one interned "ma"
+def test_phonemes_view_is_built_from_the_surfaces():
     rng = random.Random(27)
     for _ in range(300):
         word = "".join(rng.choice("aeiouAkmnrstKhNM") for _ in range(rng.randint(1, 8)))
         seq = phonify_latin(word)
         assert seq.phonemes == tuple(Phoneme(s, Script.LATIN) for s in seq.surfaces())
         assert "".join(seq.surfaces()) == word
-        assert 1 <= len(phonology._latin_phonemes) <= 5
+
+
+SEGMENTATION_GOLDENS = (
+    [(phonify_latin, Script.LATIN, word, surfaces) for word, surfaces in LATIN_GOLDENS]
+    + [(phonify_devanagari, Script.DEVANAGARI, word, surfaces) for word, surfaces in DEVANAGARI_GOLDENS]
+)
+
+
+@pytest.mark.parametrize("segment,script,word,surfaces", SEGMENTATION_GOLDENS)
+def test_iteration_and_indexing_give_phonemes_of_the_surfaces(segment, script, word, surfaces):
+    expected = tuple(Phoneme(s, script) for s in surfaces)
+    seq = segment(word)
+    assert seq.phonemes == expected
+    assert tuple(seq) == expected
+    assert tuple(seq[i] for i in range(len(seq))) == expected
+    assert seq[-1] == expected[-1]
+    assert seq[1:] == expected[1:]
+    assert seq.bracketed() == "".join(f"[{s}]" for s in surfaces)
+
+
+def test_segmenting_and_reading_keys_build_no_phoneme(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"built {self!r}")
+
+    monkeypatch.setattr(Phoneme, "__post_init__", refuse)
+    for segment, _, word, surfaces in SEGMENTATION_GOLDENS:
+        seq = segment(word)
+        assert (seq.surfaces(), len(seq)) == (surfaces, len(surfaces))
+        assert seq.keys() == [s.casefold() for s in surfaces]
+        assert seq.bracketed() == "".join(f"[{s}]" for s in surfaces)
+    with pytest.raises(AssertionError):
+        phonify_latin("Amar")[0]
+
+
+@pytest.mark.parametrize(
+    "units,word,message",
+    [
+        (("A", "", "mar"), "Amar", "phoneme surface must be non-empty"),
+        (("",), "", "phoneme surface must be non-empty"),
+        (("A", "ma"), "Amar", "segmentation of 'Amar' is not lossless: 'Ama'"),
+        (("A", "mar"), "Amar ", "segmentation of 'Amar ' is not lossless: 'Amar'"),
+    ],
+)
+def test_sequence_construction_rejects_bad_units(units, word, message):
+    with pytest.raises(ValueError) as excinfo:
+        PhonemeSequence(units, word, Script.LATIN)
+    assert str(excinfo.value) == message
 
 
 def _random_latin_words(seed, count):
@@ -230,9 +273,7 @@ def test_normalization_variants_give_equal_sequences(first):
         assert phonify_latin(spelling) == seq
 
 
-def test_threads_phonifying_while_the_phoneme_table_clears_match_serial(monkeypatch):
-    monkeypatch.setattr(phonology, "PHONEME_INTERN_SIZE", 5)
-    monkeypatch.setattr(phonology, "_latin_phonemes", {})
+def test_threads_phonifying_match_serial():
     words = _random_latin_words(29, 2000)
     expected = [phonify_latin(word) for word in words]
     interval = sys.getswitchinterval()
@@ -243,7 +284,6 @@ def test_threads_phonifying_while_the_phoneme_table_clears_match_serial(monkeypa
     finally:
         sys.setswitchinterval(interval)
     assert all(result == expected for result in results)
-    assert 1 <= len(phonology._latin_phonemes) <= 5 + 3  # a racing thread may add one more
 
 
 def test_latin_error_names_the_first_non_latin_letter():
