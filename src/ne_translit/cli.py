@@ -44,13 +44,15 @@ def boolean(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# Flat key = value config file; flags override these.
-CONFIG_KEYS = {
-    "smoothing_k": float,
-    "em_iterations": int,
-    "top_k": positive_int,
-    "fallback": Fallback,
-    "kb_persons": boolean,
+# Every setting a flag or the --config file can give: its parser, which
+# the flag and the config value share, and its default.  main resolves
+# each one onto args once: the flag, else the config file, else this default.
+SETTINGS = {
+    "smoothing_k": (float, 0.1),
+    "em_iterations": (positive_int, 10),
+    "top_k": (positive_int, 10),
+    "fallback": (Fallback, Fallback.ERROR),
+    "kb_persons": (boolean, False),
 }
 
 
@@ -60,22 +62,18 @@ def parse_config(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key = value")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            values[key] = CONFIG_KEYS[key](value)
+            values[key] = SETTINGS[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"{path}: line {lineno}: bad value for {key!r}: {value!r}") from exc
     return values
 
 
-def _setting(args, config, key, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _add_setting(parser, key, **kwargs):
+    """A --flag for SETTINGS[key], parsed as a config value is."""
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, type=SETTINGS[key][0], **kwargs)
 
 
 def _open_input(args):
@@ -91,27 +89,33 @@ def _info(args, message):
         print(message)
 
 
-def cmd_phonify(args, config) -> int:
+def cmd_phonify(args) -> int:
+    failed = False
     with _open_input(args) as stream:
-        for raw in stream:
+        for lineno, raw in enumerate(stream, start=1):
             word = raw.strip()
             if not word:
                 continue
-            seq = phonology.phonify(word)
+            try:
+                seq = phonology.phonify(word)
+            except NeTranslitError as exc:
+                # report the word and go on, as translate --on-error does
+                print(f"{PROG}: error: line {lineno}: {exc}", file=sys.stderr)
+                failed = True
+                continue
             print(f"{word}\t{seq.bracketed()}")
-    return 0
+    return 1 if failed else 0
 
 
-def _align_corpus(args, config) -> tuple[list, int]:
+def _align_corpus(args) -> tuple[list, int]:
     """Load and align the corpus, warning about each line or entry left
     out; returns the aligned entries and how many were left out."""
     entries, warnings = alignment.load_corpus(args.corpus)
     for warning in warnings:
         if not args.quiet:
             print(f"{PROG}: warning: {args.corpus}: {warning}", file=sys.stderr)
-    iterations = int(_setting(args, config, "em_iterations", 10))
     try:
-        _, usable, skipped = alignment.align_corpus(entries, iterations)
+        _, usable, skipped = alignment.align_corpus(entries, args.em_iterations)
     except ValueError as exc:
         raise NeTranslitError(str(exc)) from exc
     for record in skipped:
@@ -120,21 +124,20 @@ def _align_corpus(args, config) -> tuple[list, int]:
     return usable, len(entries) - len(usable) + len(warnings)
 
 
-def cmd_align_dump(args, config) -> int:
-    usable, _ = _align_corpus(args, config)
+def cmd_align_dump(args) -> int:
+    usable, _ = _align_corpus(args)
     counts = alignment.aligned_pair_counts(usable)
     for (e, h), count in sorted(counts.items()):
         print(f"{e}\t{h}\t{count}")
     return 0
 
 
-def cmd_train(args, config) -> int:
-    usable, skipped_count = _align_corpus(args, config)
+def cmd_train(args) -> int:
+    usable, skipped_count = _align_corpus(args)
     if not usable:
         raise NeTranslitError("no usable entries after alignment")
-    smoothing_k = float(_setting(args, config, "smoothing_k", 0.1))
     try:
-        trained = model_mod.estimate(usable, smoothing_k)
+        trained = model_mod.estimate(usable, args.smoothing_k)
     except ValueError as exc:
         raise NeTranslitError(str(exc)) from exc
     model_mod.save_model(trained, args.model_out)
@@ -148,16 +151,14 @@ def cmd_train(args, config) -> int:
     return 0
 
 
-def cmd_transliterate(args, config) -> int:
+def cmd_transliterate(args) -> int:
     trained = model_mod.load_model(args.model)
-    top_k = int(_setting(args, config, "top_k", 10))
-    policy = Fallback(_setting(args, config, "fallback", "error"))
     with _open_input(args) as stream:
         for raw in stream:
             word = raw.strip()
             if not word:
                 continue
-            hindi, decoding = decode_or_fallback(trained, word, policy, top_k)
+            hindi, decoding = decode_or_fallback(trained, word, args.fallback, args.top_k)
             if decoding is None:
                 print(f"{word}\t{hindi}\t-")
                 continue
@@ -175,18 +176,13 @@ def cmd_transliterate(args, config) -> int:
     return 0
 
 
-def cmd_translate(args, config) -> int:
+def cmd_translate(args) -> int:
     trained = model_mod.load_model(args.model)
-    kb_persons = bool(_setting(args, config, "kb_persons", False))
     if args.kb:
-        knowledge = kb_mod.load_kb(args.kb, allow_person=kb_persons)
+        knowledge = kb_mod.load_kb(args.kb, allow_person=args.kb_persons)
     else:
-        knowledge = kb_mod.load_seed_kb(allow_person=kb_persons)
-    pipeline_config = PipelineConfig(
-        fallback=Fallback(_setting(args, config, "fallback", "error")),
-        top_k=int(_setting(args, config, "top_k", 10)),
-        kb_persons=kb_persons,
-    )
+        knowledge = kb_mod.load_seed_kb(allow_person=args.kb_persons)
+    pipeline_config = PipelineConfig(fallback=args.fallback, top_k=args.top_k, kb_persons=args.kb_persons)
     failed = False
     # the input opens first, so a missing input leaves no decisions file behind
     with (
@@ -220,7 +216,7 @@ def cmd_translate(args, config) -> int:
     return 1 if failed else 0
 
 
-def cmd_evaluate(args, config) -> int:
+def cmd_evaluate(args) -> int:
     gold = evaluation.load_gold(args.gold)
     system = evaluation.load_system(args.system)
     report = evaluation.evaluate(gold, system)
@@ -236,6 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--quiet", action="store_true", help="suppress informational output")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags transliterate and translate share, listed first in both
+    decode = argparse.ArgumentParser(add_help=False)
+    decode.add_argument("--model", required=True)
+    _add_setting(decode, "fallback", metavar="{" + ",".join(f.value for f in Fallback) + "}")
+    _add_setting(decode, "top_k")
 
     p = sub.add_parser("phonify", help="segment words (one per line) into phonemes")
     p.add_argument("--in", dest="infile", help="read words from a file instead of stdin")
@@ -243,30 +244,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("align-dump", help="train the aligner and dump pair counts")
     p.add_argument("corpus", help="parallel corpus: english<TAB>hindi per line")
-    p.add_argument("--em-iterations", dest="em_iterations", type=int)
+    _add_setting(p, "em_iterations")
     p.set_defaults(func=cmd_align_dump)
 
     p = sub.add_parser("train", help="train a transliteration model from a parallel corpus")
     p.add_argument("corpus", help="parallel corpus: english<TAB>hindi per line")
     p.add_argument("model_out", help="where to write the model file")
-    p.add_argument("--smoothing-k", dest="smoothing_k", type=float)
-    p.add_argument("--em-iterations", dest="em_iterations", type=int)
+    _add_setting(p, "smoothing_k")
+    _add_setting(p, "em_iterations")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("transliterate", help="transliterate words (one per line)")
-    p.add_argument("--model", required=True)
-    p.add_argument("--fallback", choices=[f.value for f in Fallback])
-    p.add_argument("--top-k", dest="top_k", type=positive_int)
+    p = sub.add_parser("transliterate", parents=[decode], help="transliterate words (one per line)")
     p.add_argument("--trace", action="store_true", help="append per-position scores")
     p.add_argument("--in", dest="infile", help="read words from a file instead of stdin")
     p.set_defaults(func=cmd_transliterate)
 
-    p = sub.add_parser("translate", help="substitute entities in annotated sentences")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("translate", parents=[decode], help="substitute entities in annotated sentences")
     p.add_argument("--kb", help=f"knowledge base file (default: ${kb_mod.SEED_KB_ENV_VAR} or the packaged seed)")
     p.add_argument("--format", choices=["inline", "columnar"], default="inline")
-    p.add_argument("--fallback", choices=[f.value for f in Fallback])
-    p.add_argument("--top-k", dest="top_k", type=positive_int)
     p.add_argument("--kb-persons", action="store_true", default=None, help="let person names consult the KB")
     p.add_argument("--in", dest="infile", help="read sentences from a file instead of stdin")
     p.add_argument("--decisions", help="write one record per entity to this file")
@@ -298,7 +293,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.config) if args.config else {}
-        return args.func(args, config)
+        for key, (_, default) in SETTINGS.items():
+            if hasattr(args, key) and getattr(args, key) is None:
+                setattr(args, key, config.get(key, default))
+        return args.func(args)
     except (NeTranslitError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1

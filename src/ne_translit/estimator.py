@@ -39,10 +39,6 @@ class ParamsMixin:
         return self
 
 
-def _coerce_fallback(value) -> Fallback:
-    return value if isinstance(value, Fallback) else Fallback(str(value))
-
-
 def _coerce_entries(X) -> list[ParallelEntry]:
     entries = []
     for item in X:
@@ -86,7 +82,7 @@ class HmmTransliterator(ParamsMixin):
     def predict(self, X) -> list[str]:
         """Hindi string for each English word in X."""
         self._check_fitted()
-        policy = _coerce_fallback(self.fallback)
+        policy = Fallback(self.fallback)
         return [transliterate(self.model_, word, policy, int(self.top_k)) for word in X]
 
     def score(self, X, y) -> float:
@@ -139,7 +135,7 @@ class NamedEntityTranslator(ParamsMixin):
 
     def _config(self) -> PipelineConfig:
         return PipelineConfig(
-            fallback=_coerce_fallback(self.fallback),
+            fallback=Fallback(self.fallback),
             top_k=int(self.top_k),
             kb_persons=bool(self.kb_persons),
         )

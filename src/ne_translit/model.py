@@ -24,6 +24,7 @@ UNK = "<unk>"  # reserved target carrying a row's unseen-pair probability
 
 MODEL_FORMAT_VERSION = "1"
 ROW_SUM_TOLERANCE = 1e-9
+_BAD_SMOOTHING = "smoothing constant must be a finite number >= 0"
 
 
 @dataclass(frozen=True)
@@ -148,8 +149,8 @@ class TransliterationModel:
         """Check every table invariant; raises ModelValidationError."""
         if self.version != MODEL_FORMAT_VERSION:
             raise ModelValidationError(f"unsupported model version {self.version!r}")
-        if self.smoothing_k < 0:
-            raise ModelValidationError("smoothing constant must be >= 0")
+        if not 0.0 <= self.smoothing_k < math.inf:
+            raise ModelValidationError(_BAD_SMOOTHING)
         if set(self.emission) != set(self.h_vocab):
             raise ModelValidationError("emission rows must cover exactly the Hindi vocabulary")
         if set(self.transition) != set(self.h_vocab) | {BOS}:
@@ -204,8 +205,8 @@ def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:
     Hindi sequence, so their width is |H| + 1.  k = 0 gives the raw
     frequency ratios.
     """
-    if smoothing_k < 0:
-        raise ValueError("smoothing constant must be >= 0")
+    if not 0.0 <= smoothing_k < math.inf:
+        raise ValueError(_BAD_SMOOTHING)
     entries = [list(pairs) for pairs in aligned_corpus if pairs]
     if not entries:
         raise ValueError("aligned corpus has no entries with match pairs")

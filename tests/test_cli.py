@@ -11,10 +11,12 @@ import pytest
 
 import ne_translit
 from ne_translit.alignment import build_aligned_corpus, em_train_alignment, load_corpus
-from ne_translit.cli import main, parse_config
+from ne_translit.cli import SETTINGS, main, parse_config
 from ne_translit.decoder import Fallback, viterbi
+from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
 from ne_translit.model import load_model, save_model
 from ne_translit.phonology import phonify_latin
+from ne_translit.pipeline import PipelineConfig
 
 from helpers import make_memorization_corpus, reference_parse_inline, trace_items
 
@@ -53,6 +55,17 @@ def test_phonify_bad_word_exits_one(capsys, monkeypatch):
     code = run_cli(["phonify"], "abc123\n", monkeypatch=monkeypatch)
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_phonify_reports_each_bad_word_and_goes_on(capsys, monkeypatch):
+    code = run_cli(["phonify"], "Radhika\nJosé\n\nAmar\nabc123\n", monkeypatch=monkeypatch)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["Radhika\t[Ra][dhi][ka]", "Amar\t[A][ma][r]"]
+    assert captured.err.splitlines() == [
+        "ne-translit: error: line 2: mixed or unsupported script in 'José'",
+        "ne-translit: error: line 5: mixed or unsupported script in 'abc123'",
+    ]
 
 
 def test_train_reports_and_is_deterministic(tmp_path, corpus_file, capsys):
@@ -550,6 +563,127 @@ def test_align_dump_counts(corpus_file, capsys):
         e, h, count = line.split("\t")
         assert e and h and int(count) >= 1
     assert lines == sorted(lines)
+
+
+# a value each setting's parser rejects, and a command that takes the setting
+BAD_SETTINGS = [
+    ("smoothing_k", "abc", "train"),
+    ("em_iterations", "0", "train"),
+    ("em_iterations", "0", "align-dump"),
+    ("top_k", "0", "transliterate"),
+    ("top_k", "0", "translate"),
+    ("fallback", "bogus", "transliterate"),
+    ("fallback", "bogus", "translate"),
+]
+
+
+def command_argv(command, tmp_path, corpus_file, model_file):
+    return {
+        "align-dump": ["align-dump", str(corpus_file)],
+        "train": ["train", str(corpus_file), str(tmp_path / "out.model")],
+        "transliterate": ["transliterate", "--model", str(model_file)],
+        "translate": ["translate", "--model", str(model_file)],
+    }[command]
+
+
+def flag_of(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("key, value, command", BAD_SETTINGS)
+def test_bad_setting_flag_is_a_usage_error_naming_the_flag(
+    key, value, command, tmp_path, corpus_file, model_file, capsys
+):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command_argv(command, tmp_path, corpus_file, model_file) + [flag_of(key), value])
+    assert excinfo.value.code == 2
+    assert f"argument {flag_of(key)}: invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, command", BAD_SETTINGS)
+def test_bad_setting_in_config_names_the_file_line_and_key(
+    key, value, command, tmp_path, corpus_file, model_file, capsys, monkeypatch
+):
+    config = tmp_path / "config.ini"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    argv = ["--config", str(config)] + command_argv(command, tmp_path, corpus_file, model_file)
+    assert run_cli(argv, "Radhika\n", monkeypatch=monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"ne-translit: error: {config}: line 1: bad value for {key!r}: {value!r}"]
+    assert not (tmp_path / "out.model").exists()
+
+
+def test_fallback_flag_beats_config_which_beats_default(tmp_path, model_file, capsys, monkeypatch):
+    config = tmp_path / "config.ini"
+    config.write_text("fallback = copy\n", encoding="utf-8")
+    argv = ["transliterate", "--model", str(model_file)]
+    assert run_cli(argv, "Xylophone\n", monkeypatch=monkeypatch) == 1
+    assert capsys.readouterr().err == "ne-translit: error: no candidates for phoneme 'xylo' at position 0\n"
+    assert run_cli(["--config", str(config)] + argv, "Xylophone\n", monkeypatch=monkeypatch) == 0
+    assert capsys.readouterr().out == "Xylophone\tXylophone\t-\n"
+    argv = ["--config", str(config)] + argv + ["--fallback", "unk"]
+    assert run_cli(argv, "Xylophone\n", monkeypatch=monkeypatch) == 0
+    assert capsys.readouterr().out == "Xylophone\t<unk>\t-\n"
+
+
+def test_smoothing_flag_beats_config_which_beats_default(tmp_path, corpus_file):
+    config = tmp_path / "config.ini"
+    config.write_text("smoothing_k = 0\n", encoding="utf-8")
+    model = tmp_path / "model.txt"
+    train = ["--quiet", "train", str(corpus_file), str(model)]
+    for argv, expected in [
+        (train, 0.1),
+        (["--config", str(config)] + train, 0.0),
+        (["--config", str(config)] + train + ["--smoothing-k", "0.25"], 0.25),
+    ]:
+        assert main(argv) == 0
+        assert load_model(model).smoothing_k == expected
+
+
+def test_settings_defaults_equal_the_library_defaults():
+    defaults = {key: default for key, (_, default) in SETTINGS.items()}
+    estimator = HmmTransliterator().get_params()
+    translator = NamedEntityTranslator().get_params()
+    pipeline = PipelineConfig()
+    assert defaults == {
+        "smoothing_k": estimator["smoothing_k"],
+        "em_iterations": estimator["em_iterations"],
+        "top_k": estimator["top_k"],
+        "fallback": estimator["fallback"],
+        "kb_persons": pipeline.kb_persons,
+    }
+    for key in ("top_k", "fallback", "kb_persons"):
+        assert defaults[key] == getattr(pipeline, key) == translator[key]
+
+
+# the setting flags each subcommand takes
+SETTING_FLAGS = {
+    "phonify": set(),
+    "align-dump": {"--em-iterations"},
+    "train": {"--smoothing-k", "--em-iterations"},
+    "transliterate": {"--fallback", "--top-k"},
+    "translate": {"--fallback", "--top-k", "--kb-persons"},
+    "evaluate": set(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SETTING_FLAGS))
+def test_help_lists_the_setting_flags_of_each_subcommand(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert {flag_of(key) for key in SETTINGS if flag_of(key) in out} == SETTING_FLAGS[command]
+    assert ("--fallback {error,copy,unk}" in out) == ("--fallback" in SETTING_FLAGS[command])
+
+
+@pytest.mark.parametrize("k", ["nan", "inf", "-1"])
+def test_train_rejects_a_smoothing_constant_that_is_not_finite_and_non_negative(k, tmp_path, corpus_file, capsys):
+    model = tmp_path / "model.txt"
+    assert main(["--quiet", "train", str(corpus_file), str(model), "--smoothing-k", k]) == 1
+    assert capsys.readouterr().err.splitlines() == ["ne-translit: error: smoothing constant must be a finite number >= 0"]
+    assert not model.exists()
 
 
 def test_config_file_supplies_defaults(tmp_path, corpus_file, capsys, monkeypatch):

@@ -105,6 +105,24 @@ def test_estimate_rejects_bad_input():
         estimate([[AlignedPair("a", "अ")]], smoothing_k=-0.5)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+def test_estimate_rejects_a_smoothing_constant_that_is_not_finite(k):
+    with pytest.raises(ValueError) as excinfo:
+        estimate([[AlignedPair("a", "अ")]], smoothing_k=k)
+    assert str(excinfo.value) == "smoothing constant must be a finite number >= 0"
+
+
+@pytest.mark.parametrize("k", ["nan", "inf"])
+def test_load_rejects_a_smoothing_constant_that_is_not_finite(k, single_entry_model, tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(single_entry_model, path)
+    text = path.read_text(encoding="utf-8").replace("smoothing_k\t0\n", f"smoothing_k\t{k}\n")
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelValidationError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value) == f"{path}: smoothing constant must be a finite number >= 0"
+
+
 def test_save_load_round_trip_unsmoothed(single_entry_model, tmp_path):
     path = tmp_path / "model.txt"
     save_model(single_entry_model, path)
