@@ -20,17 +20,7 @@ from .estimator import HmmTransliterator, NamedEntityTranslator
 from .evaluation import AccuracyReport, GoldRecord, evaluate, render_report
 from .kb import EntityCategory, KBEntry, KnowledgeBase, load_kb, load_seed_kb, normalize
 from .model import BOS, EOS, TransliterationModel, estimate, load_model, save_model
-from .phonology import (
-    CharClass,
-    Phoneme,
-    PhonemeSequence,
-    Script,
-    classify_char,
-    phonify,
-    phonify_devanagari,
-    phonify_latin,
-    structure_of,
-)
+from .phonology import PhonemeSequence, Script, phonify, phonify_devanagari, phonify_latin
 from .pipeline import (
     EntityDecision,
     EntitySpan,
@@ -49,12 +39,11 @@ __all__ = [
     "AlignmentCostTable",
     "BOS",
     "Candidate",
-    "CharClass",
     "Decoding",
+    "EOS",
     "EntityCategory",
     "EntityDecision",
     "EntitySpan",
-    "EOS",
     "Fallback",
     "GoldRecord",
     "HmmTransliterator",
@@ -63,7 +52,6 @@ __all__ = [
     "NamedEntityTranslator",
     "NeTranslitError",
     "ParallelEntry",
-    "Phoneme",
     "PhonemeSequence",
     "PipelineConfig",
     "ProcessedSentence",
@@ -73,7 +61,6 @@ __all__ = [
     "align_corpus",
     "align_monotone",
     "candidates",
-    "classify_char",
     "decode_or_fallback",
     "em_train_alignment",
     "estimate",
@@ -90,7 +77,6 @@ __all__ = [
     "process_sentence",
     "render_report",
     "save_model",
-    "structure_of",
     "transliterate",
     "viterbi",
 ]

@@ -94,7 +94,7 @@ class AlignmentCostTable:
 def _keys(seq) -> list[str]:
     if isinstance(seq, PhonemeSequence):
         return seq.keys()
-    return [str(s) for s in seq]
+    return list(seq)
 
 
 _MATCH, _SKIP_E, _SKIP_H = 1, 2, 3

@@ -16,7 +16,8 @@ from . import alignment, evaluation, kb as kb_mod, model as model_mod, phonology
 from .decoder import Fallback, decode_or_fallback
 from .errors import ConfigError, NeTranslitError
 from .model import BOS, EOS
-from .pipeline import PipelineConfig, parse_annotations, process_sentence
+from .pipeline import ANNOTATION_FORMATS, PipelineConfig, parse_annotations, process_sentence
+from .settings import SETTINGS, check
 from .textfile import read_lines
 
 # Not called here (decode_or_fallback makes the call), but the benchmark's
@@ -24,36 +25,6 @@ from .textfile import read_lines
 from .decoder import viterbi  # noqa: F401
 
 PROG = "ne-translit"
-
-
-def positive_int(text: str) -> int:
-    """int() that also rejects values below 1 with a ValueError."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
-
-
-def boolean(text: str) -> bool:
-    """1/true/yes/on or 0/false/no/off, any case; a ValueError otherwise."""
-    value = text.lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-# Every setting a flag or the --config file can give: its parser, which
-# the flag and the config value share, and its default.  main resolves
-# each one onto args once: the flag, else the config file, else this default.
-SETTINGS = {
-    "smoothing_k": (float, 0.1),
-    "em_iterations": (positive_int, 10),
-    "top_k": (positive_int, 10),
-    "fallback": (Fallback, Fallback.ERROR),
-    "kb_persons": (boolean, False),
-}
 
 
 def parse_config(path) -> dict:
@@ -65,9 +36,9 @@ def parse_config(path) -> dict:
         if key not in SETTINGS:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            values[key] = SETTINGS[key][0](value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: line {lineno}: bad value for {key!r}: {value!r}") from exc
+            values[key] = check(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
     return values
 
 
@@ -261,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", parents=[decode], help="substitute entities in annotated sentences")
     p.add_argument("--kb", help=f"knowledge base file (default: ${kb_mod.SEED_KB_ENV_VAR} or the packaged seed)")
-    p.add_argument("--format", choices=["inline", "columnar"], default="inline")
+    p.add_argument("--format", choices=list(ANNOTATION_FORMATS), default="inline")
     p.add_argument("--kb-persons", action="store_true", default=None, help="let person names consult the KB")
     p.add_argument("--in", dest="infile", help="read sentences from a file instead of stdin")
     p.add_argument("--decisions", help="write one record per entity to this file")

@@ -66,7 +66,7 @@ def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
     the caller decides the fallback policy.  Nothing is memoized here:
     decode_or_fallback keeps the per-model memo of decoded words.
     """
-    keys = e_seq.keys() if isinstance(e_seq, PhonemeSequence) else [str(e) for e in e_seq]
+    keys = e_seq.keys() if isinstance(e_seq, PhonemeSequence) else list(e_seq)
     if not keys:
         raise ValueError("cannot decode an empty phoneme sequence")
 

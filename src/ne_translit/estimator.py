@@ -5,6 +5,11 @@ estimate) behind fit() and decoding behind predict(); fitted state lives
 in trailing-underscore attributes.  get_params/set_params mirror the
 scikit-learn protocol so the classes drop into tooling that clones and
 grid-searches estimators, without this package depending on scikit-learn.
+
+Parameters take the values their CLI flag or config key takes, parsed by
+the same settings.check.  As in scikit-learn, __init__ only stores them;
+they are checked where they are used, in fit, predict and transform, and
+a bad value raises a ConfigError that names the parameter.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from .decoder import Fallback, transliterate
 from .errors import NotFittedError
 from .kb import KnowledgeBase, normalize
 from .model import TransliterationModel, estimate
-from .pipeline import PipelineConfig, parse_annotations, process_sentence
+from .pipeline import ANNOTATION_FORMATS, PipelineConfig, parse_annotations, process_sentence
+from .settings import bad_value, check
 
 
 class ParamsMixin:
@@ -68,9 +74,11 @@ class HmmTransliterator(ParamsMixin):
 
     def fit(self, X, y=None):
         """X: parallel entries, as ParallelEntry or (english, hindi) pairs."""
+        iterations = check("em_iterations", self.em_iterations)
+        k = check("smoothing_k", self.smoothing_k)
         entries = _coerce_entries(X)
-        self.alignment_, usable, skipped = align_corpus(entries, int(self.em_iterations))
-        self.model_: TransliterationModel = estimate(usable, float(self.smoothing_k))
+        self.alignment_, usable, skipped = align_corpus(entries, iterations)
+        self.model_: TransliterationModel = estimate(usable, k)
         self.skipped_ = tuple(skipped)
         self.n_entries_ = len(usable)
         return self
@@ -82,8 +90,8 @@ class HmmTransliterator(ParamsMixin):
     def predict(self, X) -> list[str]:
         """Hindi string for each English word in X."""
         self._check_fitted()
-        policy = Fallback(self.fallback)
-        return [transliterate(self.model_, word, policy, int(self.top_k)) for word in X]
+        policy, top_k = check("fallback", self.fallback), check("top_k", self.top_k)
+        return [transliterate(self.model_, word, policy, top_k) for word in X]
 
     def score(self, X, y) -> float:
         """Normalized exact-match accuracy of predict(X) against y."""
@@ -133,17 +141,20 @@ class NamedEntityTranslator(ParamsMixin):
             raise NotFittedError("NamedEntityTranslator needs a model")
         return model
 
-    def _config(self) -> PipelineConfig:
-        return PipelineConfig(
-            fallback=Fallback(self.fallback),
-            top_k=int(self.top_k),
-            kb_persons=bool(self.kb_persons),
-        )
+    def _process(self, lines) -> list:
+        """ProcessedSentence per line, with the settings checked and the
+        model resolved once for all the lines."""
+        fmt = self.annotation_format
+        if not (isinstance(fmt, str) and fmt in ANNOTATION_FORMATS):
+            raise bad_value("annotation_format", fmt)
+        config = PipelineConfig(fallback=self.fallback, top_k=self.top_k, kb_persons=self.kb_persons)
+        model = self._resolved_model()
+        return [process_sentence(*parse_annotations(line, fmt), self.kb, model, config) for line in lines]
 
     def process_line(self, line: str):
-        sentence, spans = parse_annotations(line, self.annotation_format)
-        return process_sentence(sentence, spans, self.kb, self._resolved_model(), self._config())
+        """The ProcessedSentence, decisions included, for one annotated line."""
+        return self._process([line])[0]
 
     def transform(self, X) -> list[str]:
         """Substituted sentence for each annotated line in X."""
-        return [self.process_line(line).substituted for line in X]
+        return [processed.substituted for processed in self._process(X)]

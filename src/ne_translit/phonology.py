@@ -9,9 +9,8 @@ matra, either one optionally carrying a nasalization sign.
 
 Segmentation is lossless: concatenating the phoneme surfaces of a word
 always reproduces the (NFC-normalized) word exactly.  A PhonemeSequence
-holds those surfaces as strings, which is all that decoding, alignment
-and printing read; Phoneme objects, with their script and structure tag,
-are built only when a caller iterates or indexes the sequence.
+holds those surfaces as strings, read through surfaces(), keys() (the
+case-folded form the model tables are keyed by) and bracketed().
 """
 
 from __future__ import annotations
@@ -27,14 +26,6 @@ from .errors import MalformedWordError, ScriptError
 class Script(Enum):
     LATIN = "latin"
     DEVANAGARI = "devanagari"
-
-
-class CharClass(Enum):
-    VOWEL = "vowel"
-    CONSONANT = "consonant"
-    VOWEL_SIGN = "vowel-sign"
-    NASALIZATION_SIGN = "nasalization-sign"
-    OTHER = "other"
 
 
 # Only ASCII letters count as Latin: str.lower() would also let through
@@ -61,57 +52,10 @@ _DEV_ALL = (
 )
 
 
-def classify_char(c: str, script: Script) -> CharClass:
-    """Classify a single character within the given script.
-
-    Anything that is neither a letter nor a dependent sign of the script
-    maps to OTHER; this function never raises on content.
-    """
-    if len(c) != 1:
-        raise ValueError(f"expected a single character, got {c!r}")
-    if script is Script.LATIN:
-        if c not in LATIN_LETTERS:
-            return CharClass.OTHER
-        return CharClass.VOWEL if c.lower() in LATIN_VOWELS else CharClass.CONSONANT
-    if c in DEV_INDEPENDENT_VOWELS:
-        return CharClass.VOWEL
-    if c in DEV_CONSONANTS:
-        return CharClass.CONSONANT
-    if c in DEV_MATRAS:
-        return CharClass.VOWEL_SIGN
-    if c in DEV_NASALIZATION:
-        return CharClass.NASALIZATION_SIGN
-    return CharClass.OTHER
-
-
-@dataclass(frozen=True)
-class Phoneme:
-    """One grapheme cluster.  Surface keeps the original casing; key()
-    gives the case-folded form used for model lookups."""
-
-    surface: str
-    script: Script
-
-    def __post_init__(self):
-        if not self.surface:
-            raise ValueError("phoneme surface must be non-empty")
-
-    @property
-    def structure(self) -> str:
-        return structure_of(self)
-
-    def key(self) -> str:
-        return self.surface.casefold()
-
-    def __str__(self) -> str:
-        return self.surface
-
-
 @dataclass(frozen=True)
 class PhonemeSequence:
     """Ordered phonemes of one word, all in the same script, held as their
-    surfaces; the Phoneme objects (phonemes, iteration, indexing) are
-    built on demand."""
+    surfaces."""
 
     units: tuple[str, ...]
     source_word: str
@@ -124,18 +68,8 @@ class PhonemeSequence:
         if joined != self.source_word:
             raise ValueError(f"segmentation of {self.source_word!r} is not lossless: {joined!r}")
 
-    @property
-    def phonemes(self) -> tuple[Phoneme, ...]:
-        return tuple([Phoneme(s, self.script) for s in self.units])
-
     def __len__(self) -> int:
         return len(self.units)
-
-    def __iter__(self):
-        return iter(self.phonemes)
-
-    def __getitem__(self, i):
-        return self.phonemes[i]
 
     def surfaces(self) -> list[str]:
         return list(self.units)
@@ -146,28 +80,6 @@ class PhonemeSequence:
 
     def bracketed(self) -> str:
         return "".join([f"[{s}]" for s in self.units])
-
-
-def structure_of(p: Phoneme) -> str:
-    """Vowel/consonant pattern tag of a phoneme, e.g. "CV" or "CCVC".
-
-    Latin: one symbol per letter.  Devanagari: independent vowels and
-    matras count as V, consonants and nasalization signs as C; halant and
-    nukta shape the cluster but add no symbol of their own.
-    """
-    if p.script is Script.LATIN:
-        return "".join(
-            "V" if classify_char(c, Script.LATIN) is CharClass.VOWEL else "C" for c in p.surface
-        )
-    tags = []
-    for c in p.surface:
-        cls = classify_char(c, Script.DEVANAGARI)
-        if cls is CharClass.VOWEL or cls is CharClass.VOWEL_SIGN:
-            tags.append("V")
-        elif cls is CharClass.CONSONANT or cls is CharClass.NASALIZATION_SIGN:
-            tags.append("C")
-        # halant and nukta are cluster glue, not segments
-    return "".join(tags)
 
 
 def phonify_latin(word: str) -> PhonemeSequence:
@@ -182,8 +94,7 @@ def phonify_latin(word: str) -> PhonemeSequence:
          all-consonant word) is one standalone phoneme;
       4. adjacent vowels land in separate phonemes.
 
-    The sequence holds the phoneme surfaces as slices of the NFC word;
-    no Phoneme object is built unless a caller asks for one.
+    The sequence holds the phoneme surfaces as slices of the NFC word.
     """
     word = unicodedata.normalize("NFC", word)
     if not LATIN_LETTERS.issuperset(word):

@@ -17,6 +17,7 @@ from .decoder import Fallback, decode_or_fallback
 from .errors import AnnotationError
 from .kb import EntityCategory, KnowledgeBase
 from .model import TransliterationModel
+from .settings import check
 
 # Not called here (decode_or_fallback makes these calls), but the
 # benchmark's tracer patches both names on this module.
@@ -63,9 +64,16 @@ class ProcessedSentence:
 
 @dataclass
 class PipelineConfig:
+    """Decode settings for process_sentence, each parsed on construction
+    as its flag or config key is (see settings.check)."""
+
     fallback: Fallback = Fallback.ERROR
     top_k: int = 10
     kb_persons: bool = False  # extension: let person names consult the KB too
+
+    def __post_init__(self):
+        for key in ("fallback", "top_k", "kb_persons"):
+            setattr(self, key, check(key, getattr(self, key)))
 
 
 def validate_spans(sentence: str, spans) -> None:
@@ -156,12 +164,16 @@ def parse_columnar(line: str) -> tuple[str, list[EntitySpan]]:
     return sentence, spans
 
 
+# Every annotation format, by the name translate --format and
+# NamedEntityTranslator's annotation_format take.
+ANNOTATION_FORMATS = {"inline": parse_inline, "columnar": parse_columnar}
+
+
 def parse_annotations(line: str, format: str = "inline") -> tuple[str, list[EntitySpan]]:
-    if format == "inline":
-        return parse_inline(line)
-    if format == "columnar":
-        return parse_columnar(line)
-    raise ValueError(f"unknown annotation format {format!r}")
+    parse = ANNOTATION_FORMATS.get(format)
+    if parse is None:
+        raise ValueError(f"unknown annotation format {format!r}")
+    return parse(line)
 
 
 def _transliterate_token(token, model, config):

@@ -1,10 +1,14 @@
+import re
+
 import pytest
 
 from ne_translit.decoder import Fallback
-from ne_translit.errors import NotFittedError, ScriptError, ZeroProbabilityError
+from ne_translit.errors import NeTranslitError, NotFittedError, ScriptError, ZeroProbabilityError
+from ne_translit import estimator
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
-from ne_translit.kb import load_seed_kb
+from ne_translit.kb import EntityCategory, KBEntry, KnowledgeBase, load_seed_kb
 from ne_translit.model import TransliterationModel
+from ne_translit.pipeline import PipelineConfig
 
 
 def test_get_params_returns_init_arguments():
@@ -103,3 +107,52 @@ def test_transformer_params_protocol():
         "top_k",
         "kb_persons",
     }
+
+
+def bad_value(param, value):
+    return re.escape(f"bad value for {param!r}: {value!r}")
+
+
+@pytest.mark.parametrize("param, value", [("em_iterations", 3.7), ("em_iterations", 0), ("smoothing_k", "abc")])
+def test_fit_names_a_bad_parameter(param, value, memorization_corpus):
+    est = HmmTransliterator(**{param: value})  # stored unchecked, as scikit-learn does
+    with pytest.raises(NeTranslitError, match=bad_value(param, value)):
+        est.fit(memorization_corpus)
+    assert not hasattr(est, "model_")
+
+
+@pytest.mark.parametrize("param, value", [("top_k", 2.9), ("top_k", True), ("fallback", "bogus")])
+def test_predict_names_a_bad_parameter(param, value, memorization_corpus):
+    est = HmmTransliterator(smoothing_k=0.0).fit(memorization_corpus)
+    est.set_params(**{param: value})
+    with pytest.raises(NeTranslitError, match=bad_value(param, value)):
+        est.predict(["Radhika"])
+
+
+@pytest.mark.parametrize(
+    "param, value",
+    [("annotation_format", "bogus"), ("top_k", 2.9), ("fallback", "bogus"), ("kb_persons", "maybe")],
+)
+def test_translator_names_a_bad_parameter_at_first_use(param, value, memorization_model):
+    translator = NamedEntityTranslator(model=memorization_model, **{param: value})
+    with pytest.raises(NeTranslitError, match=bad_value(param, value)):
+        translator.transform(["[[Radhika|PER]] sang."])
+
+
+@pytest.mark.parametrize(
+    "kb_persons, expected",
+    [("false", "राधिका sang."), ("Off", "राधिका sang."), (False, "राधिका sang."),
+     ("true", "राधा sang."), (True, "राधा sang.")],
+)
+def test_translator_reads_kb_persons_as_the_cli_does(kb_persons, expected, memorization_model):
+    kb = KnowledgeBase([KBEntry("radhika", "राधा", EntityCategory.PERSON)])
+    translator = NamedEntityTranslator(model=memorization_model, kb=kb, kb_persons=kb_persons)
+    assert translator.transform(["[[Radhika|PER]] sang."]) == [expected]
+
+
+def test_transform_builds_one_config_per_call(memorization_model, monkeypatch):
+    built = []
+    monkeypatch.setattr(estimator, "PipelineConfig", lambda **kw: built.append(kw) or PipelineConfig(**kw))
+    translator = NamedEntityTranslator(model=memorization_model)
+    assert translator.transform(["[[Radhika|PER]] sang."] * 3) == ["राधिका sang."] * 3
+    assert len(built) == 1

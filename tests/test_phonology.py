@@ -7,16 +7,12 @@ import pytest
 
 from ne_translit.errors import MalformedWordError, ScriptError
 from ne_translit.phonology import (
-    CharClass,
-    Phoneme,
     PhonemeSequence,
     Script,
-    classify_char,
     detect_script,
     phonify,
     phonify_devanagari,
     phonify_latin,
-    structure_of,
 )
 
 LATIN_GOLDENS = [
@@ -69,65 +65,6 @@ def test_adjacent_vowels_split():
     assert phonify_latin("Kailash").surfaces() == ["Ka", "i", "la", "sh"]
 
 
-@pytest.mark.parametrize(
-    "char,script,expected",
-    [
-        ("a", Script.LATIN, CharClass.VOWEL),
-        ("E", Script.LATIN, CharClass.VOWEL),
-        ("b", Script.LATIN, CharClass.CONSONANT),
-        ("y", Script.LATIN, CharClass.CONSONANT),
-        ("3", Script.LATIN, CharClass.OTHER),
-        ("-", Script.LATIN, CharClass.OTHER),
-        ("İ", Script.LATIN, CharClass.OTHER),  # lowers to two characters, "i̇"
-        ("\u212a", Script.LATIN, CharClass.OTHER),  # Kelvin sign, lowers to "k"
-        ("é", Script.LATIN, CharClass.OTHER),
-        ("अ", Script.DEVANAGARI, CharClass.VOWEL),
-        ("क", Script.DEVANAGARI, CharClass.CONSONANT),
-        ("ा", Script.DEVANAGARI, CharClass.VOWEL_SIGN),
-        ("ं", Script.DEVANAGARI, CharClass.NASALIZATION_SIGN),
-        ("ः", Script.DEVANAGARI, CharClass.NASALIZATION_SIGN),
-        ("।", Script.DEVANAGARI, CharClass.OTHER),
-    ],
-)
-def test_classify_char(char, script, expected):
-    assert classify_char(char, script) is expected
-
-
-def test_classify_char_rejects_multicharacter_input():
-    with pytest.raises(ValueError):
-        classify_char("ab", Script.LATIN)
-
-
-@pytest.mark.parametrize(
-    "surface,script,expected",
-    [
-        ("pun", Script.LATIN, "CVC"),
-        ("A", Script.LATIN, "V"),
-        ("sha", Script.LATIN, "CCV"),
-        ("dhi", Script.LATIN, "CCV"),
-        ("bcd", Script.LATIN, "CCC"),
-        ("अ", Script.DEVANAGARI, "V"),
-        ("म", Script.DEVANAGARI, "C"),
-        ("रा", Script.DEVANAGARI, "CV"),
-        ("अं", Script.DEVANAGARI, "VC"),
-        ("पुं", Script.DEVANAGARI, "CVC"),
-        ("क्षा", Script.DEVANAGARI, "CCV"),
-        ("म्", Script.DEVANAGARI, "C"),
-    ],
-)
-def test_structure_of(surface, script, expected):
-    assert structure_of(Phoneme(surface, script)) == expected
-
-
-def test_structure_matches_stored_tag_for_every_output_phoneme():
-    for word, _ in LATIN_GOLDENS:
-        for p in phonify_latin(word):
-            assert p.structure == structure_of(Phoneme(p.surface, p.script))
-    for word, _ in DEVANAGARI_GOLDENS:
-        for p in phonify_devanagari(word):
-            assert p.structure == structure_of(Phoneme(p.surface, p.script))
-
-
 def test_losslessness_random_latin_words():
     rng = random.Random(42)
     letters = "abcdefghijklmnopqrstuvwxyz"
@@ -167,8 +104,6 @@ def test_losslessness_random_devanagari_words():
         normalized = unicodedata.normalize("NFC", word)
         assert seq.source_word == normalized
         assert "".join(seq.surfaces()) == normalized
-        for p in seq:
-            assert p.structure == structure_of(Phoneme(p.surface, p.script))
 
 
 def test_determinism():
@@ -194,45 +129,18 @@ def test_empty_word_gives_empty_sequence():
     assert len(phonify_devanagari("")) == 0
 
 
-def test_phonemes_view_is_built_from_the_surfaces():
-    rng = random.Random(27)
-    for _ in range(300):
-        word = "".join(rng.choice("aeiouAkmnrstKhNM") for _ in range(rng.randint(1, 8)))
-        seq = phonify_latin(word)
-        assert seq.phonemes == tuple(Phoneme(s, Script.LATIN) for s in seq.surfaces())
-        assert "".join(seq.surfaces()) == word
-
-
 SEGMENTATION_GOLDENS = (
-    [(phonify_latin, Script.LATIN, word, surfaces) for word, surfaces in LATIN_GOLDENS]
-    + [(phonify_devanagari, Script.DEVANAGARI, word, surfaces) for word, surfaces in DEVANAGARI_GOLDENS]
+    [(phonify_latin, word, surfaces) for word, surfaces in LATIN_GOLDENS]
+    + [(phonify_devanagari, word, surfaces) for word, surfaces in DEVANAGARI_GOLDENS]
 )
 
 
-@pytest.mark.parametrize("segment,script,word,surfaces", SEGMENTATION_GOLDENS)
-def test_iteration_and_indexing_give_phonemes_of_the_surfaces(segment, script, word, surfaces):
-    expected = tuple(Phoneme(s, script) for s in surfaces)
+@pytest.mark.parametrize("segment,word,surfaces", SEGMENTATION_GOLDENS)
+def test_sequence_reads_back_the_golden_surfaces(segment, word, surfaces):
     seq = segment(word)
-    assert seq.phonemes == expected
-    assert tuple(seq) == expected
-    assert tuple(seq[i] for i in range(len(seq))) == expected
-    assert seq[-1] == expected[-1]
-    assert seq[1:] == expected[1:]
+    assert (seq.surfaces(), len(seq)) == (surfaces, len(surfaces))
+    assert seq.keys() == [s.casefold() for s in surfaces]
     assert seq.bracketed() == "".join(f"[{s}]" for s in surfaces)
-
-
-def test_segmenting_and_reading_keys_build_no_phoneme(monkeypatch):
-    def refuse(self):
-        raise AssertionError(f"built {self!r}")
-
-    monkeypatch.setattr(Phoneme, "__post_init__", refuse)
-    for segment, _, word, surfaces in SEGMENTATION_GOLDENS:
-        seq = segment(word)
-        assert (seq.surfaces(), len(seq)) == (surfaces, len(surfaces))
-        assert seq.keys() == [s.casefold() for s in surfaces]
-        assert seq.bracketed() == "".join(f"[{s}]" for s in surfaces)
-    with pytest.raises(AssertionError):
-        phonify_latin("Amar")[0]
 
 
 @pytest.mark.parametrize(
