@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import CorpusError, NeTranslitError
@@ -155,33 +156,38 @@ def align_monotone(e_seq, h_seq, costs: AlignmentCostTable) -> list[AlignedPair]
     return pairs
 
 
-def _forward_backward(e, h, costs: AlignmentCostTable) -> tuple[float, list[tuple[str, str, float]]]:
-    """Log total probability over all monotone alignments, plus match posteriors.
+def _scaled_passes(grid, e, h_back, edge):
+    """Scaled forward-backward over one grid of match probabilities.
 
-    EM calls this once per distinct (e, h) pair per iteration.  The match
-    probability of every cell is read once, from the m x n grid
-    `costs.grid(e, h)`.  Every forward row i is scaled by its
-    sum c_i and every backward row i by the same c_i (Rabiner 1989, section
-    V-A), so long entries do not underflow: log z is the log of the scaled
-    last forward cell plus the sum of log c_i, and a match posterior is
-    scaled forward * match * scaled backward / scaled last forward cell.
-    Returns -inf and no posteriors only if that scaled last cell is zero.
+    `grid` has one row per English phoneme e[i]: prob(e[i], h[j]) for each
+    Hindi phoneme h[j], then a 0.0 that no move reads.  `h_back` holds the
+    Hindi labels in the order the backward pass walks them: one unused
+    label for that 0.0, then h[n-1], ..., h[0].  `edge` is the first
+    forward row, [SKIP_PENALTY**j for j in 0..n].
+
+    Every forward row i is scaled by its sum c_i and every backward row i
+    by the same c_i (Rabiner 1989, section V-A), so long entries do not
+    underflow.  The backward pass keeps only the row it reads, and takes
+    each cell's posterior (scaled forward * match * scaled backward /
+    scaled last forward cell) in the loop that computes the cell's
+    backward value.  Returns the row sums c_0..c_m, the scaled last
+    forward cell, and an (e[i], h[j], posterior) triple for every cell
+    whose posterior is above 0, in (i, j) order.  log z is log(last) plus
+    the sum of log c_i; there are no posteriors when last is 0.
     """
-    m, n = len(e), len(h)
     eps = SKIP_PENALTY
-    grid = costs.grid(e, h)
 
     # Forward over i = 0..m: alpha[i][j] covers e[:i] and h[:j], reached by
     # a match from (i-1, j-1), skip-English from (i-1, j) or skip-Hindi from
     # (i, j-1).  Each row is stored before scaling, so scaled row i is
     # alpha[i] / scales[i]; the next row divides by scales[i] as it reads it.
-    edge = [eps**j for j in range(n + 1)]  # first forward row, last backward row reversed
     row = edge
     c = sum(row)
     scales = [c]
-    alpha = [row]
+    alpha = []
     for probs in grid:
         prev = row
+        alpha.append(prev)
         inv = 1.0 / c
         v = prev[0] * eps * inv
         row = [v]
@@ -190,35 +196,51 @@ def _forward_backward(e, h, costs: AlignmentCostTable) -> tuple[float, list[tupl
             row.append(v)
         c = sum(row)
         scales.append(c)
-        alpha.append(row)
-    last = row[n] / c
+    last = row[-1] / c
     if last == 0.0:
-        return float("-inf"), []
+        return scales, last, []
 
-    # Backward over i = m..0, stored scaled: beta[i] is the probability of
-    # finishing from (i, j), divided by scales[i] * ... * scales[m].
-    row = [x / c for x in reversed(edge)]
-    beta = [row]
-    for i in range(m - 1, -1, -1):
-        nxt = row
-        inv = 1.0 / scales[i]
-        v = eps * nxt[n] * inv
-        row = [v]
-        for p, b1, b0 in zip(reversed(grid[i]), reversed(nxt), reversed(nxt[:n])):
-            v = (p * b1 + eps * b0) * inv + eps * v
-            row.append(v)
-        row.reverse()
-        beta.append(row)
-    beta.reverse()
-
+    # Backward over i = m..0, each row held scaled and in reverse column
+    # order: nxt[t] is the probability of finishing from (i + 1, n - t),
+    # divided by scales[i + 1] * ... * scales[m].  Walking j down from n,
+    # `b` carries the backward value of (i + 1, j + 1).  The first step
+    # reads the closing 0.0 with v = b = 0.0, so it gives the skip term
+    # alone and no posterior.
     posteriors = []
-    for i in range(1, m + 1):
-        ei = e[i - 1]
-        k = 1.0 / (scales[i - 1] * last)
-        for hj, a, p, b in zip(h, alpha[i - 1], grid[i - 1], beta[i][1:]):
+    append = posteriors.append
+    nxt = [x / c for x in edge]
+    for i in range(len(grid) - 1, -1, -1):
+        c = scales[i]
+        inv = 1.0 / c
+        k = 1.0 / (c * last)
+        x = e[i]
+        v = b = 0.0
+        row = []
+        for p, a, b0, y in zip(reversed(grid[i]), reversed(alpha[i]), nxt, h_back):
             w = a * p * b
             if w > 0.0:
-                posteriors.append((ei, hj, w * k))
+                append((x, y, w * k))
+            v = (p * b + eps * b0) * inv + eps * v
+            row.append(v)
+            b = b0
+        nxt = row
+    posteriors.reverse()
+    return scales, last, posteriors
+
+
+def _forward_backward(e, h, costs: AlignmentCostTable) -> tuple[float, list[tuple[str, str, float]]]:
+    """Log total probability over all monotone alignments, plus the match
+    posteriors (e[i], h[j], w) in (i, j) order.
+
+    Reads the m x n grid `costs.grid(e, h)` once and runs the scaled passes
+    EM runs (`_scaled_passes`).  Returns -inf and no posteriors only if the
+    scaled last forward cell is zero.
+    """
+    grid = [row + [0.0] for row in costs.grid(e, h)]
+    h_back = [None, *reversed(h)]
+    scales, last, posteriors = _scaled_passes(grid, e, h_back, [SKIP_PENALTY**j for j in range(len(h) + 1)])
+    if last == 0.0:
+        return float("-inf"), []
     return math.log(last) + sum(map(math.log, scales)), posteriors
 
 
@@ -266,6 +288,17 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
     and adds its posteriors times the pair's multiplicity, which equals
     one pass per occurrence.  Entries that fail phonification are skipped,
     never fatal.
+
+    The E-step runs on ints.  Phonemes are numbered once, each side in
+    sorted order, and each distinct pair is coded once as ids.  The
+    costs are dense rows per English phoneme, filled with the table's
+    default, so a grid cell is a list index.  Soft counts go into an
+    int-keyed table in first-seen order, and the string-keyed table is
+    built once, at the end.  Every float comes from the same operations
+    in the same order as in a string-keyed EM that stores whole forward
+    and backward tables, with the builtin `sum` for the row sums and the
+    row totals, so the costs are bit-identical to that EM's under every
+    Python version (`sum` is compensated from 3.12 on).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -275,21 +308,42 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
 
     h_vocab = sorted({h for _, hk in pairs for h in hk})
     e_vocab = sorted({e for ek, _ in pairs for e in ek})
-    u = 1.0 / len(h_vocab)
-    costs = AlignmentCostTable({e: {h: u for h in h_vocab} for e in e_vocab})
+    width = len(h_vocab)
+    h_id = {h: j for j, h in enumerate(h_vocab)}
+    e_id = {e: i for i, e in enumerate(e_vocab)}
+    # Dense cost rows, one per English phoneme, each closed by a 0.0 at
+    # index `width`.  They are refilled in place, so `row_of` stays valid
+    # and a grid row is one itemgetter call.
+    u = 1.0 / width
+    cost = [[u] * width + [0.0] for _ in e_vocab]
+    blank = [AlignmentCostTable.default] * width + [0.0]
+    row_of = cost.__getitem__
+    # Per distinct pair: English ids (the rows and the soft-count rows),
+    # the itemgetter of its Hindi ids and the closing 0.0, the Hindi ids in
+    # backward order, the first forward row, and the multiplicity.
+    edges = [[SKIP_PENALTY**j for j in range(n + 1)] for n in range(max(len(hk) for _, hk in pairs) + 1)]
+    coded = []
+    for (e_keys, h_keys), count in pairs.items():
+        hs = [h_id[h] for h in h_keys]
+        es = tuple([e_id[e] for e in e_keys])
+        coded.append((es, itemgetter(*hs, width), (-1, *reversed(hs)), edges[len(hs)], count))
+    del pairs  # the iterations read only the coded pairs, so the string keys can go
 
     for _ in range(iterations):
-        soft: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
-        for (e_keys, h_keys), count in pairs.items():
-            _, posteriors = _forward_backward(e_keys, h_keys, costs)
-            for e, h, w in posteriors:
-                soft[e][h] += w * count
-        probs = {}
-        for e, row in soft.items():
-            total = sum(row.values())
-            probs[e] = {h: c / total for h, c in sorted(row.items())}
-        costs = AlignmentCostTable(probs)
-    return costs
+        soft: dict[int, dict[int, float]] = defaultdict(lambda: defaultdict(float))
+        for es, cells, h_back, edge, count in coded:
+            for i, j, w in _scaled_passes(list(map(cells, map(row_of, es))), es, h_back, edge)[2]:
+                soft[i][j] += w * count
+        for row in cost:
+            row[:] = blank
+        for i, counts in soft.items():
+            total = sum(counts.values())
+            row = cost[i]
+            for j, c in counts.items():
+                row[j] = c / total
+    return AlignmentCostTable(
+        {e_vocab[i]: {h_vocab[j]: cost[i][j] for j in sorted(counts)} for i, counts in soft.items()}
+    )
 
 
 def build_aligned_corpus(

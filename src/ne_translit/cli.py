@@ -104,13 +104,14 @@ def cmd_align_dump(args) -> int:
 
 
 def cmd_train(args) -> int:
+    try:
+        k = model_mod.smoothing_constant(args.smoothing_k)  # rejected before EM runs
+    except ValueError as exc:
+        raise NeTranslitError(str(exc)) from exc
     usable, skipped_count = _align_corpus(args)
     if not usable:
         raise NeTranslitError("no usable entries after alignment")
-    try:
-        trained = model_mod.estimate(usable, args.smoothing_k)
-    except ValueError as exc:
-        raise NeTranslitError(str(exc)) from exc
+    trained = model_mod.estimate(usable, k)
     model_mod.save_model(trained, args.model_out)
     _info(args, f"trained on {len(usable)} entries ({skipped_count} skipped)")
     _info(

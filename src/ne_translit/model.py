@@ -149,8 +149,10 @@ class TransliterationModel:
         """Check every table invariant; raises ModelValidationError."""
         if self.version != MODEL_FORMAT_VERSION:
             raise ModelValidationError(f"unsupported model version {self.version!r}")
-        if not 0.0 <= self.smoothing_k < math.inf:
-            raise ModelValidationError(_BAD_SMOOTHING)
+        try:
+            smoothing_constant(self.smoothing_k)
+        except ValueError as exc:
+            raise ModelValidationError(str(exc)) from None
         if set(self.emission) != set(self.h_vocab):
             raise ModelValidationError("emission rows must cover exactly the Hindi vocabulary")
         if set(self.transition) != set(self.h_vocab) | {BOS}:
@@ -197,6 +199,15 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else float("-inf")
 
 
+def smoothing_constant(k) -> float:
+    """k as a float if it is a finite number >= 0; a ValueError otherwise.
+    The one copy of the rule: estimate, model validation, `train` and
+    HmmTransliterator.fit all apply it."""
+    if not 0.0 <= k < math.inf:
+        raise ValueError(_BAD_SMOOTHING)
+    return float(k)
+
+
 def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:
     """Build a model from per-entry aligned pair lists.
 
@@ -205,8 +216,7 @@ def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:
     Hindi sequence, so their width is |H| + 1.  k = 0 gives the raw
     frequency ratios.
     """
-    if not 0.0 <= smoothing_k < math.inf:
-        raise ValueError(_BAD_SMOOTHING)
+    k = smoothing_constant(smoothing_k)
     entries = [list(pairs) for pairs in aligned_corpus if pairs]
     if not entries:
         raise ValueError("aligned corpus has no entries with match pairs")
@@ -222,7 +232,6 @@ def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:
 
     e_vocab = frozenset(e for row in em_counts.values() for e in row)
     h_vocab = frozenset(em_counts)
-    k = float(smoothing_k)
     e_size = len(e_vocab)
     t_size = len(h_vocab) + 1
 

@@ -123,6 +123,78 @@ def reference_em(corpus, iterations):
     return costs
 
 
+def reference_scaled_forward_backward(e, h, costs):
+    """Scaled forward-backward over string keys with whole forward and
+    backward tables (Rabiner 1989, section V-A): log z and the match
+    posteriors (e[i], h[j], w) in (i, j) order.  The fused passes must
+    reproduce it bit for bit, so every float below is computed with the
+    same operations in the same order."""
+    m, n = len(e), len(h)
+    eps = SKIP_PENALTY
+    grid = costs.grid(e, h)
+    edge = [eps**j for j in range(n + 1)]
+    row = edge
+    c = sum(row)
+    scales, alpha = [c], [row]
+    for probs in grid:
+        prev, inv = row, 1.0 / c
+        v = prev[0] * eps * inv
+        row = [v]
+        for j in range(1, n + 1):
+            v = (prev[j - 1] * probs[j - 1] + prev[j] * eps) * inv + v * eps
+            row.append(v)
+        c = sum(row)
+        scales.append(c)
+        alpha.append(row)
+    last = row[n] / c
+    if last == 0.0:
+        return NEG_INF, []
+    beta = [None] * (m + 1)
+    beta[m] = [x / c for x in reversed(edge)]
+    for i in range(m - 1, -1, -1):
+        nxt, inv = beta[i + 1], 1.0 / scales[i]
+        row = [0.0] * (n + 1)
+        row[n] = v = eps * nxt[n] * inv
+        for j in range(n - 1, -1, -1):
+            row[j] = v = (grid[i][j] * nxt[j + 1] + eps * nxt[j]) * inv + eps * v
+        beta[i] = row
+    posteriors = []
+    for i in range(m):
+        k = 1.0 / (scales[i] * last)
+        for j in range(n):
+            w = alpha[i][j] * grid[i][j] * beta[i + 1][j + 1]
+            if w > 0.0:
+                posteriors.append((e[i], h[j], w * k))
+    return math.log(last) + sum(map(math.log, scales)), posteriors
+
+
+def reference_scaled_em(corpus, iterations):
+    """EM over distinct phonified pairs with string-keyed tables and
+    reference_scaled_forward_backward; em_train_alignment must give the
+    same costs bit for bit, rows in first-seen order."""
+    pairs: Counter = Counter()
+    for entry in corpus:
+        try:
+            e_keys, h_keys = entry_keys(entry)
+        except NeTranslitError:
+            continue
+        if e_keys and h_keys:
+            pairs[(tuple(e_keys), tuple(h_keys))] += 1
+    h_vocab = sorted({h for _, hk in pairs for h in hk})
+    costs = AlignmentCostTable({e: {h: 1.0 / len(h_vocab) for h in h_vocab} for ek, _ in pairs for e in ek})
+    for _ in range(iterations):
+        soft: dict = defaultdict(lambda: defaultdict(float))
+        for (e_keys, h_keys), count in pairs.items():
+            for e, h, w in reference_scaled_forward_backward(e_keys, h_keys, costs)[1]:
+                soft[e][h] += w * count
+        probs = {}
+        for e, row in soft.items():
+            total = sum(row.values())
+            probs[e] = {h: c / total for h, c in sorted(row.items())}
+        costs = AlignmentCostTable(probs)
+    return costs
+
+
 def reference_align_monotone(e, h, costs):
     """The hard aligner cell by cell, one costs.prob call per cell: the
     implementation align_monotone must reproduce, tie order included."""

@@ -21,11 +21,14 @@ from ne_translit.alignment import (
 )
 
 from helpers import (
+    make_memorization_corpus,
     best_monotone_score,
     reference_align_monotone,
     brute_force_posteriors,
     log_total_probability,
     reference_em,
+    reference_scaled_em,
+    reference_scaled_forward_backward,
     score_alignment,
 )
 
@@ -132,6 +135,37 @@ def test_forward_backward_matches_bruteforce_on_random_instances():
         assert set(got) == set(expected)
         for pair, w in expected.items():
             assert got[pair] == pytest.approx(w, rel=1e-9)
+
+
+def test_forward_backward_is_bit_identical_to_the_whole_table_passes():
+    rng = random.Random(16)
+    for _ in range(300):
+        e = [rng.choice(["e0", "e1", "e2"]) for _ in range(rng.randint(0, 6))]
+        h = [rng.choice(["h0", "h1", "h2"]) for _ in range(rng.randint(0, 6))]
+        probs = {}
+        for ek in sorted(set(e)):
+            if rng.random() < 0.2:
+                continue
+            weights = {hk: rng.uniform(0.05, 1.0) for hk in rng.sample(["h0", "h1", "h2"], rng.randint(1, 3))}
+            probs[ek] = {hk: w / sum(weights.values()) for hk, w in weights.items()}
+        # a default of 0 leaves some cells, and some whole grids, at probability 0
+        costs = AlignmentCostTable(probs, default=rng.choice([1e-9, 0.01, 0.0]))
+        assert _forward_backward(e, h, costs) == reference_scaled_forward_backward(e, h, costs), (e, h, costs)
+
+
+@pytest.mark.parametrize("corpus", [
+    [ParallelEntry(*line.split("\t")) for line in (
+        "Seema\tसीमा", "Pooja\tपूजा", "Raam\tराम", "Seema\tसीमा", "Raam Kumar\tराम कुमार",
+        "X9y\tरा", "Kamla\tकमला", "Geeta\tगीता", "Amar\tअमर", "Kamala\tकमला",
+    )],
+    make_memorization_corpus(n=40, seed=5) * 2,
+], ids=["skips", "memorization"])
+def test_em_is_bit_identical_to_the_string_keyed_em(corpus):
+    for iterations in (1, 4):
+        got = em_train_alignment(corpus, iterations).probs
+        expected = reference_scaled_em(corpus, iterations).probs
+        assert [(e, list(row.items())) for e, row in got.items()] == \
+            [(e, list(row.items())) for e, row in expected.items()]
 
 
 def test_long_entry_does_not_underflow():

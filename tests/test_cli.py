@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import ne_translit
-from ne_translit.alignment import build_aligned_corpus, em_train_alignment, load_corpus
+from ne_translit import alignment
+from ne_translit.alignment import build_aligned_corpus, em_train_alignment, entry_keys, load_corpus
 from ne_translit.cli import SETTINGS, main, parse_config
 from ne_translit.decoder import Fallback, viterbi
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
@@ -102,6 +103,35 @@ def test_train_model_bytes_golden_with_duplicates(tmp_path):
     aligned, skipped = build_aligned_corpus(loaded, em_train_alignment(loaded, 10))
     assert len(aligned) == 70
     assert len(skipped) == 2 and skipped[0] == skipped[1] and skipped[0].startswith("X9y\t")
+
+
+# Long vowels segment into more English phonemes than aksharas ([Se][e][ma]
+# against सी मा) and "Kamla" into fewer ([kam][la] against क म ला), so EM
+# has to weigh skips; the corpus also has duplicates, a two-token entry and
+# a line that cannot be phonified.  Only the model bytes are pinned: EM's
+# row totals use the builtin sum, which is compensated from Python 3.12 on,
+# so the EM floats differ between versions while the written model does not.
+SKIPPING_CORPUS_LINES = [
+    "Seema\tसीमा", "Pooja\tपूजा", "Raam\tराम", "Radhika\tराधिका", "Seema\tसीमा",
+    "Geeta\tगीता", "Raam Kumar\tराम कुमार", "X9y\tरा", "Pooja\tपूजा", "Amar\tअमर",
+    "Seema\tसीमा", "Kamla\tकमला",
+]
+GOLDEN_SKIPPING_MODEL_SHA256 = "d3185e219f5c3eab83232ce51ffd9c21864fe60e49d6d7f39d7ca3e0ef0bc1a5"
+
+
+def test_train_model_bytes_golden_where_em_must_skip(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("\n".join(SKIPPING_CORPUS_LINES) + "\n", encoding="utf-8")
+    model = tmp_path / "model.tsv"
+    assert main(["train", str(corpus), str(model)]) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == GOLDEN_SKIPPING_MODEL_SHA256
+    captured = capsys.readouterr()
+    assert "trained on 11 entries (1 skipped)" in captured.out
+    assert captured.err.startswith("ne-translit: warning: skipped X9y\t")
+
+    loaded, _ = load_corpus(corpus)
+    lengths = {tuple(map(len, entry_keys(entry))) for entry in loaded if entry.english != "X9y"}
+    assert (3, 2) in lengths and (2, 3) in lengths  # skip-English and skip-Hindi both needed
 
 
 def test_train_empty_corpus_fails(tmp_path, capsys):
@@ -680,6 +710,18 @@ def test_help_lists_the_setting_flags_of_each_subcommand(command, capsys):
 
 @pytest.mark.parametrize("k", ["nan", "inf", "-1"])
 def test_train_rejects_a_smoothing_constant_that_is_not_finite_and_non_negative(k, tmp_path, corpus_file, capsys):
+    model = tmp_path / "model.txt"
+    assert main(["--quiet", "train", str(corpus_file), str(model), "--smoothing-k", k]) == 1
+    assert capsys.readouterr().err.splitlines() == ["ne-translit: error: smoothing constant must be a finite number >= 0"]
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("k", ["nan", "inf", "-1"])
+def test_train_rejects_a_bad_smoothing_constant_before_em(k, tmp_path, corpus_file, capsys, monkeypatch):
+    def no_em(*args):
+        raise AssertionError("EM ran")
+
+    monkeypatch.setattr(alignment, "em_train_alignment", no_em)
     model = tmp_path / "model.txt"
     assert main(["--quiet", "train", str(corpus_file), str(model), "--smoothing-k", k]) == 1
     assert capsys.readouterr().err.splitlines() == ["ne-translit: error: smoothing constant must be a finite number >= 0"]

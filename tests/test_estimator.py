@@ -3,7 +3,7 @@ import re
 import pytest
 
 from ne_translit.decoder import Fallback
-from ne_translit.errors import NeTranslitError, NotFittedError, ScriptError, ZeroProbabilityError
+from ne_translit.errors import ConfigError, NeTranslitError, NotFittedError, ScriptError, ZeroProbabilityError
 from ne_translit import estimator
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
 from ne_translit.kb import EntityCategory, KBEntry, KnowledgeBase, load_seed_kb
@@ -117,6 +117,18 @@ def bad_value(param, value):
 def test_fit_names_a_bad_parameter(param, value, memorization_corpus):
     est = HmmTransliterator(**{param: value})  # stored unchecked, as scikit-learn does
     with pytest.raises(NeTranslitError, match=bad_value(param, value)):
+        est.fit(memorization_corpus)
+    assert not hasattr(est, "model_")
+
+
+@pytest.mark.parametrize("k", [float("nan"), float("inf"), -1])
+def test_fit_rejects_a_bad_smoothing_constant_before_em(k, memorization_corpus, monkeypatch):
+    def no_em(*args):
+        raise AssertionError("EM ran")
+
+    monkeypatch.setattr(estimator, "align_corpus", no_em)
+    est = HmmTransliterator(smoothing_k=k)
+    with pytest.raises(ConfigError, match=bad_value("smoothing_k", k)):
         est.fit(memorization_corpus)
     assert not hasattr(est, "model_")
 

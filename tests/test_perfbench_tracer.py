@@ -38,3 +38,23 @@ def test_the_tracer_patches_every_name_and_restores_it(tmp_path, memorization_mo
     assert names.count("phonology.phonify_latin") == 2
     assert names.count("decoder.viterbi") == 1
     assert names.count("model.load_model") == 1
+
+
+# The spans perfbench/run.py's EXPECTED_SPANS requires on train-dup.
+TRAIN_SPANS = [
+    "alignment.load_corpus", "alignment.em_train_alignment", "alignment.build_aligned_corpus",
+    "model.estimate", "model.save_model", "phonology.phonify_latin", "phonology.phonify_devanagari",
+]
+
+
+def test_train_fires_every_name_the_training_workload_expects(tmp_path):
+    spans = load_spans()
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("Radhika\tराधिका\nSeema\tसीमा\nRadhika\tराधिका\nX9y\tरा\n", encoding="utf-8")
+    model = tmp_path / "model.txt"
+    with spans.Tracer() as tracer:
+        assert main(["--quiet", "train", str(corpus), str(model)]) == 0
+    names = [span[0] for span in tracer.spans]
+    assert [name for name in TRAIN_SPANS if name not in names] == []
+    for name in TRAIN_SPANS[:5]:
+        assert names.count(name) == 1, name
