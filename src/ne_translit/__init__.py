@@ -14,7 +14,7 @@ from .alignment import (
     em_train_alignment,
     load_corpus,
 )
-from .decoder import Candidate, Decoding, Fallback, candidates, decode_or_fallback, transliterate, viterbi
+from .decoder import Decoding, Fallback, candidates, decode_or_fallback, transliterate, viterbi
 from .errors import NeTranslitError
 from .estimator import HmmTransliterator, NamedEntityTranslator
 from .evaluation import AccuracyReport, GoldRecord, evaluate, render_report
@@ -38,7 +38,6 @@ __all__ = [
     "AlignedPair",
     "AlignmentCostTable",
     "BOS",
-    "Candidate",
     "Decoding",
     "EOS",
     "EntityCategory",

@@ -48,10 +48,11 @@ def _add_setting(parser, key, **kwargs):
 
 
 def _open_input(args):
-    """The --in file, or stdin (left open on exit), as a context manager."""
+    """The --in file (a leading byte-order mark dropped), or stdin (left
+    open on exit), as a context manager."""
     path = getattr(args, "infile", None)
     if path:
-        return open(path, "r", encoding="utf-8")
+        return open(path, "r", encoding="utf-8-sig")
     return contextlib.nullcontext(sys.stdin)
 
 
@@ -104,14 +105,10 @@ def cmd_align_dump(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        k = model_mod.smoothing_constant(args.smoothing_k)  # rejected before EM runs
-    except ValueError as exc:
-        raise NeTranslitError(str(exc)) from exc
     usable, skipped_count = _align_corpus(args)
     if not usable:
         raise NeTranslitError("no usable entries after alignment")
-    trained = model_mod.estimate(usable, k)
+    trained = model_mod.estimate(usable, args.smoothing_k)
     model_mod.save_model(trained, args.model_out)
     _info(args, f"trained on {len(usable)} entries ({skipped_count} skipped)")
     _info(

@@ -10,13 +10,12 @@ from TransliterationModel.position_score over the decoded path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 from . import phonology
 from .errors import ScriptError, UnseenPhonemeError, ZeroProbabilityError
-from .model import Candidate, TransliterationModel
+from .model import TransliterationModel
 from .phonology import PhonemeSequence
 
 
@@ -47,39 +46,42 @@ class Decoding:
     score: float
 
 
-def candidates(model: TransliterationModel, e: str, top_k: int = 10) -> list[Candidate]:
-    """Hindi phonemes observed with e, best emission first.
+def candidates(model: TransliterationModel, e: str, top_k: int = 10) -> tuple[tuple[int, float], ...]:
+    """(h id, log emission) for the top_k Hindi phonemes observed with e,
+    best emission first, ties by code point: a slice of the model's
+    decode_table column.  Ids index decode_table.symbols.
 
-    Smoothing-floor values do not count as observations; an empty list
+    Smoothing-floor values do not count as observations; an empty tuple
     means the English phoneme is unknown to the model.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    return list(model.candidate_index.get(e, ())[:top_k])
+    return model.decode_table.columns.get(e, ())[:top_k]
 
 
 def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
     """Best Hindi sequence for an English phoneme sequence.
 
     Accepts a PhonemeSequence or an iterable of already-folded keys.
-    Raises UnseenPhonemeError when some position has no candidates;
-    the caller decides the fallback policy.  Nothing is memoized here:
-    decode_or_fallback keeps the per-model memo of decoded words.
+    Reads the model's decode_table: one candidates() slice of (h id, log
+    emission) per position and the dense log-transition rows, so no
+    logarithm is taken per decode.  Raises UnseenPhonemeError when some
+    position has no candidates; the caller decides the fallback policy.
+    Nothing is memoized here: decode_or_fallback keeps the per-model memo.
     """
     keys = e_seq.keys() if isinstance(e_seq, PhonemeSequence) else list(e_seq)
     if not keys:
         raise ValueError("cannot decode an empty phoneme sequence")
 
-    # Back-pointer Viterbi over int symbol ids (model.h_ids, code-point
+    # Back-pointer Viterbi over decode_table's int symbol ids (code-point
     # order).  Each position keeps one entry (predecessor index, h id,
     # score) per state, sorted so that the states' best prefixes are in
     # code-point order: a prefix is its predecessor's prefix plus h, so that
     # order is (predecessor index, h id).  Scanning predecessors in that
     # order and keeping the first maximum then gives ties to the
     # code-point-smallest prefix without building any prefix tuple.
-    log = math.log
-    ids = model.h_ids
-    rows = model.log_transition
+    table = model.decode_table
+    rows = table.rows
     boundary = len(rows) - 1  # BOS as a source, EOS as a target
     prevs = [(0.0, rows[boundary])]  # (score, transition row) per state
     columns = []
@@ -89,14 +91,10 @@ def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
             raise UnseenPhonemeError(e, pos)
         if len(prevs) == 1:  # a single predecessor is every state's best
             psc, row = prevs[0]
-            ranked = []
-            for c in cs:
-                h = ids[c.h]
-                ranked.append((0, h, (psc + row[h]) + log(c.emission)))
+            ranked = [(0, h, (psc + row[h]) + le) for h, le in cs]
         else:
             ranked = []
-            for c in cs:
-                h, le = ids[c.h], log(c.emission)
+            for h, le in cs:
                 scores = [(psc + row[h]) + le for psc, row in prevs]
                 best = max(scores)
                 ranked.append((scores.index(best), h, best))
@@ -106,7 +104,7 @@ def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
 
     ends = [sc + row[boundary] for sc, row in prevs]
     best_score = max(ends)
-    symbols = model.h_symbols
+    symbols = table.symbols
     if best_score == NEG_INF:
         # every path has a zero-probability transition, so all sequences tie;
         # the lexicographic tie-break reduces to the smallest candidate per slot

@@ -20,7 +20,7 @@ from .alignment import ParallelEntry, align_corpus
 from .decoder import Fallback, transliterate
 from .errors import NotFittedError
 from .kb import KnowledgeBase, normalize
-from .model import TransliterationModel, estimate, smoothing_constant
+from .model import TransliterationModel, estimate
 from .pipeline import ANNOTATION_FORMATS, PipelineConfig, parse_annotations, process_sentence
 from .settings import bad_value, check
 
@@ -75,10 +75,7 @@ class HmmTransliterator(ParamsMixin):
     def fit(self, X, y=None):
         """X: parallel entries, as ParallelEntry or (english, hindi) pairs."""
         iterations = check("em_iterations", self.em_iterations)
-        try:
-            k = smoothing_constant(check("smoothing_k", self.smoothing_k))
-        except ValueError as exc:
-            raise bad_value("smoothing_k", self.smoothing_k) from exc
+        k = check("smoothing_k", self.smoothing_k)
         entries = _coerce_entries(X)
         self.alignment_, usable, skipped = align_corpus(entries, iterations)
         self.model_: TransliterationModel = estimate(usable, k)

@@ -136,10 +136,11 @@ def load_gold(path) -> list[GoldRecord]:
 
 def load_system(path) -> list[str]:
     """Read system outputs, one per line, index-aligned with the gold file.
-    Lines end at a newline only, as in read_lines, and are kept as they are."""
+    Lines end at a newline only and a leading byte-order mark is dropped,
+    as in read_lines; lines are otherwise kept as they are."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise EvaluationError(f"cannot read system file {path}: {exc}") from exc
     return text.removesuffix("\n").split("\n") if text else []

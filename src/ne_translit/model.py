@@ -14,6 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ModelFormatError, ModelValidationError, ModelVersionError
 from .textfile import read_lines
@@ -27,14 +28,22 @@ ROW_SUM_TOLERANCE = 1e-9
 _BAD_SMOOTHING = "smoothing constant must be a finite number >= 0"
 
 
-@dataclass(frozen=True)
-class Candidate:
-    h: str
-    emission: float
+class DecodeTable(NamedTuple):
+    """A model's tables laid out for Viterbi, over int Hindi symbol ids.
 
-    def __post_init__(self):
-        if self.emission <= 0.0:
-            raise ValueError("candidate emission must be positive")
+    `symbols` holds the Hindi phonemes in code-point order; a symbol's
+    position is its id, and EOS takes the next id.  `columns` maps each
+    English phoneme to its (h id, log emission) candidates, best emission
+    first, ties by code point, so a top_k cut is a slice.  `rows` holds
+    one dense log-transition row per source in symbol order with BOS last,
+    each indexed by target id with EOS last: rows[i][j] ==
+    log(transition_prob(source i, target j)), where -inf stands for a
+    probability of 0.
+    """
+
+    symbols: tuple[str, ...]
+    columns: dict[str, tuple[tuple[int, float], ...]]
+    rows: list[list[float]]
 
 
 @dataclass(frozen=True)
@@ -43,13 +52,13 @@ class TransliterationModel:
 
     `emission` and `transition` hold observed pairs only; `*_floor` holds
     each row's probability for pairs never observed (0.0 when unsmoothed).
-    The tables never change once built.  Decoding lazily adds derived
-    structures on first use: `candidate_index`, the symbol ids `h_symbols`
-    and `h_ids`, the dense `log_transition` rows, and `decode_memo`, the
-    word outcomes that `decoder.decode_or_fallback` remembers.  None is
-    part of equality or of the saved file, and all stay correct when
-    threads share one model (the memo is a plain dict that is cleared, not
-    evicted from, when it fills up, so no lock is needed).
+    The tables never change once built.  Decoding lazily adds two derived
+    structures on first use: `decode_table`, the tables laid out for
+    Viterbi, and `decode_memo`, the word outcomes that
+    `decoder.decode_or_fallback` remembers.  Neither is part of equality
+    or of the saved file, and both stay correct when threads share one
+    model (the memo is a plain dict that is cleared, not evicted from,
+    when it fills up, so no lock is needed).
     """
 
     emission: dict[str, dict[str, float]]
@@ -62,44 +71,19 @@ class TransliterationModel:
     version: str = MODEL_FORMAT_VERSION
 
     @cached_property
-    def candidate_index(self) -> dict[str, tuple[Candidate, ...]]:
-        """English phoneme -> every Hindi phoneme observed with it, best
-        emission first, ties by code point; built on first access."""
-        index: dict[str, list[Candidate]] = defaultdict(list)
+    def decode_table(self) -> DecodeTable:
+        """The DecodeTable of this model; built on first access."""
+        symbols = tuple(sorted(self.emission))
+        ids = {h: i for i, h in enumerate(symbols)}
+        ids[EOS] = len(symbols)
+        found: dict[str, list[tuple[float, int]]] = defaultdict(list)
         for h, row in self.emission.items():
             for e, p in row.items():
-                index[e].append(Candidate(h, p))
-        return {
-            e: tuple(sorted(found, key=lambda c: (-c.emission, c.h)))
-            for e, found in index.items()
-        }
-
-    @cached_property
-    def h_symbols(self) -> tuple[str, ...]:
-        """Every Hindi phoneme with an emission row, in code-point order;
-        a symbol's position is its id in the decode tables."""
-        return tuple(sorted(self.emission))
-
-    @cached_property
-    def h_ids(self) -> dict[str, int]:
-        """Hindi phoneme -> its index in h_symbols, and EOS -> the last id,
-        len(h_symbols).  BOS, a source only, shares that last id as a row
-        of log_transition; it has no entry here.  Built on first access."""
-        ids = {h: i for i, h in enumerate(self.h_symbols)}
-        ids[EOS] = len(ids)
-        return ids
-
-    @cached_property
-    def log_transition(self) -> list[list[float]]:
-        """Dense log transition rows, one per source in h_symbols order with
-        BOS last, each indexed by target id (h_ids, EOS last): so
-        rows[i][j] == log(transition_prob(source i, target j)).  Targets
-        never observed after a source hold its row's log floor, and -inf
-        stands for a probability of 0.  Built on first access."""
-        ids = self.h_ids
+                found[e].append((-p, ids[h]))
+        columns = {e: tuple((h, math.log(-neg)) for neg, h in sorted(cs)) for e, cs in found.items()}
         width = len(ids)
         rows = []
-        for source in (*self.h_symbols, BOS):
+        for source in (*symbols, BOS):
             row = self.transition.get(source)
             if row is None:
                 # no row (only in a model built without validate()): every
@@ -112,7 +96,7 @@ class TransliterationModel:
                 if j is not None:
                     dense[j] = _log(p)
             rows.append(dense)
-        return rows
+        return DecodeTable(symbols, columns, rows)
 
     @cached_property
     def decode_memo(self) -> dict:
@@ -201,8 +185,8 @@ def _log(p: float) -> float:
 
 def smoothing_constant(k) -> float:
     """k as a float if it is a finite number >= 0; a ValueError otherwise.
-    The one copy of the rule: estimate, model validation, `train` and
-    HmmTransliterator.fit all apply it."""
+    The one copy of the rule: estimate, model validation and the
+    smoothing_k setting's parser (the CLI, HmmTransliterator.fit) apply it."""
     if not 0.0 <= k < math.inf:
         raise ValueError(_BAD_SMOOTHING)
     return float(k)

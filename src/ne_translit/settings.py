@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .decoder import Fallback
 from .errors import ConfigError
+from .model import smoothing_constant
 
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
@@ -30,6 +31,11 @@ def positive_int(value) -> int:
     return value
 
 
+def smoothing_k(value) -> float:
+    """A number or its text, finite and >= 0 (model.smoothing_constant)."""
+    return smoothing_constant(float(value))
+
+
 def boolean(value) -> bool:
     """A bool, or 1/true/yes/on or 0/false/no/off in any case."""
     if isinstance(value, bool):
@@ -42,7 +48,7 @@ def boolean(value) -> bool:
 # Every setting: its parser and its default.  The CLI resolves each one
 # from the flag, else the config file, else this default.
 SETTINGS = {
-    "smoothing_k": (float, 0.1),
+    "smoothing_k": (smoothing_k, 0.1),
     "em_iterations": (positive_int, 10),
     "top_k": (positive_int, 10),
     "fallback": (Fallback, Fallback.ERROR),

@@ -26,7 +26,7 @@ from ne_translit.errors import (
     UnseenPhonemeError,
     ZeroProbabilityError,
 )
-from ne_translit.decoder import UNK_OUTPUT, Fallback, candidates, viterbi
+from ne_translit.decoder import UNK_OUTPUT, Fallback, viterbi
 from ne_translit.kb import EntityCategory
 from ne_translit.model import BOS, EOS, TransliterationModel
 from ne_translit.phonology import phonify_latin
@@ -275,17 +275,22 @@ def count_tables(aligned_corpus):
 def exhaustive_decode(model, keys, top_k=10):
     """Argmax over every candidate sequence, same objective and tie-break
     as the decoder: larger score wins, equal scores pick the
-    code-point-smallest sequence."""
-    lattice = [candidates(model, e, top_k) for e in keys]
+    code-point-smallest sequence.  The lattice comes from the emission
+    rows themselves, not from decoder.candidates: per position, the top_k
+    Hindi phonemes with the highest observed P(e|h), ties by code point."""
+    lattice = []
+    for e in keys:
+        column = sorted((-row[e], h) for h, row in model.emission.items() if e in row)[:top_k]
+        lattice.append([(h, -neg) for neg, h in column])
     assert all(lattice), "oracle needs a candidate at every position"
     best_score, best_seq = NEG_INF, None
     for combo in itertools.product(*lattice):
-        seq = tuple(c.h for c in combo)
+        seq = tuple(h for h, _ in combo)
         score = 0.0
         prev = BOS
-        for h, c in zip(seq, combo):
+        for h, p in combo:
             score = score + _log(model.transition_prob(prev, h))
-            score = score + _log(c.emission)
+            score = score + _log(p)
             prev = h
         score = score + _log(model.transition_prob(prev, EOS))
         if best_seq is None or score > best_score or (score == best_score and seq < best_seq):

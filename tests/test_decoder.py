@@ -11,7 +11,6 @@ import pytest
 
 from ne_translit import cli, decoder, model as model_mod
 from ne_translit.decoder import (
-    Candidate,
     Fallback,
     UNK_OUTPUT,
     candidates,
@@ -28,11 +27,12 @@ from helpers import NEG_INF, build_random_model, exhaustive_decode, trace_items
 
 
 def test_candidates_single_entry(single_entry_model):
-    assert candidates(single_entry_model, "a", top_k=5) == [Candidate("अ", 1.0)]
+    # अ, म, र in code-point order: अ is id 0, and log(1.0) is 0.0
+    assert candidates(single_entry_model, "a", top_k=5) == ((0, 0.0),)
 
 
 def test_candidates_unseen_is_empty(single_entry_model):
-    assert candidates(single_entry_model, "zz", top_k=5) == []
+    assert candidates(single_entry_model, "zz", top_k=5) == ()
 
 
 def test_candidates_sorted_by_emission_then_codepoint():
@@ -44,9 +44,9 @@ def test_candidates_sorted_by_emission_then_codepoint():
     m = estimate(corpus, smoothing_k=0.0)
     got = candidates(m, "ka", top_k=5)
     # hand-sorted: का and कौ tie at 3/5; का is the smaller code point; क at 1/3
-    assert [c.h for c in got] == ["का", "कौ", "क"]
-    assert got[0].emission == pytest.approx(3 / 5)
-    assert got[2].emission == pytest.approx(1 / 3)
+    assert [m.decode_table.symbols[h] for h, _ in got] == ["का", "कौ", "क"]
+    assert got[0][1] == pytest.approx(math.log(3 / 5))
+    assert got[2][1] == pytest.approx(math.log(1 / 3))
 
 
 def test_candidates_truncates_to_top_k():
@@ -190,9 +190,11 @@ def test_memorization_round_trip(memorization_model, memorization_corpus):
 # --- candidate index and decode memo ---------------------------------------
 
 def scan_candidates(model, e, top_k):
-    """Every observed (h, P(e|h)) straight from the emission rows."""
+    """Every observed (h, P(e|h)) straight from the emission rows, as
+    (h id, log emission) with the ids numbered in code-point order."""
+    ids = {h: i for i, h in enumerate(sorted(model.h_vocab))}
     found = sorted((-row[e], h) for h, row in model.emission.items() if e in row)
-    return [Candidate(h, -neg) for neg, h in found[:top_k]]
+    return tuple((ids[h], math.log(-neg)) for neg, h in found[:top_k])
 
 
 def test_candidate_index_matches_a_full_emission_scan():
@@ -375,7 +377,10 @@ def test_a_repeated_word_that_falls_back_is_segmented_and_decoded_once(monkeypat
 def test_decode_state_does_not_keep_the_model_alive(memorization_model):
     m = dataclasses.replace(memorization_model)
     decode_or_fallback(m, "Radhika")
-    assert m.candidate_index and m.decode_memo
+    assert m.decode_table and m.decode_memo
+    fields = {f.name for f in dataclasses.fields(m)}
+    assert set(vars(m)) - fields == {"decode_table", "decode_memo"}
+    assert m == memorization_model  # derived state is not part of equality
     ref = weakref.ref(m)
     del m
     assert ref() is None  # freed by reference counting, no cycle for the collector

@@ -146,18 +146,18 @@ def test_log_transition_rows_are_the_logs_of_transition_prob(smoothing_k, tmp_pa
     path = tmp_path / "model.txt"
     save_model(m, path)
     loaded = load_model(path)
-    for name in ("h_symbols", "h_ids", "log_transition"):
+    for name in ("decode_table", "decode_memo"):
         assert name not in vars(loaded)  # built on first use, not by the loader
-    rows, ids = loaded.log_transition, loaded.h_ids
+    rows = loaded.decode_table.rows
     sources = sorted(m.h_vocab) + [BOS]
     targets = sorted(m.h_vocab) + [EOS]
     assert len(rows) == len(sources)
     assert all(len(row) == len(targets) for row in rows)
     zeros = 0
     for i, source in enumerate(sources):
-        for h in targets:
+        for j, h in enumerate(targets):
             p = m.transition_prob(source, h)
-            assert rows[i][ids[h]] == (math.log(p) if p > 0.0 else float("-inf"))
+            assert rows[i][j] == (math.log(p) if p > 0.0 else float("-inf"))
             zeros += p == 0.0
     assert (zeros > 0) == (smoothing_k == 0.0)
 
@@ -166,18 +166,20 @@ def test_log_transition_covers_sources_without_a_row():
     m = estimate([[AlignedPair("a", "अ")]], smoothing_k=0.0)
     bare = dataclasses.replace(m, transition={}, transition_floor={})  # not validated
     uniform = math.log(bare.transition_prob("अ", EOS))
-    assert bare.h_ids == {"अ": 0, EOS: 1}
-    assert bare.log_transition == [[uniform, uniform], [uniform, uniform]]
+    assert bare.decode_table.symbols == ("अ",)
+    assert bare.decode_table.rows == [[uniform, uniform], [uniform, uniform]]
 
 
 def test_symbol_ids_follow_code_point_order():
     pairs = [AlignedPair("a", h) for h in ("क्ष", "आ", "b", "अं", "ज़", "अ", "क")]
     m = estimate([pairs], smoothing_k=0.1)
-    assert m.h_symbols == tuple(sorted(m.h_vocab))
-    ids = m.h_ids
-    assert ids[EOS] == len(m.h_vocab)
-    for a, b in itertools.product(m.h_vocab, repeat=2):
-        assert (ids[a] < ids[b]) == (a < b)
+    symbols = m.decode_table.symbols
+    assert symbols == tuple(sorted(m.h_vocab))
+    for (i, a), (j, b) in itertools.product(enumerate(symbols), repeat=2):
+        assert (i < j) == (a < b)
+    # EOS takes the next id: the last entry of every row
+    assert all(len(row) == len(symbols) + 1 for row in m.decode_table.rows)
+    assert m.decode_table.rows[-1][-1] == math.log(m.transition_prob(BOS, EOS))
 
 
 def test_save_is_deterministic(tmp_path):

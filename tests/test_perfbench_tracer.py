@@ -33,10 +33,12 @@ def test_the_tracer_patches_every_name_and_restores_it(tmp_path, memorization_mo
     assert out[0] == out[1] and out[0].startswith("Radhika\tराधिका\t")
     assert out[2] == "José\tJosé\t-"
     # The repeated word comes from the memo, so it is segmented and decoded
-    # once; José fails to segment, so it reaches phonify_latin only.
+    # once; José fails to segment, so it reaches phonify_latin only.  Viterbi
+    # asks candidates once per phoneme of Radhika ([Ra][dhi][ka]).
     names = [span[0] for span in tracer.spans]
     assert names.count("phonology.phonify_latin") == 2
     assert names.count("decoder.viterbi") == 1
+    assert names.count("decoder.candidates") == 3
     assert names.count("model.load_model") == 1
 
 

@@ -2,11 +2,11 @@ import re
 
 import pytest
 
-from ne_translit.alignment import AlignedPair, load_corpus
+from ne_translit.alignment import AlignedPair, ParallelEntry, load_corpus
 from ne_translit.cli import parse_config
 from ne_translit.errors import ConfigError, CorpusError, EvaluationError, KnowledgeBaseError, ModelFormatError
-from ne_translit.evaluation import load_gold
-from ne_translit.kb import load_kb
+from ne_translit.evaluation import GoldRecord, load_gold, load_system
+from ne_translit.kb import EntityCategory, load_kb
 from ne_translit.model import estimate, load_model, save_model
 from ne_translit.textfile import read_lines
 
@@ -58,3 +58,42 @@ def test_model_blank_and_comment_lines_are_ignored(tmp_path):
     commented = tmp_path / "commented.txt"
     commented.write_text("\n".join(padded), encoding="utf-8")
     assert load_model(commented) == load_model(path)
+
+
+# --- a UTF-8 byte-order mark, as some editors write one -------------------
+
+def write_with_bom(path, text):
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    return path
+
+
+def test_kb_with_a_bom_matches_its_first_row(tmp_path):
+    path = write_with_bom(tmp_path / "kb.tsv", "Finance Ministry\tवित्त मंत्रालय\tORG\nIndia\tभारत\tLOC\n")
+    assert load_kb(path).lookup("Finance Ministry", EntityCategory.ORGANIZATION) == "वित्त मंत्रालय"
+
+
+def test_config_with_a_bom_reads_its_first_key(tmp_path):
+    path = write_with_bom(tmp_path / "cfg.ini", "top_k = 3\n")
+    assert parse_config(path) == {"top_k": 3}
+
+
+def test_corpus_with_a_bom_reads_its_first_entry(tmp_path):
+    path = write_with_bom(tmp_path / "corpus.tsv", "Radhika\tराधिका\n")
+    assert load_corpus(path) == ([ParallelEntry("Radhika", "राधिका")], [])
+
+
+def test_model_with_a_bom_loads(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(estimate([[AlignedPair("a", "अ"), AlignedPair("ma", "म")]], smoothing_k=0.1), path)
+    marked = write_with_bom(tmp_path / "marked.txt", path.read_text(encoding="utf-8"))
+    assert load_model(marked) == load_model(path)
+
+
+def test_gold_with_a_bom_reads_its_first_record(tmp_path):
+    path = write_with_bom(tmp_path / "gold.tsv", "Radhika\tPER\tराधिका\n")
+    assert load_gold(path) == [GoldRecord("Radhika", EntityCategory.PERSON, "राधिका")]
+
+
+def test_system_file_with_a_bom_reads_its_first_output(tmp_path):
+    path = write_with_bom(tmp_path / "system.txt", "राधिका\nभारत\n")
+    assert load_system(path) == ["राधिका", "भारत"]
