@@ -48,8 +48,8 @@ def _add_setting(parser, key, **kwargs):
 
 
 def _open_input(args):
-    """The --in file (a leading byte-order mark dropped), or stdin (left
-    open on exit), as a context manager."""
+    """The --in file or stdin (left open on exit), as a context manager;
+    both drop a leading byte-order mark."""
     path = getattr(args, "infile", None)
     if path:
         return open(path, "r", encoding="utf-8-sig")
@@ -253,10 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    for stream in (sys.stdin, sys.stdout, sys.stderr):
+    # stdin drops a leading byte-order mark, as --in files do; output
+    # never gets one
+    for stream, encoding in ((sys.stdin, "utf-8-sig"), (sys.stdout, "utf-8"), (sys.stderr, "utf-8")):
         if hasattr(stream, "reconfigure"):
             try:
-                stream.reconfigure(encoding="utf-8")
+                stream.reconfigure(encoding=encoding)
             except (ValueError, OSError):
                 pass
     args = build_parser().parse_args(argv)

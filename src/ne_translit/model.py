@@ -38,7 +38,8 @@ class DecodeTable(NamedTuple):
     one dense log-transition row per source in symbol order with BOS last,
     each indexed by target id with EOS last: rows[i][j] ==
     log(transition_prob(source i, target j)), where -inf stands for a
-    probability of 0.
+    probability of 0.  Every source has a row, because a model that
+    exists has passed validate().
     """
 
     symbols: tuple[str, ...]
@@ -48,13 +49,17 @@ class DecodeTable(NamedTuple):
 
 @dataclass(frozen=True)
 class TransliterationModel:
-    """Trained probability tables plus the metadata to query them.
+    """Trained probability tables; building one validates it.
 
     `emission` and `transition` hold observed pairs only; `*_floor` holds
     each row's probability for pairs never observed (0.0 when unsmoothed).
-    The tables never change once built.  Decoding lazily adds two derived
-    structures on first use: `decode_table`, the tables laid out for
-    Viterbi, and `decode_memo`, the word outcomes that
+    The constructor runs `validate()`, so every model, from `estimate`,
+    `load_model`, the constructor or `dataclasses.replace`, keeps the
+    table invariants.  `h_vocab` (the emission sources) and `e_vocab`
+    (their targets) are derived from `emission`.  The tables never change
+    once built.  Decoding lazily adds two derived structures on first
+    use: `decode_table`, the tables laid out for Viterbi, and
+    `decode_memo`, the word outcomes that
     `decoder.decode_or_fallback` remembers.  Neither is part of equality
     or of the saved file, and both stay correct when threads share one
     model (the memo is a plain dict that is cleared, not evicted from,
@@ -65,10 +70,20 @@ class TransliterationModel:
     transition: dict[str, dict[str, float]]
     emission_floor: dict[str, float]
     transition_floor: dict[str, float]
-    e_vocab: frozenset[str]
-    h_vocab: frozenset[str]
     smoothing_k: float
-    version: str = MODEL_FORMAT_VERSION
+
+    def __post_init__(self):
+        self.validate()
+
+    @property
+    def h_vocab(self) -> frozenset[str]:
+        """The Hindi phonemes: the emission rows' sources."""
+        return frozenset(self.emission)
+
+    @property
+    def e_vocab(self) -> frozenset[str]:
+        """The English phonemes: every target of an emission row."""
+        return frozenset(e for row in self.emission.values() for e in row)
 
     @cached_property
     def decode_table(self) -> DecodeTable:
@@ -84,17 +99,9 @@ class TransliterationModel:
         width = len(ids)
         rows = []
         for source in (*symbols, BOS):
-            row = self.transition.get(source)
-            if row is None:
-                # no row (only in a model built without validate()): every
-                # target gets transition_prob's uniform guess
-                rows.append([_log(self.transition_prob(source, EOS))] * width)
-                continue
             dense = [_log(self.transition_floor[source])] * width
-            for target, p in row.items():
-                j = ids.get(target)
-                if j is not None:
-                    dense[j] = _log(p)
+            for target, p in self.transition[source].items():
+                dense[ids[target]] = _log(p)
             rows.append(dense)
         return DecodeTable(symbols, columns, rows)
 
@@ -108,14 +115,15 @@ class TransliterationModel:
         """P(e | h); unknown h falls back to a uniform guess."""
         row = self.emission.get(h)
         if row is None:
-            return 1.0 / len(self.e_vocab) if self.e_vocab else 0.0
+            e_size = len(self.e_vocab)
+            return 1.0 / e_size if e_size else 0.0
         return row.get(e, self.emission_floor[h])
 
     def transition_prob(self, h_prev: str, h: str) -> float:
         """P(h | h_prev) over the Hindi vocabulary plus the end symbol."""
         row = self.transition.get(h_prev)
         if row is None:
-            return 1.0 / (len(self.h_vocab) + 1) if self.h_vocab else 0.0
+            return 1.0 / (len(self.emission) + 1) if self.emission else 0.0
         return row.get(h, self.transition_floor[h_prev])
 
     def position_score(self, h_prev: str, h: str, h_next: str, e: str) -> float:
@@ -130,16 +138,16 @@ class TransliterationModel:
         )
 
     def validate(self) -> None:
-        """Check every table invariant; raises ModelValidationError."""
-        if self.version != MODEL_FORMAT_VERSION:
-            raise ModelValidationError(f"unsupported model version {self.version!r}")
+        """Check every table invariant; raises ModelValidationError.
+
+        The constructor calls this, so a model that exists has passed it.
+        """
         try:
             smoothing_constant(self.smoothing_k)
         except ValueError as exc:
             raise ModelValidationError(str(exc)) from None
-        if set(self.emission) != set(self.h_vocab):
-            raise ModelValidationError("emission rows must cover exactly the Hindi vocabulary")
-        if set(self.transition) != set(self.h_vocab) | {BOS}:
+        h_vocab = self.h_vocab
+        if set(self.transition) != h_vocab | {BOS}:
             raise ModelValidationError("transition rows must cover the Hindi vocabulary plus BOS")
         if set(self.emission_floor) != set(self.emission):
             raise ModelValidationError("emission floors must mirror emission rows")
@@ -148,15 +156,13 @@ class TransliterationModel:
 
         smoothed = self.smoothing_k > 0
         e_size = len(self.e_vocab)
-        t_size = len(self.h_vocab) + 1
+        t_size = len(h_vocab) + 1
         for h, row in self.emission.items():
-            if not set(row) <= self.e_vocab:
-                raise ModelValidationError(f"emission row {h!r} targets outside the vocabulary")
             self._check_row("emission", h, row, self.emission_floor[h], e_size, smoothed)
         for prev, row in self.transition.items():
             if BOS in row:
                 raise ModelValidationError("BOS must never be a transition target")
-            if not set(row) <= self.h_vocab | {EOS}:
+            if not set(row) <= h_vocab | {EOS}:
                 raise ModelValidationError(f"transition row {prev!r} targets outside the vocabulary")
             self._check_row("transition", prev, row, self.transition_floor[prev], t_size, smoothed)
         if EOS in self.transition:
@@ -193,7 +199,8 @@ def smoothing_constant(k) -> float:
 
 
 def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:
-    """Build a model from per-entry aligned pair lists.
+    """Build a model from per-entry aligned pair lists; the model's
+    constructor validates it.
 
     Emission P(e|h) = (count(h,e) + k) / (count(h) + k * |E|); transition
     rows are the same with BOS prepended and EOS appended to each entry's
@@ -214,10 +221,8 @@ def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:
         for prev, nxt in zip([BOS] + hs, hs + [EOS]):
             tr_counts[prev][nxt] += 1
 
-    e_vocab = frozenset(e for row in em_counts.values() for e in row)
-    h_vocab = frozenset(em_counts)
-    e_size = len(e_vocab)
-    t_size = len(h_vocab) + 1
+    e_size = len({e for row in em_counts.values() for e in row})
+    t_size = len(em_counts) + 1
 
     emission: dict[str, dict[str, float]] = {}
     emission_floor: dict[str, float] = {}
@@ -233,17 +238,13 @@ def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:
         transition[prev] = {nxt: (c + k) / denom for nxt, c in row.items()}
         transition_floor[prev] = k / denom if k else 0.0
 
-    model = TransliterationModel(
+    return TransliterationModel(
         emission=emission,
         transition=transition,
         emission_floor=emission_floor,
         transition_floor=transition_floor,
-        e_vocab=e_vocab,
-        h_vocab=h_vocab,
         smoothing_k=k,
     )
-    model.validate()
-    return model
 
 
 def _fmt(x: float) -> str:
@@ -255,11 +256,12 @@ def save_model(model: TransliterationModel, path) -> None:
 
     Rows are sorted by code point so identical models produce
     byte-identical files; probabilities carry 17 significant digits so
-    they reload bit-exactly.  When the model is smoothed, each row's
-    floor is written as a reserved `<unk>` target.
+    they reload bit-exactly.  The version written is
+    MODEL_FORMAT_VERSION.  When the model is smoothed, each row's floor is
+    written as a reserved `<unk>` target.
     """
     lines = ["[meta]"]
-    lines.append(f"version\t{model.version}")
+    lines.append(f"version\t{MODEL_FORMAT_VERSION}")
     lines.append(f"smoothing_k\t{_fmt(model.smoothing_k)}")
     lines.append(f"e_vocab_size\t{len(model.e_vocab)}")
     lines.append(f"h_vocab_size\t{len(model.h_vocab)}")
@@ -280,10 +282,14 @@ def save_model(model: TransliterationModel, path) -> None:
 
 
 def load_model(path) -> TransliterationModel:
-    """Read a model file written by save_model, validating everything.
+    """Read a model file written by save_model.
 
     Lines are read like every other input file (textfile.read_lines):
     stripped, blank and '#' lines skipped, ending at a newline only.
+    Format errors raise ModelFormatError and a version other than
+    MODEL_FORMAT_VERSION raises ModelVersionError.  The model's
+    constructor validates the tables, and load_model adds the path to its
+    ModelValidationError; it also checks the vocabulary sizes in [meta].
     """
     path = Path(path)
     meta: dict[str, str] = {}
@@ -333,31 +339,19 @@ def load_model(path) -> TransliterationModel:
     if not tables["emission"] or not tables["transition"]:
         raise ModelFormatError(f"{path}: missing emission or transition rows")
 
-    h_vocab = frozenset(tables["emission"])
-    e_vocab = frozenset(e for row in tables["emission"].values() for e in row)
-    if len(e_vocab) != e_size or len(h_vocab) != h_size:
-        raise ModelValidationError(
-            f"{path}: vocabulary sizes in [meta] do not match the table rows"
-        )
-    emission_floor = {h: floors["emission"].get(h, 0.0) for h in tables["emission"]}
-    transition_floor = {s: floors["transition"].get(s, 0.0) for s in tables["transition"]}
-    for kind in ("emission", "transition"):
-        stray = set(floors[kind]) - set(tables[kind])
-        if stray:
-            raise ModelValidationError(f"{path}: floor rows for unknown sources {sorted(stray)}")
-
-    model = TransliterationModel(
-        emission=tables["emission"],
-        transition=tables["transition"],
-        emission_floor=emission_floor,
-        transition_floor=transition_floor,
-        e_vocab=e_vocab,
-        h_vocab=h_vocab,
-        smoothing_k=k,
-        version=meta["version"],
-    )
+    # a row with no <unk> has floor 0.0; a floor with no row fails the
+    # floors-mirror-rows check
+    floor = {kind: {s: 0.0 for s in tables[kind]} | floors[kind] for kind in tables}
     try:
-        model.validate()
+        model = TransliterationModel(
+            emission=tables["emission"],
+            transition=tables["transition"],
+            emission_floor=floor["emission"],
+            transition_floor=floor["transition"],
+            smoothing_k=k,
+        )
     except ModelValidationError as exc:
         raise ModelValidationError(f"{path}: {exc}") from exc
+    if len(model.e_vocab) != e_size or len(model.h_vocab) != h_size:
+        raise ModelValidationError(f"{path}: vocabulary sizes in [meta] do not match the table rows")
     return model

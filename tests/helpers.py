@@ -340,17 +340,13 @@ def build_random_model(rng: random.Random, n_h=5, n_e=6, discrete=False) -> Tran
         targets = sorted(rng.sample(pool, rng.randint(1, len(pool))))
         transition[prev] = _normalized_row(rng, targets, discrete)
 
-    model = TransliterationModel(
+    return TransliterationModel(
         emission=emission,
         transition=transition,
         emission_floor={h: 0.0 for h in emission},
         transition_floor={p: 0.0 for p in transition},
-        e_vocab=frozenset(e_syms),
-        h_vocab=frozenset(h_syms),
         smoothing_k=0.0,
     )
-    model.validate()
-    return model
 
 
 def random_aligned_corpus(rng: random.Random, max_pairs=100):

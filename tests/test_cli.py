@@ -59,6 +59,43 @@ def test_in_file_with_a_bom_reads_its_first_word(tmp_path, capsys):
     assert capsys.readouterr().out == "Radhika\t[Ra][dhi][ka]\n"
 
 
+def run_cli_bytes(argv, stdin_bytes, monkeypatch):
+    """main(argv) with stdin a byte stream that main decodes itself."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin_bytes), encoding="utf-8"))
+    return main(argv)
+
+
+def child_env():
+    """os.environ with PYTHONPATH set so a child imports the same package
+    as this process, installed or not."""
+    src = str(Path(ne_translit.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_a_bom_on_piped_stdin_is_dropped():
+    result = subprocess.run(
+        [sys.executable, "-m", "ne_translit", "phonify"],
+        input=b"\xef\xbb\xbfRadhika\n",
+        capture_output=True,
+        env=child_env(),
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == "Radhika\t[Ra][dhi][ka]\n".encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("transliterate", "Radhika"), ("translate", "[[Radhika|PER]] and [[Rimi|PER]] met.")],
+)
+def test_a_bom_on_stdin_is_dropped_before_the_first_line(command, line, model_file, capsys, monkeypatch):
+    argv = [command, "--model", str(model_file)]
+    assert run_cli_bytes(argv, f"{line}\n".encode("utf-8"), monkeypatch) == 0
+    plain = capsys.readouterr()
+    assert run_cli_bytes(argv, f"\ufeff{line}\n".encode("utf-8"), monkeypatch) == 0
+    assert capsys.readouterr() == plain
+    assert "\ufeff" not in plain.out
+
+
 def test_phonify_bad_word_exits_one(capsys, monkeypatch):
     code = run_cli(["phonify"], "abc123\n", monkeypatch=monkeypatch)
     assert code == 1
@@ -766,16 +803,14 @@ def test_missing_required_flag_exits_two(capsys):
 
 
 def test_console_entry_point_via_subprocess(tmp_path):
-    # the child imports the same package as this process, installed or not
-    src = str(Path(ne_translit.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("\n".join(CORPUS_LINES) + "\n", encoding="utf-8")
     model = tmp_path / "model.txt"
     train = subprocess.run(
         [sys.executable, "-m", "ne_translit", "--quiet", "train", str(corpus), str(model)],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=env,
     )
     assert train.returncode == 0, train.stderr
@@ -783,12 +818,12 @@ def test_console_entry_point_via_subprocess(tmp_path):
         [sys.executable, "-m", "ne_translit", "phonify"],
         input="Cherapunji\n",
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=env,
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "Cherapunji\t[Che][ra][pun][ji]"
     usage = subprocess.run(
-        [sys.executable, "-m", "ne_translit", "nonsense"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "ne_translit", "nonsense"], capture_output=True, encoding="utf-8", env=env
     )
     assert usage.returncode == 2

@@ -18,7 +18,7 @@ from ne_translit.decoder import (
     transliterate,
     viterbi,
 )
-from ne_translit.errors import ScriptError, UnseenPhonemeError, ZeroProbabilityError
+from ne_translit.errors import ModelValidationError, ScriptError, UnseenPhonemeError, ZeroProbabilityError
 from ne_translit.model import BOS, EOS, TransliterationModel, estimate
 from ne_translit.alignment import AlignedPair
 from ne_translit.phonology import phonify_latin
@@ -103,23 +103,20 @@ def test_viterbi_matches_exhaustive_search(monkeypatch, capsys):
         assert cli_trace(monkeypatch, capsys, m, "".join(keys)) == expected_trace(m, seq, score, keys)
 
 
-def test_viterbi_on_sources_without_a_transition_row(monkeypatch, capsys):
-    # Only a model built without validate() lacks rows; transition_prob then
-    # gives every target of such a source its uniform guess.
+def test_a_model_missing_transition_rows_cannot_be_built():
+    # every source the decoder can reach has a row, so viterbi needs no
+    # fallback for a source without one
     rng = random.Random(34)
-    for trial in range(40):
+    for _ in range(40):
         m = latin_random_model(rng, discrete=True)
         dropped = rng.sample(sorted(m.transition), rng.randint(1, len(m.transition)))
-        bare = dataclasses.replace(
-            m,
-            transition={s: row for s, row in m.transition.items() if s not in dropped},
-            transition_floor={s: f for s, f in m.transition_floor.items() if s not in dropped},
-        )
-        keys = [rng.choice(sorted(m.e_vocab)) for _ in range(rng.randint(1, 5))]
-        decoding = viterbi(bare, keys, top_k=5)
-        seq, score = exhaustive_decode(bare, keys, top_k=5)
-        assert (decoding.hindi_sequence, decoding.score) == (seq, score)
-        assert cli_trace(monkeypatch, capsys, bare, "".join(keys)) == expected_trace(bare, seq, score, keys)
+        with pytest.raises(ModelValidationError) as excinfo:
+            dataclasses.replace(
+                m,
+                transition={s: row for s, row in m.transition.items() if s not in dropped},
+                transition_floor={s: f for s, f in m.transition_floor.items() if s not in dropped},
+            )
+        assert str(excinfo.value) == "transition rows must cover the Hindi vocabulary plus BOS"
 
 
 def test_viterbi_score_is_the_path_log_product(single_entry_model):
@@ -226,17 +223,13 @@ def build_uniform_model(rng, n_h, n_e, full):
     transition = {BOS: uniform(support(h_syms))}
     for h in h_syms:
         transition[h] = uniform(support(h_syms + [EOS]))
-    model = TransliterationModel(
+    return TransliterationModel(
         emission=emission,
         transition=transition,
         emission_floor={h: 0.0 for h in emission},
         transition_floor={p: 0.0 for p in transition},
-        e_vocab=frozenset(e for row in emission.values() for e in row),
-        h_vocab=frozenset(h_syms),
         smoothing_k=0.0,
     )
-    model.validate()
-    return model
 
 
 def test_viterbi_matches_exhaustive_search_on_all_tie_models():
@@ -264,7 +257,6 @@ def latin_random_model(rng, discrete=False):
     return dataclasses.replace(
         m,
         emission={h: {names[e]: p for e, p in row.items()} for h, row in m.emission.items()},
-        e_vocab=frozenset(names.values()),
     )
 
 
@@ -287,11 +279,8 @@ def test_memo_keeps_top_k_apart():
         transition={BOS: {"A": 0.1, "B": 0.9}, "A": {EOS: 1.0}, "B": {EOS: 1.0}},
         emission_floor={"A": 0.0, "B": 0.0},
         transition_floor={BOS: 0.0, "A": 0.0, "B": 0.0},
-        e_vocab=frozenset("xy"),
-        h_vocab=frozenset("AB"),
         smoothing_k=0.0,
     )
-    m.validate()
     for _ in range(2):
         assert decode_or_fallback(m, "x", top_k=2)[1].hindi_sequence == ("B",)
         assert decode_or_fallback(m, "x", top_k=1)[1].hindi_sequence == ("A",)

@@ -8,7 +8,7 @@ from ne_translit import estimator
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
 from ne_translit.kb import EntityCategory, KBEntry, KnowledgeBase, load_seed_kb
 from ne_translit.model import TransliterationModel
-from ne_translit.pipeline import PipelineConfig
+from ne_translit.pipeline import PipelineConfig, Route, parse_annotations, process_sentence
 
 
 def test_get_params_returns_init_arguments():
@@ -87,6 +87,46 @@ def test_transformer_substitutes_sentences(memorization_corpus):
         ["[[India|LOC]] is a great country.", "[[Radhika|PER]] sang."]
     )
     assert out == ["भारत is a great country.", "राधिका sang."]
+
+
+@pytest.mark.parametrize(
+    "annotation_format, line",
+    [
+        ("inline", "[[India|LOC]] and [[Radhika|PER]] met [[Zebra|PER]]."),
+        ("columnar", "India and Radhika met Zebra.\t0,5,LOC\t10,17,PER\t22,27,PER"),
+    ],
+)
+def test_process_line_decides_as_process_sentence(annotation_format, line, memorization_model):
+    kb = load_seed_kb()
+    translator = NamedEntityTranslator(
+        model=memorization_model, kb=kb, annotation_format=annotation_format, fallback="copy"
+    )
+    processed = translator.process_line(line)
+    config = PipelineConfig(fallback=Fallback.COPY_SOURCE)
+    expected = process_sentence(*parse_annotations(line, annotation_format), kb, memorization_model, config)
+    decisions = [(d.route, d.output, d.score) for d in processed.decisions]
+    assert decisions == [(d.route, d.output, d.score) for d in expected.decisions]
+    assert [route for route, _, _ in decisions] == [Route.KB_HIT, Route.TRANSLITERATED, Route.FALLBACK]
+    assert processed == expected
+    assert processed.substituted == "भारत and राधिका met Zebra."
+
+
+def test_process_line_names_a_bad_annotation_format(memorization_model):
+    translator = NamedEntityTranslator(model=memorization_model, annotation_format="xml")
+    with pytest.raises(ConfigError) as excinfo:
+        translator.process_line("[[Radhika|PER]] sang.")
+    assert str(excinfo.value) == "bad value for 'annotation_format': 'xml'"
+
+
+def test_score_rejects_mismatched_lengths_and_an_empty_set(memorization_corpus):
+    est = HmmTransliterator(smoothing_k=0.0).fit(memorization_corpus)
+    first, second = memorization_corpus[:2]
+    with pytest.raises(ValueError) as excinfo:
+        est.score([first.english, second.english], [first.hindi])
+    assert str(excinfo.value) == "X and y have different lengths"
+    with pytest.raises(ValueError) as excinfo:
+        est.score([], [])
+    assert str(excinfo.value) == "cannot score an empty set"
 
 
 def test_transformer_needs_a_model():

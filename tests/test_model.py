@@ -7,7 +7,7 @@ import pytest
 
 from ne_translit.alignment import AlignedPair
 from ne_translit.errors import ModelFormatError, ModelValidationError, ModelVersionError
-from ne_translit.model import BOS, EOS, estimate, load_model, save_model
+from ne_translit.model import BOS, EOS, TransliterationModel, estimate, load_model, save_model
 
 from helpers import count_tables, random_aligned_corpus
 
@@ -162,12 +162,29 @@ def test_log_transition_rows_are_the_logs_of_transition_prob(smoothing_k, tmp_pa
     assert (zeros > 0) == (smoothing_k == 0.0)
 
 
-def test_log_transition_covers_sources_without_a_row():
-    m = estimate([[AlignedPair("a", "अ")]], smoothing_k=0.0)
-    bare = dataclasses.replace(m, transition={}, transition_floor={})  # not validated
-    uniform = math.log(bare.transition_prob("अ", EOS))
-    assert bare.decode_table.symbols == ("अ",)
-    assert bare.decode_table.rows == [[uniform, uniform], [uniform, uniform]]
+def test_a_model_without_a_transition_row_cannot_be_built():
+    # so decode_table needs no row for a source without one
+    with pytest.raises(ModelValidationError) as excinfo:
+        TransliterationModel(
+            emission={"अ": {"a": 1.0}},
+            transition={},
+            emission_floor={"अ": 0.0},
+            transition_floor={},
+            smoothing_k=0.0,
+        )
+    assert str(excinfo.value) == "transition rows must cover the Hindi vocabulary plus BOS"
+
+
+def test_a_model_stores_its_tables_and_derives_its_vocabularies(single_entry_model):
+    m = single_entry_model
+    fields = [f.name for f in dataclasses.fields(m)]
+    assert fields == ["emission", "transition", "emission_floor", "transition_floor", "smoothing_k"]
+    assert (m.h_vocab, m.e_vocab) == ({"अ", "म", "र"}, {"a", "ma", "r"})
+    with pytest.raises(AttributeError):
+        m.h_vocab = frozenset()
+    with pytest.raises(ModelValidationError) as excinfo:
+        dataclasses.replace(m, emission_floor={})
+    assert str(excinfo.value) == "emission floors must mirror emission rows"
 
 
 def test_symbol_ids_follow_code_point_order():
@@ -225,6 +242,60 @@ def test_load_rejects_row_that_does_not_sum_to_one(single_entry_model, tmp_path)
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ModelValidationError):
         load_model(path)
+
+
+# One case per load_model rejection: the model of (a,अ) (ma,म) (r,र) saved
+# with smoothing_k, then line `lineno` (which must read `old`) replaced by
+# `new`.  "{path}" in the message stands for the model file.
+LOAD_REJECTIONS = [
+    (0.0, 1, "[meta]", "meta", ModelFormatError, "{path}: line 1: content before any section header"),
+    (0.0, 2, "version\t1", "version 1", ModelFormatError, "{path}: line 2: expected key<TAB>value"),
+    (0.0, 8, "म\tma\t1", "म\tma", ModelFormatError,
+     "{path}: line 8: expected source<TAB>target<TAB>probability"),
+    (0.0, 8, "म\tma\t1", "म\tma\tabc", ModelFormatError, "{path}: line 8: bad probability 'abc'"),
+    (0.5, 9, "म\t<unk>\t0.20000000000000001", "अ\t<unk>\t0.20000000000000001", ModelFormatError,
+     "{path}: line 9: duplicate floor for 'अ'"),
+    (0.0, 8, "म\tma\t1", "अ\ta\t1", ModelFormatError, "{path}: line 8: duplicate row ('अ', 'a')"),
+    (0.0, 5, "h_vocab_size\t3", "", ModelFormatError, "{path}: missing meta key 'h_vocab_size'"),
+    (0.0, 4, "e_vocab_size\t3", "e_vocab_size\tthree", ModelFormatError, "{path}: malformed meta values"),
+    (0.0, 6, "[emission]", "[transition]", ModelFormatError, "{path}: missing emission or transition rows"),
+    (0.0, 2, "version\t1", "version\t99", ModelVersionError, "{path}: unsupported model version '99'"),
+    (0.0, 3, "smoothing_k\t0", "smoothing_k\t-1", ModelValidationError,
+     "{path}: smoothing constant must be a finite number >= 0"),
+    (0.0, 4, "e_vocab_size\t3", "e_vocab_size\t4", ModelValidationError,
+     "{path}: vocabulary sizes in [meta] do not match the table rows"),
+    (0.0, 5, "h_vocab_size\t3", "h_vocab_size\t2", ModelValidationError,
+     "{path}: vocabulary sizes in [meta] do not match the table rows"),
+    (0.5, 11, "र\t<unk>\t0.20000000000000001", "घ\t<unk>\t0.20000000000000001", ModelValidationError,
+     "{path}: emission floors must mirror emission rows"),
+    (0.0, 14, "र\t</s>\t1", "घ\t</s>\t1", ModelValidationError,
+     "{path}: transition rows must cover the Hindi vocabulary plus BOS"),
+    (0.0, 12, "अ\tम\t1", "अ\t<s>\t1", ModelValidationError, "{path}: BOS must never be a transition target"),
+    (0.0, 12, "अ\tम\t1", "अ\tघ\t1", ModelValidationError,
+     "{path}: transition row 'अ' targets outside the vocabulary"),
+    (0.0, 7, "अ\ta\t1", "अ\ta\t1.5", ModelValidationError, "{path}: emission ('अ', 'a') out of (0,1]: 1.5"),
+    (0.0, 12, "अ\tम\t1", "अ\tम\t0", ModelValidationError, "{path}: transition ('अ', 'म') out of (0,1]: 0.0"),
+    (0.0, 7, "अ\ta\t1", "अ\ta\t0.5", ModelValidationError, "{path}: emission row 'अ' sums to 0.5"),
+    (0.5, 7, "अ\t<unk>\t0.20000000000000001", "", ModelValidationError,
+     "{path}: emission row 'अ' lacks a positive floor"),
+    (0.5, 3, "smoothing_k\t0.5", "smoothing_k\t0", ModelValidationError,
+     "{path}: unsmoothed emission row 'अ' has a nonzero floor"),
+]
+
+
+@pytest.mark.parametrize("smoothing_k, lineno, old, new, error, message", LOAD_REJECTIONS)
+def test_load_rejects_each_broken_line(smoothing_k, lineno, old, new, error, message, tmp_path):
+    pairs = [AlignedPair("a", "अ"), AlignedPair("ma", "म"), AlignedPair("r", "र")]
+    path = tmp_path / "model.txt"
+    save_model(estimate([pairs], smoothing_k=smoothing_k), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[lineno - 1] == old
+    lines[lineno - 1] = new
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(error) as excinfo:
+        load_model(path)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message.format(path=path)
 
 
 def test_load_rejects_bad_probability_value(single_entry_model, tmp_path):
