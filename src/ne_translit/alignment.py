@@ -12,16 +12,19 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 
 from .errors import CorpusError, NeTranslitError
 from .kb import EntityCategory
-from .phonology import PhonemeSequence, phonify_devanagari, phonify_latin
+from .phonology import phonify_devanagari, phonify_latin
 from .textfile import read_lines
 
 # Probability charged for every skip move; not re-estimated by EM.
 SKIP_PENALTY = 1e-4
+
+_NO_USABLE_ENTRIES = "no usable entries in the corpus"
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,18 @@ class ParallelEntry:
     def __post_init__(self):
         if not self.english or not self.hindi:
             raise ValueError("both sides of a parallel entry must be non-empty")
+
+    @cached_property
+    def keys(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Both sides phonified token by token into model keys, as
+        (e_keys, h_keys); computed on first use and kept, so EM and the
+        hard alignment phonify an entry once.  Raises the phonifier's
+        error, or CorpusError for a side with no phonemes."""
+        e_keys = tuple(key for token in self.english.split() for key in phonify_latin(token).keys())
+        h_keys = tuple(key for token in self.hindi.split() for key in phonify_devanagari(token).keys())
+        if not e_keys or not h_keys:
+            raise CorpusError("no phonemes on one side")
+        return e_keys, h_keys
 
 
 @dataclass(frozen=True)
@@ -92,25 +107,17 @@ class AlignmentCostTable:
                     raise ValueError(f"cost for ({e!r}, {h!r}) out of range: {p!r}")
 
 
-def _keys(seq) -> list[str]:
-    if isinstance(seq, PhonemeSequence):
-        return seq.keys()
-    return list(seq)
-
-
 _MATCH, _SKIP_E, _SKIP_H = 1, 2, 3
 
 
-def align_monotone(e_seq, h_seq, costs: AlignmentCostTable) -> list[AlignedPair]:
-    """Best monotone alignment of two phoneme sequences; match pairs only.
+def align_monotone(e, h, costs: AlignmentCostTable) -> list[AlignedPair]:
+    """Best monotone alignment of two key sequences; match pairs only.
 
     Maximizes the product of match probabilities with SKIP_PENALTY per
     skipped phoneme.  Ties prefer match over skip-English over skip-Hindi,
     which also makes equal-length inputs under a uniform table align
     positionally.
     """
-    e = _keys(e_seq)
-    h = _keys(h_seq)
     m, n = len(e), len(h)
     neg = float("-inf")
     log = math.log
@@ -244,28 +251,15 @@ def _forward_backward(e, h, costs: AlignmentCostTable) -> tuple[float, list[tupl
     return math.log(last) + sum(map(math.log, scales)), posteriors
 
 
-def entry_keys(entry: ParallelEntry) -> tuple[list[str], list[str]]:
-    """Phonify both sides of an entry, token by token, into model keys."""
-    e_keys: list[str] = []
-    for token in entry.english.split():
-        e_keys.extend(phonify_latin(token).keys())
-    h_keys: list[str] = []
-    for token in entry.hindi.split():
-        h_keys.extend(phonify_devanagari(token).keys())
-    return e_keys, h_keys
-
-
 def _distinct_pairs(corpus) -> Counter:
-    """Occurrences of each distinct usable (e_keys, h_keys) pair, as tuples,
-    in first-seen order.  Each distinct entry is phonified once."""
+    """Occurrences of each distinct usable (e_keys, h_keys) pair in
+    first-seen order, read from each distinct entry's `keys`."""
     pairs: Counter = Counter()
     for entry, count in Counter(corpus).items():
         try:
-            e_keys, h_keys = entry_keys(entry)
+            pairs[entry.keys] += count
         except NeTranslitError:
             continue  # skipped entries are reported by build_aligned_corpus
-        if e_keys and h_keys:
-            pairs[(tuple(e_keys), tuple(h_keys))] += count
     return pairs
 
 
@@ -287,7 +281,7 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
     scaled forward-backward per distinct phonified (e_keys, h_keys) pair
     and adds its posteriors times the pair's multiplicity, which equals
     one pass per occurrence.  Entries that fail phonification are skipped,
-    never fatal.
+    never fatal; a CorpusError is raised if no entry phonifies.
 
     The E-step runs on ints.  Phonemes are numbered once, each side in
     sorted order, and each distinct pair is coded once as ids.  The
@@ -304,7 +298,7 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
         raise ValueError("iterations must be >= 1")
     pairs = _distinct_pairs(corpus)
     if not pairs:
-        raise ValueError("no usable entries in the corpus")
+        raise CorpusError(_NO_USABLE_ENTRIES)
 
     h_vocab = sorted({h for _, hk in pairs for h in hk})
     e_vocab = sorted({e for ek, _ in pairs for e in ek})
@@ -327,7 +321,6 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
         hs = [h_id[h] for h in h_keys]
         es = tuple([e_id[e] for e in e_keys])
         coded.append((es, itemgetter(*hs, width), (-1, *reversed(hs)), edges[len(hs)], count))
-    del pairs  # the iterations read only the coded pairs, so the string keys can go
 
     for _ in range(iterations):
         soft: dict[int, dict[int, float]] = defaultdict(lambda: defaultdict(float))
@@ -351,10 +344,11 @@ def build_aligned_corpus(
 ) -> tuple[list[list[AlignedPair]], list[str]]:
     """Hard-align every entry with the trained costs.
 
-    Returns the per-entry aligned pair lists plus a record for each entry
-    that had to be skipped (phonification failure or an empty side), one
-    per occurrence and in input order.  Each distinct entry is phonified
-    and aligned once; its duplicates get copies of that result.
+    Returns the match-pair lists of the entries that kept at least one,
+    plus one record for each entry left out (its `keys` failed, or no
+    match pair survived the alignment), both per occurrence and in input
+    order.  Each distinct entry is aligned once; its duplicates get
+    copies of that result.
     """
     aligned: list[list[AlignedPair]] = []
     skipped: list[str] = []
@@ -363,17 +357,14 @@ def build_aligned_corpus(
         result = done.get(entry)
         if result is None:
             try:
-                e_keys, h_keys = entry_keys(entry)
+                keys = entry.keys
             except NeTranslitError as exc:
-                result = f"{entry.english}\t{entry.hindi}: {exc}"
+                result = str(exc)
             else:
-                if e_keys and h_keys:
-                    result = align_monotone(e_keys, h_keys, costs)
-                else:
-                    result = f"{entry.english}\t{entry.hindi}: no phonemes on one side"
+                result = align_monotone(*keys, costs) or "no match pair after alignment"
             done[entry] = result
         if isinstance(result, str):
-            skipped.append(result)
+            skipped.append(f"{entry.english}\t{entry.hindi}: {result}")
         else:
             aligned.append(list(result))
     return aligned, skipped
@@ -384,10 +375,12 @@ def align_corpus(
 ) -> tuple[AlignmentCostTable, list[list[AlignedPair]], list[str]]:
     """EM, then hard alignment: the trained costs, the pair lists of the
     entries that kept a match pair (in input order, ready for estimate),
-    and a record per skipped entry.  Raises ValueError if none is usable."""
+    and a record per entry left out.  Raises CorpusError if none is usable."""
     costs = em_train_alignment(corpus, iterations)
     aligned, skipped = build_aligned_corpus(corpus, costs)
-    return costs, [pairs for pairs in aligned if pairs], skipped
+    if not aligned:
+        raise CorpusError(_NO_USABLE_ENTRIES)
+    return costs, aligned, skipped
 
 
 def aligned_pair_counts(aligned_corpus) -> Counter:

@@ -86,14 +86,11 @@ def _align_corpus(args) -> tuple[list, int]:
     for warning in warnings:
         if not args.quiet:
             print(f"{PROG}: warning: {args.corpus}: {warning}", file=sys.stderr)
-    try:
-        _, usable, skipped = alignment.align_corpus(entries, args.em_iterations)
-    except ValueError as exc:
-        raise NeTranslitError(str(exc)) from exc
+    _, usable, skipped = alignment.align_corpus(entries, args.em_iterations)
     for record in skipped:
         if not args.quiet:
             print(f"{PROG}: warning: skipped {record}", file=sys.stderr)
-    return usable, len(entries) - len(usable) + len(warnings)
+    return usable, len(skipped) + len(warnings)
 
 
 def cmd_align_dump(args) -> int:
@@ -106,8 +103,6 @@ def cmd_align_dump(args) -> int:
 
 def cmd_train(args) -> int:
     usable, skipped_count = _align_corpus(args)
-    if not usable:
-        raise NeTranslitError("no usable entries after alignment")
     trained = model_mod.estimate(usable, args.smoothing_k)
     model_mod.save_model(trained, args.model_out)
     _info(args, f"trained on {len(usable)} entries ({skipped_count} skipped)")

@@ -20,7 +20,7 @@ class MalformedWordError(NeTranslitError):
 
 
 class CorpusError(NeTranslitError):
-    """A parallel-corpus file could not be read at all."""
+    """A parallel corpus, or one of its entries, cannot be used for training."""
 
 
 class ModelError(NeTranslitError):

@@ -73,7 +73,8 @@ class HmmTransliterator(ParamsMixin):
         self.fallback = fallback
 
     def fit(self, X, y=None):
-        """X: parallel entries, as ParallelEntry or (english, hindi) pairs."""
+        """X: parallel entries, as ParallelEntry or (english, hindi) pairs.
+        Raises CorpusError if no entry is usable."""
         iterations = check("em_iterations", self.em_iterations)
         k = check("smoothing_k", self.smoothing_k)
         entries = _coerce_entries(X)

@@ -146,6 +146,8 @@ class TransliterationModel:
             smoothing_constant(self.smoothing_k)
         except ValueError as exc:
             raise ModelValidationError(str(exc)) from None
+        if not self.emission:
+            raise ModelValidationError("a model needs at least one Hindi phoneme")
         h_vocab = self.h_vocab
         if set(self.transition) != h_vocab | {BOS}:
             raise ModelValidationError("transition rows must cover the Hindi vocabulary plus BOS")
@@ -336,8 +338,8 @@ def load_model(path) -> TransliterationModel:
         h_size = int(meta["h_vocab_size"])
     except ValueError as exc:
         raise ModelFormatError(f"{path}: malformed meta values") from exc
-    if not tables["emission"] or not tables["transition"]:
-        raise ModelFormatError(f"{path}: missing emission or transition rows")
+    if not tables["transition"]:
+        raise ModelFormatError(f"{path}: missing transition rows")  # a file cut short
 
     # a row with no <unk> has floor 0.0; a floor with no row fails the
     # floors-mirror-rows check

@@ -17,7 +17,6 @@ from ne_translit.alignment import (
     AlignedPair,
     AlignmentCostTable,
     ParallelEntry,
-    entry_keys,
 )
 from ne_translit.errors import (
     AnnotationError,
@@ -29,7 +28,7 @@ from ne_translit.errors import (
 from ne_translit.decoder import UNK_OUTPUT, Fallback, viterbi
 from ne_translit.kb import EntityCategory
 from ne_translit.model import BOS, EOS, TransliterationModel
-from ne_translit.phonology import phonify_latin
+from ne_translit.phonology import phonify_devanagari, phonify_latin
 from ne_translit.pipeline import EntitySpan
 
 NEG_INF = float("-inf")
@@ -98,17 +97,21 @@ def log_total_probability(e, h, costs) -> float:
     return prev[-1]
 
 
+def reference_keys(entry):
+    """(e_keys, h_keys) of an entry, phonified token by token here rather
+    than read from `entry.keys`, or None if a side fails or is empty."""
+    try:
+        e_keys = [key for token in entry.english.split() for key in phonify_latin(token).keys()]
+        h_keys = [key for token in entry.hindi.split() for key in phonify_devanagari(token).keys()]
+    except NeTranslitError:
+        return None
+    return (e_keys, h_keys) if e_keys and h_keys else None
+
+
 def reference_em(corpus, iterations):
     """EM by brute-force posteriors, one pass per corpus occurrence; only
-    the phonification (`entry_keys`) is shared with the package."""
-    prepared = []
-    for entry in corpus:
-        try:
-            e_keys, h_keys = entry_keys(entry)
-        except NeTranslitError:
-            continue
-        if e_keys and h_keys:
-            prepared.append((e_keys, h_keys))
+    the phonifiers are shared with the package."""
+    prepared = [keys for keys in map(reference_keys, corpus) if keys]
     h_vocab = {h for _, hk in prepared for h in hk}
     e_vocab = {e for ek, _ in prepared for e in ek}
     costs = AlignmentCostTable({e: {h: 1.0 / len(h_vocab) for h in h_vocab} for e in e_vocab})
@@ -172,14 +175,7 @@ def reference_scaled_em(corpus, iterations):
     """EM over distinct phonified pairs with string-keyed tables and
     reference_scaled_forward_backward; em_train_alignment must give the
     same costs bit for bit, rows in first-seen order."""
-    pairs: Counter = Counter()
-    for entry in corpus:
-        try:
-            e_keys, h_keys = entry_keys(entry)
-        except NeTranslitError:
-            continue
-        if e_keys and h_keys:
-            pairs[(tuple(e_keys), tuple(h_keys))] += 1
+    pairs = Counter((tuple(ek), tuple(hk)) for ek, hk in filter(None, map(reference_keys, corpus)))
     h_vocab = sorted({h for _, hk in pairs for h in hk})
     costs = AlignmentCostTable({e: {h: 1.0 / len(h_vocab) for h in h_vocab} for ek, _ in pairs for e in ek})
     for _ in range(iterations):

@@ -4,6 +4,7 @@ from collections import defaultdict
 
 import pytest
 
+from ne_translit import alignment
 from ne_translit.alignment import (
     SKIP_PENALTY,
     AlignedPair,
@@ -16,9 +17,9 @@ from ne_translit.alignment import (
     build_aligned_corpus,
     corpus_log_likelihood,
     em_train_alignment,
-    entry_keys,
     load_corpus,
 )
+from ne_translit.errors import CorpusError
 
 from helpers import (
     make_memorization_corpus,
@@ -185,10 +186,10 @@ def test_long_entry_does_not_underflow():
     long_units = [(consonants[t % 24] + ("ा" if t % 2 == 0 else "ि"),
                    latin[t % 24] + ("aa" if t % 2 == 0 else "i")) for t in range(100)]
     long_entry = ParallelEntry("".join(lat for _, lat in long_units), "".join(dev for dev, _ in long_units))
-    e_keys, h_keys = entry_keys(long_entry)
+    e_keys, h_keys = long_entry.keys
     assert (len(e_keys), len(h_keys)) == (150, 100)
 
-    keyed = [entry_keys(entry) for entry in names + [long_entry]]
+    keyed = [entry.keys for entry in names + [long_entry]]
     h_vocab = {hk for _, hs in keyed for hk in hs}
     e_vocab = {ek for es, _ in keyed for ek in es}
     assert len(h_vocab) == 240
@@ -346,10 +347,59 @@ def test_aligned_pair_counts_dump_shape():
 
 
 def test_em_rejects_empty_and_bad_iterations():
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusError, match="^no usable entries in the corpus$"):
         em_train_alignment([], iterations=3)
     with pytest.raises(ValueError):
         em_train_alignment([ParallelEntry("ra", "रा")], iterations=0)
+
+
+def test_an_entry_left_without_a_match_pair_gets_a_record():
+    aligned, skipped = build_aligned_corpus([ParallelEntry("Ra", "रा")], AlignmentCostTable({"ra": {"x": 1.0}}))
+    assert (aligned, skipped) == ([], ["Ra\tरा: no match pair after alignment"])
+
+
+def test_align_corpus_raises_when_no_entry_keeps_a_match_pair(monkeypatch):
+    # EM finds usable entries, but the hard alignment keeps no match pair
+    costs = AlignmentCostTable({"ra": {"x": 1.0}})
+    monkeypatch.setattr(alignment, "em_train_alignment", lambda corpus, iterations: costs)
+    with pytest.raises(CorpusError, match="^no usable entries in the corpus$"):
+        align_corpus([ParallelEntry("Ra", "रा")], 5)
+
+
+def test_every_entry_is_aligned_or_recorded_in_input_order():
+    rama, bad, empty = ParallelEntry("Rama", "रामा"), ParallelEntry("x9y", "रा"), ParallelEntry(" ", "रा")
+    mara = ParallelEntry("Mara", "मारा")
+    corpus = [bad, rama, empty, mara, bad, rama, empty]
+    aligned, skipped = build_aligned_corpus(corpus, em_train_alignment(corpus, 5))
+    assert len(aligned) + len(skipped) == len(corpus)
+    assert [[p.e for p in pairs] for pairs in aligned] == [["ra", "ma"], ["ma", "ra"], ["ra", "ma"]]
+    assert [record.split(":")[0] for record in skipped] == ["x9y\tरा", " \tरा", "x9y\tरा", " \tरा"]
+    assert skipped[1] == " \tरा: no phonemes on one side"
+
+
+def test_entry_keys_are_phonified_once_and_kept():
+    entry = ParallelEntry("Raam Kumar", "राम कुमार")
+    assert entry.keys == (("ra", "a", "m", "ku", "ma", "r"), ("रा", "म", "कु", "मा", "र"))
+    assert entry.keys is entry.keys
+    # the kept keys are not part of equality or hashing
+    twin = ParallelEntry("Raam Kumar", "राम कुमार")
+    assert entry == twin and hash(entry) == hash(twin) and len({entry, twin}) == 1
+    with pytest.raises(CorpusError, match="^no phonemes on one side$"):
+        ParallelEntry("Ra", " ").keys
+
+
+def test_training_phonifies_each_distinct_usable_entry_once(monkeypatch):
+    calls = {"latin": [], "devanagari": []}
+    for side, name in (("latin", "phonify_latin"), ("devanagari", "phonify_devanagari")):
+        def counted(token, _phonify=getattr(alignment, name), _calls=calls[side]):
+            _calls.append(token)
+            return _phonify(token)
+        monkeypatch.setattr(alignment, name, counted)
+    rama, mara, bad = ParallelEntry("Rama", "रामा"), ParallelEntry("Mara", "मारा"), ParallelEntry("x9y", "सीता")
+    two = ParallelEntry("Rama Kama", "रामा कामा")
+    align_corpus([rama, bad, mara, rama, two, bad, mara, rama], 5)
+    assert sorted(calls["latin"]) == sorted(["Rama", "Mara", "Rama", "Kama"] + ["x9y"] * 2)
+    assert sorted(calls["devanagari"]) == sorted(["रामा", "मारा", "रामा", "कामा"])
 
 
 def test_parallel_entry_requires_both_sides():

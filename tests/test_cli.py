@@ -11,7 +11,7 @@ import pytest
 
 import ne_translit
 from ne_translit import alignment
-from ne_translit.alignment import build_aligned_corpus, em_train_alignment, entry_keys, load_corpus
+from ne_translit.alignment import build_aligned_corpus, em_train_alignment, load_corpus
 from ne_translit.cli import SETTINGS, main, parse_config
 from ne_translit.decoder import Fallback, viterbi
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
@@ -174,8 +174,26 @@ def test_train_model_bytes_golden_where_em_must_skip(tmp_path, capsys):
     assert captured.err.startswith("ne-translit: warning: skipped X9y\t")
 
     loaded, _ = load_corpus(corpus)
-    lengths = {tuple(map(len, entry_keys(entry))) for entry in loaded if entry.english != "X9y"}
+    lengths = {tuple(map(len, entry.keys)) for entry in loaded if entry.english != "X9y"}
     assert (3, 2) in lengths and (2, 3) in lengths  # skip-English and skip-Hindi both needed
+
+
+# every line parses, but no entry phonifies
+UNPHONIFIABLE_CORPUS = "X9y\tरा\nJosé\tजोसे\n"
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [("# nothing\n", "align-dump"), (UNPHONIFIABLE_CORPUS, "train"), (UNPHONIFIABLE_CORPUS, "align-dump")],
+)
+def test_an_unusable_corpus_fails_with_one_error(text, command, tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(text, encoding="utf-8")
+    model = tmp_path / "model.txt"
+    argv = [command, str(corpus)] + ([str(model)] if command == "train" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "ne-translit: error: no usable entries in the corpus\n")
+    assert not model.exists()
 
 
 def test_train_empty_corpus_fails(tmp_path, capsys):
@@ -183,7 +201,8 @@ def test_train_empty_corpus_fails(tmp_path, capsys):
     corpus.write_text("# nothing\n", encoding="utf-8")
     model = tmp_path / "model.txt"
     assert main(["train", str(corpus), str(model)]) == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "ne-translit: error: no usable entries in the corpus\n"
+    assert not model.exists()
 
 
 def test_train_warns_about_malformed_lines(tmp_path, capsys):

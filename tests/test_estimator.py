@@ -3,7 +3,14 @@ import re
 import pytest
 
 from ne_translit.decoder import Fallback
-from ne_translit.errors import ConfigError, NeTranslitError, NotFittedError, ScriptError, ZeroProbabilityError
+from ne_translit.errors import (
+    ConfigError,
+    CorpusError,
+    NeTranslitError,
+    NotFittedError,
+    ScriptError,
+    ZeroProbabilityError,
+)
 from ne_translit import estimator
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
 from ne_translit.kb import EntityCategory, KBEntry, KnowledgeBase, load_seed_kb
@@ -51,6 +58,13 @@ def test_fit_predict_memorizes(memorization_corpus):
     expected = [e.hindi for e in memorization_corpus]
     assert est.predict(words) == expected
     assert est.score(words, expected) == 1.0
+
+
+def test_fit_on_an_unusable_corpus_raises_corpus_error():
+    est = HmmTransliterator()
+    with pytest.raises(CorpusError, match="^no usable entries in the corpus$"):
+        est.fit([("X9y", "रा")])
+    assert not hasattr(est, "model_")
 
 
 def test_predict_zero_probability_word_falls_back(memorization_corpus):

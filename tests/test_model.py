@@ -175,6 +175,19 @@ def test_a_model_without_a_transition_row_cannot_be_built():
     assert str(excinfo.value) == "transition rows must cover the Hindi vocabulary plus BOS"
 
 
+def test_a_model_without_a_hindi_phoneme_cannot_be_built():
+    # its one transition row is valid, but the model can decode nothing
+    with pytest.raises(ModelValidationError) as excinfo:
+        TransliterationModel(
+            emission={},
+            transition={BOS: {EOS: 1.0}},
+            emission_floor={},
+            transition_floor={BOS: 0.0},
+            smoothing_k=0.0,
+        )
+    assert str(excinfo.value) == "a model needs at least one Hindi phoneme"
+
+
 def test_a_model_stores_its_tables_and_derives_its_vocabularies(single_entry_model):
     m = single_entry_model
     fields = [f.name for f in dataclasses.fields(m)]
@@ -258,7 +271,7 @@ LOAD_REJECTIONS = [
     (0.0, 8, "म\tma\t1", "अ\ta\t1", ModelFormatError, "{path}: line 8: duplicate row ('अ', 'a')"),
     (0.0, 5, "h_vocab_size\t3", "", ModelFormatError, "{path}: missing meta key 'h_vocab_size'"),
     (0.0, 4, "e_vocab_size\t3", "e_vocab_size\tthree", ModelFormatError, "{path}: malformed meta values"),
-    (0.0, 6, "[emission]", "[transition]", ModelFormatError, "{path}: missing emission or transition rows"),
+    (0.0, 6, "[emission]", "[transition]", ModelValidationError, "{path}: a model needs at least one Hindi phoneme"),
     (0.0, 2, "version\t1", "version\t99", ModelVersionError, "{path}: unsupported model version '99'"),
     (0.0, 3, "smoothing_k\t0", "smoothing_k\t-1", ModelValidationError,
      "{path}: smoothing constant must be a finite number >= 0"),

@@ -60,3 +60,6 @@ def test_train_fires_every_name_the_training_workload_expects(tmp_path):
     assert [name for name in TRAIN_SPANS if name not in names] == []
     for name in TRAIN_SPANS[:5]:
         assert names.count(name) == 1, name
+    # EM and the hard alignment share each entry's keys: the two distinct
+    # usable entries reach phonify_devanagari once each
+    assert names.count("phonology.phonify_devanagari") == 2
