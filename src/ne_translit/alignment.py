@@ -10,10 +10,12 @@ carry a fixed penalty so the table stays stable on tiny corpora.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from itertools import product
+from operator import getitem, mul
 from pathlib import Path
 
 from .errors import CorpusError, NeTranslitError
@@ -75,11 +77,6 @@ class AlignmentCostTable:
     probs: dict[str, dict[str, float]] = field(default_factory=dict)
     default: float = 1e-9
 
-    @classmethod
-    def uniform(cls) -> "AlignmentCostTable":
-        """A table that scores every match the same (and above any skip)."""
-        return cls({}, default=1.0)
-
     def prob(self, e: str, h: str) -> float:
         row = self.probs.get(e)
         if row is None:
@@ -94,17 +91,6 @@ class AlignmentCostTable:
             row = self.probs.get(x)
             rows.append([default] * len(h) if row is None else [row.get(y, default) for y in h])
         return rows
-
-    def validate(self, tolerance: float = 1e-9) -> None:
-        for e, row in self.probs.items():
-            if not row:
-                raise ValueError(f"empty cost row for {e!r}")
-            total = sum(row.values())
-            if abs(total - 1.0) > tolerance:
-                raise ValueError(f"cost row for {e!r} sums to {total!r}")
-            for h, p in row.items():
-                if not 0.0 < p <= 1.0:
-                    raise ValueError(f"cost for ({e!r}, {h!r}) out of range: {p!r}")
 
 
 _MATCH, _SKIP_E, _SKIP_H = 1, 2, 3
@@ -163,92 +149,88 @@ def align_monotone(e, h, costs: AlignmentCostTable) -> list[AlignedPair]:
     return pairs
 
 
-def _scaled_passes(grid, e, h_back, edge):
-    """Scaled forward-backward over one grid of match probabilities.
+def _batched_passes(grid, edge, size):
+    """Scaled forward-backward over a batch of `size` pairs of one shape
+    (m, n), all of them together.
 
-    `grid` has one row per English phoneme e[i]: prob(e[i], h[j]) for each
-    Hindi phoneme h[j], then a 0.0 that no move reads.  `h_back` holds the
-    Hindi labels in the order the backward pass walks them: one unused
-    label for that 0.0, then h[n-1], ..., h[0].  `edge` is the first
-    forward row, [SKIP_PENALTY**j for j in 0..n].
+    `grid[i][j]` holds prob(e[i], h[j]) of every pair of the batch, in
+    batch order, for m rows and n columns.  `edge` is the first forward
+    row, [SKIP_PENALTY**j for j in 0..n].  Each step below is one list
+    comprehension across the batch, and a row sum is the builtin `sum` of
+    one pair's row in column order, so every pair's floats come from the
+    same operations in the same order as in a pass over that pair alone.
 
     Every forward row i is scaled by its sum c_i and every backward row i
     by the same c_i (Rabiner 1989, section V-A), so long entries do not
     underflow.  The backward pass keeps only the row it reads, and takes
     each cell's posterior (scaled forward * match * scaled backward /
-    scaled last forward cell) in the loop that computes the cell's
-    backward value.  Returns the row sums c_0..c_m, the scaled last
-    forward cell, and an (e[i], h[j], posterior) triple for every cell
-    whose posterior is above 0, in (i, j) order.  log z is log(last) plus
-    the sum of log c_i; there are no posteriors when last is 0.
+    scaled last forward cell) in the step that computes the cell's
+    backward value.  Returns the row sums c_0..c_m (each a list over the
+    batch), the scaled last forward cell of each pair, and one array of
+    posteriors, -1.0 for a cell whose posterior is not above 0.  The
+    array runs from cell (m-1, n-1) back to (0, 0), the batch side by
+    side in each cell, so `post[b - size::-size]` is pair b's in (i, j)
+    order.  log z is log(last) plus the sum of log c_i; a pair whose last
+    cell is 0 reads -1.0 in every cell.
     """
     eps = SKIP_PENALTY
 
     # Forward over i = 0..m: alpha[i][j] covers e[:i] and h[:j], reached by
     # a match from (i-1, j-1), skip-English from (i-1, j) or skip-Hindi from
     # (i, j-1).  Each row is stored before scaling, so scaled row i is
-    # alpha[i] / scales[i]; the next row divides by scales[i] as it reads it.
-    row = edge
-    c = sum(row)
-    scales = [c]
+    # alpha[i] / sums[i]; the next row divides by sums[i] as it reads it.
+    row = [[x] * size for x in edge]
+    sums = [[sum(edge)] * size]
     alpha = []
     for probs in grid:
         prev = row
         alpha.append(prev)
-        inv = 1.0 / c
-        v = prev[0] * eps * inv
+        inv = [1.0 / c for c in sums[-1]]
+        v = [d * eps * r for d, r in zip(prev[0], inv)]
         row = [v]
         for d, p, u in zip(prev, probs, prev[1:]):
-            v = (d * p + u * eps) * inv + v * eps
+            v = [(dd * pp + uu * eps) * r + vv * eps for dd, pp, uu, r, vv in zip(d, p, u, inv, v)]
             row.append(v)
-        c = sum(row)
-        scales.append(c)
-    last = row[-1] / c
-    if last == 0.0:
-        return scales, last, []
+        sums.append(list(map(sum, zip(*row))))
+    lasts = [x / c for x, c in zip(row[-1], sums[-1])]
 
     # Backward over i = m..0, each row held scaled and in reverse column
     # order: nxt[t] is the probability of finishing from (i + 1, n - t),
-    # divided by scales[i + 1] * ... * scales[m].  Walking j down from n,
-    # `b` carries the backward value of (i + 1, j + 1).  The first step
-    # reads the closing 0.0 with v = b = 0.0, so it gives the skip term
-    # alone and no posterior.
-    posteriors = []
-    append = posteriors.append
-    nxt = [x / c for x in edge]
+    # divided by sums[i + 1] * ... * sums[m].  Walking j down from n - 1,
+    # `b` holds the backward value of (i + 1, j + 1).  A pair whose last
+    # cell is 0 gets k = -1.0, not a division by 0: its cells read below 0.
+    post = array("d")
+    nxt = [[x / c for c in sums[-1]] for x in edge]
     for i in range(len(grid) - 1, -1, -1):
-        c = scales[i]
-        inv = 1.0 / c
-        k = 1.0 / (c * last)
-        x = e[i]
-        v = b = 0.0
-        row = []
-        for p, a, b0, y in zip(reversed(grid[i]), reversed(alpha[i]), nxt, h_back):
-            w = a * p * b
-            if w > 0.0:
-                append((x, y, w * k))
-            v = (p * b + eps * b0) * inv + eps * v
+        inv = [1.0 / c for c in sums[i]]
+        k = [1.0 / (c * last) if last else -1.0 for c, last in zip(sums[i], lasts)]
+        b = nxt[0]
+        v = [eps * bb * r for bb, r in zip(b, inv)]
+        row = [v]
+        for p, a, b0 in zip(reversed(grid[i]), alpha[i][-2::-1], nxt[1:]):
+            post.fromlist([w * q if w > 0.0 else -1.0 for w, q in zip(map(mul, map(mul, a, p), b), k)])
+            v = [(pp * bb + eps * bb0) * r + eps * vv for pp, bb, bb0, r, vv in zip(p, b, b0, inv, v)]
             row.append(v)
             b = b0
         nxt = row
-    posteriors.reverse()
-    return scales, last, posteriors
+    return sums, lasts, post
 
 
 def _forward_backward(e, h, costs: AlignmentCostTable) -> tuple[float, list[tuple[str, str, float]]]:
     """Log total probability over all monotone alignments, plus the match
     posteriors (e[i], h[j], w) in (i, j) order.
 
-    Reads the m x n grid `costs.grid(e, h)` once and runs the scaled passes
-    EM runs (`_scaled_passes`).  Returns -inf and no posteriors only if the
-    scaled last forward cell is zero.
+    Reads the m x n grid `costs.grid(e, h)` once and runs EM's passes,
+    `_batched_passes`, on a batch of one.  Returns -inf and no posteriors
+    only if the scaled last forward cell is zero.
     """
-    grid = [row + [0.0] for row in costs.grid(e, h)]
-    h_back = [None, *reversed(h)]
-    scales, last, posteriors = _scaled_passes(grid, e, h_back, [SKIP_PENALTY**j for j in range(len(h) + 1)])
+    grid = [[(p,) for p in row] for row in costs.grid(e, h)]
+    sums, (last,), post = _batched_passes(grid, [SKIP_PENALTY**j for j in range(len(h) + 1)], 1)
     if last == 0.0:
         return float("-inf"), []
-    return math.log(last) + sum(map(math.log, scales)), posteriors
+    return math.log(last) + sum(math.log(c) for c, in sums), [
+        (x, y, w) for (x, y), w in zip(product(e, h), reversed(post)) if w >= 0.0
+    ]
 
 
 def _distinct_pairs(corpus) -> Counter:
@@ -283,11 +265,15 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
     one pass per occurrence.  Entries that fail phonification are skipped,
     never fatal; a CorpusError is raised if no entry phonifies.
 
-    The E-step runs on ints.  Phonemes are numbered once, each side in
-    sorted order, and each distinct pair is coded once as ids.  The
-    costs are dense rows per English phoneme, filled with the table's
-    default, so a grid cell is a list index.  Soft counts go into an
-    int-keyed table in first-seen order, and the string-keyed table is
+    The E-step runs on ints, one batch per shape.  Phonemes are numbered
+    once, each side in sorted order, and each distinct pair is coded once
+    as ids.  The costs are dense rows per English phoneme, filled with the
+    table's default, so a grid cell is a list index.  All distinct pairs
+    of one shape (len(e_keys), len(h_keys)) go through one
+    `_batched_passes` call per iteration.  The posteriors of every batch
+    are held until the last batch has run, then added into an int-keyed
+    table pair by pair in first-seen order, each pair's cells in (i, j)
+    order, as a pass per pair would add them.  The string-keyed table is
     built once, at the end.  Every float comes from the same operations
     in the same order as in a string-keyed EM that stores whole forward
     and backward tables, with the builtin `sum` for the row sums and the
@@ -305,28 +291,42 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
     width = len(h_vocab)
     h_id = {h: j for j, h in enumerate(h_vocab)}
     e_id = {e: i for i, e in enumerate(e_vocab)}
-    # Dense cost rows, one per English phoneme, each closed by a 0.0 at
-    # index `width`.  They are refilled in place, so `row_of` stays valid
-    # and a grid row is one itemgetter call.
+    # Dense cost rows, one per English phoneme, refilled in place (`row_of`).
     u = 1.0 / width
-    cost = [[u] * width + [0.0] for _ in e_vocab]
-    blank = [AlignmentCostTable.default] * width + [0.0]
+    cost = [[u] * width for _ in e_vocab]
+    blank = [AlignmentCostTable.default] * width
     row_of = cost.__getitem__
-    # Per distinct pair: English ids (the rows and the soft-count rows),
-    # the itemgetter of its Hindi ids and the closing 0.0, the Hindi ids in
-    # backward order, the first forward row, and the multiplicity.
-    edges = [[SKIP_PENALTY**j for j in range(n + 1)] for n in range(max(len(hk) for _, hk in pairs) + 1)]
-    coded = []
-    for (e_keys, h_keys), count in pairs.items():
-        hs = [h_id[h] for h in h_keys]
-        es = tuple([e_id[e] for e in e_keys])
-        coded.append((es, itemgetter(*hs, width), (-1, *reversed(hs)), edges[len(hs)], count))
+    # Each distinct pair as (English ids, Hindi ids, multiplicity), in
+    # first-seen order.  A batch holds the pairs of one shape (m, n): their
+    # English ids by row and Hindi ids by column, each a tuple over the
+    # batch, then its first forward row and its size.  Each pair then gets
+    # its batch's index and its own slice of that batch's posteriors.
+    coded = [(tuple([e_id[e] for e in e_keys]), tuple([h_id[h] for h in h_keys]), count)
+             for (e_keys, h_keys), count in pairs.items()]
+    shapes: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for index, (es, hs, _) in enumerate(coded):
+        shapes[len(es), len(hs)].append(index)
+    batches = []
+    for k, ((_, n), members) in enumerate(shapes.items()):
+        size = len(members)
+        batches.append((list(zip(*(coded[b][0] for b in members))), list(zip(*(coded[b][1] for b in members))),
+                        [SKIP_PENALTY**j for j in range(n + 1)], size))
+        for lane, b in enumerate(members):
+            coded[b] += (k, slice(lane - size, None, -size))
 
     for _ in range(iterations):
         soft: dict[int, dict[int, float]] = defaultdict(lambda: defaultdict(float))
-        for es, cells, h_back, edge, count in coded:
-            for i, j, w in _scaled_passes(list(map(cells, map(row_of, es))), es, h_back, edge)[2]:
-                soft[i][j] += w * count
+        posts = [
+            _batched_passes([[list(map(getitem, rows, hs)) for hs in h_cols]
+                             for rows in (list(map(row_of, es)) for es in e_rows)], edge, size)[2]
+            for e_rows, h_cols, edge, size in batches
+        ]
+        # Soft counts in first-seen pair order, each pair's in (i, j) order.
+        for es, hs, count, k, own in coded:
+            for (i, j), w in zip(product(es, hs), posts[k][own]):
+                if w >= 0.0:
+                    soft[i][j] += w * count
+        del posts  # before the next iteration's passes
         for row in cost:
             row[:] = blank
         for i, counts in soft.items():
