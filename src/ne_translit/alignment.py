@@ -35,7 +35,6 @@ class ParallelEntry:
 
     english: str
     hindi: str
-    category: EntityCategory | None = None
 
     def __post_init__(self):
         if not self.english or not self.hindi:
@@ -77,14 +76,8 @@ class AlignmentCostTable:
     probs: dict[str, dict[str, float]] = field(default_factory=dict)
     default: float = 1e-9
 
-    def prob(self, e: str, h: str) -> float:
-        row = self.probs.get(e)
-        if row is None:
-            return self.default
-        return row.get(h, self.default)
-
     def grid(self, e, h) -> list[list[float]]:
-        """prob(e[i], h[j]) for every cell, as len(e) rows of len(h)."""
+        """The match probability of every cell (e[i], h[j]), as len(e) rows of len(h)."""
         default = self.default
         rows = []
         for x in e:
@@ -153,12 +146,13 @@ def _batched_passes(grid, edge, size):
     """Scaled forward-backward over a batch of `size` pairs of one shape
     (m, n), all of them together.
 
-    `grid[i][j]` holds prob(e[i], h[j]) of every pair of the batch, in
-    batch order, for m rows and n columns.  `edge` is the first forward
-    row, [SKIP_PENALTY**j for j in 0..n].  Each step below is one list
-    comprehension across the batch, and a row sum is the builtin `sum` of
-    one pair's row in column order, so every pair's floats come from the
-    same operations in the same order as in a pass over that pair alone.
+    `grid[i][j]` holds the match probability of (e[i], h[j]) of every
+    pair of the batch, in batch order, for m rows and n columns.  `edge`
+    is the first forward row, [SKIP_PENALTY**j for j in 0..n].  Each step
+    below is one list comprehension across the batch, and a row sum is
+    the builtin `sum` of one pair's row in column order, so every pair's
+    floats come from the same operations in the same order as in a pass
+    over that pair alone.
 
     Every forward row i is scaled by its sum c_i and every backward row i
     by the same c_i (Rabiner 1989, section V-A), so long entries do not
@@ -396,8 +390,10 @@ def load_corpus(path) -> tuple[list[ParallelEntry], list[str]]:
     """Read a parallel corpus file.
 
     One entry per line, english<TAB>hindi with an optional third category
-    column; '#' starts a comment.  Malformed lines become warnings, not
-    errors, so one bad line cannot ruin a training run.
+    column; '#' starts a comment.  A category must be a known label, but
+    training does not use it, so it is not kept: a name with and without
+    one is the same entry.  Malformed lines become warnings, not errors,
+    so one bad line cannot ruin a training run.
     """
     entries: list[ParallelEntry] = []
     warnings: list[str] = []
@@ -406,12 +402,11 @@ def load_corpus(path) -> tuple[list[ParallelEntry], list[str]]:
         if len(cols) not in (2, 3) or not cols[0].strip() or not cols[1].strip():
             warnings.append(f"line {lineno}: expected english<TAB>hindi[<TAB>category]")
             continue
-        category = None
         if len(cols) == 3:
             try:
-                category = EntityCategory.parse(cols[2].strip())
+                EntityCategory.parse(cols[2].strip())
             except ValueError:
                 warnings.append(f"line {lineno}: unknown category {cols[2].strip()!r}")
                 continue
-        entries.append(ParallelEntry(cols[0].strip(), cols[1].strip(), category))
+        entries.append(ParallelEntry(cols[0].strip(), cols[1].strip()))
     return entries, warnings

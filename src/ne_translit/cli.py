@@ -49,10 +49,11 @@ def _add_setting(parser, key, **kwargs):
 
 def _open_input(args):
     """The --in file or stdin (left open on exit), as a context manager;
-    both drop a leading byte-order mark."""
+    both drop a leading byte-order mark and end lines at a newline only,
+    so a carriage return stays in its line."""
     path = getattr(args, "infile", None)
     if path:
-        return open(path, "r", encoding="utf-8-sig")
+        return open(path, "r", encoding="utf-8-sig", newline="\n")
     return contextlib.nullcontext(sys.stdin)
 
 

@@ -140,7 +140,7 @@ def load_system(path) -> list[str]:
     as in read_lines; lines are otherwise kept as they are."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = path.read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise EvaluationError(f"cannot read system file {path}: {exc}") from exc
     return text.removesuffix("\n").split("\n") if text else []

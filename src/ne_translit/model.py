@@ -38,8 +38,8 @@ class DecodeTable(NamedTuple):
     one dense log-transition row per source in symbol order with BOS last,
     each indexed by target id with EOS last: rows[i][j] ==
     log(transition_prob(source i, target j)), where -inf stands for a
-    probability of 0.  Every source has a row, because a model that
-    exists has passed validate().
+    probability of 0.  Every source has a row, because a model cannot be
+    built without one.
     """
 
     symbols: tuple[str, ...]
@@ -53,13 +53,13 @@ class TransliterationModel:
 
     `emission` and `transition` hold observed pairs only; `*_floor` holds
     each row's probability for pairs never observed (0.0 when unsmoothed).
-    The constructor runs `validate()`, so every model, from `estimate`,
-    `load_model`, the constructor or `dataclasses.replace`, keeps the
-    table invariants.  `h_vocab` (the emission sources) and `e_vocab`
-    (their targets) are derived from `emission`.  The tables never change
-    once built.  Decoding lazily adds two derived structures on first
-    use: `decode_table`, the tables laid out for Viterbi, and
-    `decode_memo`, the word outcomes that
+    The constructor checks every table invariant and raises
+    ModelValidationError, so every model, from `estimate`, `load_model`,
+    the constructor or `dataclasses.replace`, keeps them.  `h_vocab` (the
+    emission sources) and `e_vocab` (their targets) are derived from
+    `emission`.  The tables never change once built.  Decoding lazily
+    adds two derived structures on first use: `decode_table`, the tables
+    laid out for Viterbi, and `decode_memo`, the word outcomes that
     `decoder.decode_or_fallback` remembers.  Neither is part of equality
     or of the saved file, and both stay correct when threads share one
     model (the memo is a plain dict that is cleared, not evicted from,
@@ -73,7 +73,33 @@ class TransliterationModel:
     smoothing_k: float
 
     def __post_init__(self):
-        self.validate()
+        try:
+            smoothing_constant(self.smoothing_k)
+        except ValueError as exc:
+            raise ModelValidationError(str(exc)) from None
+        if not self.emission:
+            raise ModelValidationError("a model needs at least one Hindi phoneme")
+        h_vocab = self.h_vocab
+        if set(self.transition) != h_vocab | {BOS}:
+            raise ModelValidationError("transition rows must cover the Hindi vocabulary plus BOS")
+        if set(self.emission_floor) != set(self.emission):
+            raise ModelValidationError("emission floors must mirror emission rows")
+        if set(self.transition_floor) != set(self.transition):
+            raise ModelValidationError("transition floors must mirror transition rows")
+
+        smoothed = self.smoothing_k > 0
+        e_size = len(self.e_vocab)
+        t_size = len(h_vocab) + 1
+        for h, row in self.emission.items():
+            self._check_row("emission", h, row, self.emission_floor[h], e_size, smoothed)
+        for prev, row in self.transition.items():
+            if BOS in row:
+                raise ModelValidationError("BOS must never be a transition target")
+            if not set(row) <= h_vocab | {EOS}:
+                raise ModelValidationError(f"transition row {prev!r} targets outside the vocabulary")
+            self._check_row("transition", prev, row, self.transition_floor[prev], t_size, smoothed)
+        if EOS in self.transition:
+            raise ModelValidationError("EOS must never be a transition source")
 
     @property
     def h_vocab(self) -> frozenset[str]:
@@ -112,19 +138,13 @@ class TransliterationModel:
         return {}
 
     def emission_prob(self, h: str, e: str) -> float:
-        """P(e | h); unknown h falls back to a uniform guess."""
-        row = self.emission.get(h)
-        if row is None:
-            e_size = len(self.e_vocab)
-            return 1.0 / e_size if e_size else 0.0
-        return row.get(e, self.emission_floor[h])
+        """P(e | h); a KeyError when h is not a Hindi phoneme of the model."""
+        return self.emission[h].get(e, self.emission_floor[h])
 
     def transition_prob(self, h_prev: str, h: str) -> float:
-        """P(h | h_prev) over the Hindi vocabulary plus the end symbol."""
-        row = self.transition.get(h_prev)
-        if row is None:
-            return 1.0 / (len(self.emission) + 1) if self.emission else 0.0
-        return row.get(h, self.transition_floor[h_prev])
+        """P(h | h_prev) over the Hindi vocabulary plus the end symbol; a
+        KeyError when h_prev is neither BOS nor a Hindi phoneme of the model."""
+        return self.transition[h_prev].get(h, self.transition_floor[h_prev])
 
     def position_score(self, h_prev: str, h: str, h_next: str, e: str) -> float:
         """Composite per-position score: emission times both transitions.
@@ -136,39 +156,6 @@ class TransliterationModel:
             * self.transition_prob(h_prev, h)
             * self.transition_prob(h, h_next)
         )
-
-    def validate(self) -> None:
-        """Check every table invariant; raises ModelValidationError.
-
-        The constructor calls this, so a model that exists has passed it.
-        """
-        try:
-            smoothing_constant(self.smoothing_k)
-        except ValueError as exc:
-            raise ModelValidationError(str(exc)) from None
-        if not self.emission:
-            raise ModelValidationError("a model needs at least one Hindi phoneme")
-        h_vocab = self.h_vocab
-        if set(self.transition) != h_vocab | {BOS}:
-            raise ModelValidationError("transition rows must cover the Hindi vocabulary plus BOS")
-        if set(self.emission_floor) != set(self.emission):
-            raise ModelValidationError("emission floors must mirror emission rows")
-        if set(self.transition_floor) != set(self.transition):
-            raise ModelValidationError("transition floors must mirror transition rows")
-
-        smoothed = self.smoothing_k > 0
-        e_size = len(self.e_vocab)
-        t_size = len(h_vocab) + 1
-        for h, row in self.emission.items():
-            self._check_row("emission", h, row, self.emission_floor[h], e_size, smoothed)
-        for prev, row in self.transition.items():
-            if BOS in row:
-                raise ModelValidationError("BOS must never be a transition target")
-            if not set(row) <= h_vocab | {EOS}:
-                raise ModelValidationError(f"transition row {prev!r} targets outside the vocabulary")
-            self._check_row("transition", prev, row, self.transition_floor[prev], t_size, smoothed)
-        if EOS in self.transition:
-            raise ModelValidationError("EOS must never be a transition source")
 
     @staticmethod
     def _check_row(kind, source, row, floor, width, smoothed):
@@ -308,6 +295,8 @@ def load_model(path) -> TransliterationModel:
         if section == "meta":
             if len(cols) != 2:
                 raise ModelFormatError(f"{path}: line {lineno}: expected key<TAB>value")
+            if cols[0] in meta:
+                raise ModelFormatError(f"{path}: line {lineno}: duplicate meta key {cols[0]!r}")
             meta[cols[0]] = cols[1]
             continue
         if len(cols) != 3:

@@ -127,19 +127,6 @@ def parse_inline(line: str) -> tuple[str, list[EntitySpan]]:
         i = close + 2
 
 
-def format_inline(sentence: str, spans) -> str:
-    """Inverse of parse_inline for well-formed input."""
-    validate_spans(sentence, spans)
-    parts: list[str] = []
-    last = 0
-    for span in spans:
-        parts.append(sentence[last : span.start])
-        parts.append(f"[[{span.surface}|{span.category.value}]]")
-        last = span.end
-    parts.append(sentence[last:])
-    return "".join(parts)
-
-
 def parse_columnar(line: str) -> tuple[str, list[EntitySpan]]:
     """Parse `sentence<TAB>start,end,CAT...`; spans must be sorted."""
     fields = line.split("\t")

@@ -38,6 +38,11 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else NEG_INF
 
 
+def cost_prob(costs, e, h) -> float:
+    """The match probability of (e, h), read from the cost table's rows."""
+    return costs.probs.get(e, {}).get(h, costs.default)
+
+
 # --- monotone alignment oracle -------------------------------------------
 
 def enumerate_monotone(e, h, costs):
@@ -53,7 +58,7 @@ def enumerate_monotone(e, h, costs):
             return
         if i < len(e) and j < len(h):
             pairs.append((e[i], h[j]))
-            yield from walk(i + 1, j + 1, pairs, score + _log(costs.prob(e[i], h[j])))
+            yield from walk(i + 1, j + 1, pairs, score + _log(cost_prob(costs, e[i], h[j])))
             pairs.pop()
         if i < len(e):
             yield from walk(i + 1, j, pairs, score + log_skip)
@@ -86,7 +91,7 @@ def log_total_probability(e, h, costs) -> float:
         for j in range(len(h) + 1):
             terms = [0.0] if i == j == 0 else []
             if i and j:
-                terms.append(prev[j - 1] + _log(costs.prob(e[i - 1], h[j - 1])))
+                terms.append(prev[j - 1] + _log(cost_prob(costs, e[i - 1], h[j - 1])))
             if i:
                 terms.append(prev[j] + log_skip)
             if j:
@@ -192,7 +197,7 @@ def reference_scaled_em(corpus, iterations):
 
 
 def reference_align_monotone(e, h, costs):
-    """The hard aligner cell by cell, one costs.prob call per cell: the
+    """The hard aligner cell by cell, one cost_prob call per cell: the
     implementation align_monotone must reproduce, tie order included."""
     m, n = len(e), len(h)
     log_skip = math.log(SKIP_PENALTY)
@@ -205,7 +210,7 @@ def reference_align_monotone(e, h, costs):
                 continue
             best, mv = NEG_INF, None
             if i > 0 and j > 0:
-                s = score[i - 1][j - 1] + _log(costs.prob(e[i - 1], h[j - 1]))
+                s = score[i - 1][j - 1] + _log(cost_prob(costs, e[i - 1], h[j - 1]))
                 if s > best:
                     best, mv = s, "match"
             if i > 0 and score[i - 1][j] + log_skip > best:
@@ -233,7 +238,7 @@ def best_monotone_score(e, h, costs) -> float:
 
 def score_alignment(e, h, pairs, costs) -> float:
     """Score of a specific alignment result: matches plus implied skips."""
-    score = sum(_log(costs.prob(pe, ph)) for pe, ph in pairs)
+    score = sum(_log(cost_prob(costs, pe, ph)) for pe, ph in pairs)
     skips = (len(e) - len(pairs)) + (len(h) - len(pairs))
     return score + skips * math.log(SKIP_PENALTY)
 

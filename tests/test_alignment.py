@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import defaultdict
@@ -23,6 +24,7 @@ from ne_translit.alignment import (
 from ne_translit.errors import CorpusError
 
 from helpers import (
+    cost_prob,
     make_memorization_corpus,
     best_monotone_score,
     reference_align_monotone,
@@ -282,7 +284,7 @@ def test_em_matches_reference_on_corpus_with_duplicates():
 
 def test_em_single_entry_gives_certainty():
     table = em_train_alignment([ParallelEntry("ra", "रा")], iterations=3)
-    assert table.prob("ra", "रा") == pytest.approx(1.0)
+    assert cost_prob(table, "ra", "रा") == pytest.approx(1.0)
 
 
 def test_em_counts_match_hand_tally():
@@ -292,11 +294,11 @@ def test_em_counts_match_hand_tally():
         ParallelEntry("ra", "र"),
     ]
     table = em_train_alignment(corpus, iterations=1)
-    assert table.prob("ra", "रा") == pytest.approx(2 / 3, abs=1e-12)
-    assert table.prob("ra", "र") == pytest.approx(1 / 3, abs=1e-12)
+    assert cost_prob(table, "ra", "रा") == pytest.approx(2 / 3, abs=1e-12)
+    assert cost_prob(table, "ra", "र") == pytest.approx(1 / 3, abs=1e-12)
     # the fixed point barely moves under more iterations
     table10 = em_train_alignment(corpus, iterations=10)
-    assert table10.prob("ra", "रा") == pytest.approx(2 / 3, abs=1e-6)
+    assert cost_prob(table10, "ra", "रा") == pytest.approx(2 / 3, abs=1e-6)
 
 
 def test_em_rows_are_normalized():
@@ -358,7 +360,7 @@ def test_em_recovers_a_known_table():
     table = em_train_alignment(entries, iterations=10)
     for e, row in truth.items():
         for h, p in row.items():
-            assert table.prob(e, h) == pytest.approx(p, abs=0.05)
+            assert cost_prob(table, e, h) == pytest.approx(p, abs=0.05)
 
 
 def test_unphonifiable_entry_is_skipped_not_fatal():
@@ -367,7 +369,7 @@ def test_unphonifiable_entry_is_skipped_not_fatal():
         ParallelEntry("x9y", "रा"),  # digits cannot be phonified
     ]
     table = em_train_alignment(corpus, iterations=2)
-    assert table.prob("ra", "रा") > 0
+    assert cost_prob(table, "ra", "रा") > 0
     aligned, skipped = build_aligned_corpus(corpus, table)
     assert len(aligned) == 1
     assert len(skipped) == 1 and "x9y" in skipped[0]
@@ -473,20 +475,25 @@ def test_load_corpus_tolerates_bad_lines(tmp_path):
         encoding="utf-8",
     )
     entries, warnings = load_corpus(corpus)
-    assert [e.english for e in entries] == ["Radhika", "Amar"]
-    assert entries[1].category is not None
-    assert len(warnings) == 2
-    assert any("line 3" in w for w in warnings)
-    assert any("line 5" in w for w in warnings)
+    # a known category is checked, then dropped: an entry is its two sides
+    assert entries == [ParallelEntry("Radhika", "राधिका"), ParallelEntry("Amar", "अमर")]
+    assert [f.name for f in dataclasses.fields(ParallelEntry)] == ["english", "hindi"]
+    assert warnings == [
+        "line 3: expected english<TAB>hindi[<TAB>category]",
+        "line 5: unknown category 'WHAT'",
+    ]
 
 
 def test_load_corpus_splits_lines_at_newlines_only(tmp_path):
-    # str.splitlines would also split at the form feed, train on Kumar/राम
-    # and report the bad line as line 3
+    # str.splitlines would also split at the form feed, and universal
+    # newlines at the lone carriage return: both would train on Kumar/राम
+    # and Hari/गीता and misnumber the bad line
     corpus = tmp_path / "corpus.tsv"
-    corpus.write_text("Ram\fKumar\tराम\nbad line\nSita\tसीता\n", encoding="utf-8")
+    corpus.write_bytes("Ram\fKumar\tराम\nbad line\nGita\rHari\tगीता\nSita\tसीता\r\n".encode("utf-8"))
     entries, warnings = load_corpus(corpus)
-    assert entries == [ParallelEntry("Ram\fKumar", "राम"), ParallelEntry("Sita", "सीता")]
+    assert entries == [
+        ParallelEntry("Ram\fKumar", "राम"), ParallelEntry("Gita\rHari", "गीता"), ParallelEntry("Sita", "सीता")
+    ]
     assert warnings == ["line 2: expected english<TAB>hindi[<TAB>category]"]
 
 

@@ -60,8 +60,9 @@ def test_in_file_with_a_bom_reads_its_first_word(tmp_path, capsys):
 
 
 def run_cli_bytes(argv, stdin_bytes, monkeypatch):
-    """main(argv) with stdin a byte stream that main decodes itself."""
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin_bytes), encoding="utf-8"))
+    """main(argv) with stdin a byte stream that main decodes itself, ending
+    lines at a newline only, as a real pipe does."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin_bytes), encoding="utf-8", newline="\n"))
     return main(argv)
 
 
@@ -94,6 +95,32 @@ def test_a_bom_on_stdin_is_dropped_before_the_first_line(command, line, model_fi
     assert run_cli_bytes(argv, f"\ufeff{line}\n".encode("utf-8"), monkeypatch) == 0
     assert capsys.readouterr() == plain
     assert "\ufeff" not in plain.out
+
+
+@pytest.mark.parametrize(
+    "argv, text, lines_out",
+    [
+        (["phonify"], "Ram\rKumar\nSita\r\nRadhika\n", 2),  # line 1 is reported: CR is no letter
+        (["transliterate", "--fallback", "copy"], "Radhika\rRimi\nRimi\r\nRadhika\n", 3),
+        (["translate"], "[[Radhika|PER]] met\r[[Rimi|PER]].\r\n[[Rimi|PER]] left.\n", 2),
+    ],
+    ids=["phonify", "transliterate", "translate"],
+)
+def test_a_pipe_and_an_in_file_give_the_same_lines(argv, text, lines_out, model_file, tmp_path):
+    # only a newline ends a line: a lone CR stays inside it, and a CRLF
+    # line keeps its CR, whichever way the bytes come in
+    command = argv[0]
+    argv = [sys.executable, "-m", "ne_translit", *argv]
+    if command != "phonify":
+        argv += ["--model", str(model_file)]
+    infile = tmp_path / "input.txt"
+    infile.write_bytes(text.encode("utf-8"))
+    piped = subprocess.run(argv, input=infile.read_bytes(), capture_output=True, env=child_env())
+    read = subprocess.run(argv + ["--in", str(infile)], capture_output=True, env=child_env())
+    assert (read.returncode, read.stdout, read.stderr) == (piped.returncode, piped.stdout, piped.stderr)
+    assert piped.stdout.count(b"\n") == lines_out
+    if command == "translate":
+        assert piped.stdout.decode("utf-8") == "राधिका met\rरीमी.\r\nरीमी left.\n"
 
 
 def test_phonify_bad_word_exits_one(capsys, monkeypatch):
@@ -176,6 +203,28 @@ def test_train_model_bytes_golden_where_em_must_skip(tmp_path, capsys):
     loaded, _ = load_corpus(corpus)
     lengths = {tuple(map(len, entry.keys)) for entry in loaded if entry.english != "X9y"}
     assert (3, 2) in lengths and (2, 3) in lengths  # skip-English and skip-Hindi both needed
+
+
+def test_a_corpus_category_changes_neither_phonification_nor_the_model(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(token, _phonify=alignment.phonify_latin):
+        calls.append(token)
+        return _phonify(token)
+
+    monkeypatch.setattr(alignment, "phonify_latin", counted)
+    models = []
+    for name, text in (
+        ("plain", "Seema\tसीमा\nSeema\tसीमा\nAmar\tअमर\nRaam Kumar\tराम कुमार\n"),
+        ("tagged", "Seema\tसीमा\tPER\nSeema\tसीमा\nAmar\tअमर\tper\nRaam Kumar\tराम कुमार\tPER\n"),
+    ):
+        corpus, model = tmp_path / f"{name}.tsv", tmp_path / f"{name}.txt"
+        corpus.write_text(text, encoding="utf-8")
+        calls.clear()
+        assert main(["--quiet", "train", str(corpus), str(model)]) == 0
+        assert sorted(calls) == ["Amar", "Kumar", "Raam", "Seema"]  # once per distinct pair
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 # every line parses, but no entry phonifies

@@ -67,6 +67,12 @@ def test_fit_on_an_unusable_corpus_raises_corpus_error():
     assert not hasattr(est, "model_")
 
 
+def test_fit_takes_english_hindi_pairs_only():
+    # a corpus category is not part of a training entry
+    with pytest.raises(TypeError):
+        HmmTransliterator().fit([("Rama", "रामा", "PER")])
+
+
 def test_predict_zero_probability_word_falls_back(memorization_corpus):
     # unsmoothed, the model never saw the transitions of Rama
     pairs = [(e.english, e.hindi) for e in memorization_corpus]

@@ -168,10 +168,11 @@ def test_load_gold_errors_name_the_line(tmp_path):
 
 
 def test_load_system_splits_lines_at_newlines_only(tmp_path):
-    # str.splitlines would make two outputs of the line with U+2028 in it
+    # str.splitlines would make two outputs of the line with U+2028 in it,
+    # and universal newlines two of the line with a lone carriage return
     path = tmp_path / "system.txt"
-    path.write_text("राम\u2028सीता\n\nभारत\n", encoding="utf-8")
-    assert load_system(path) == ["राम\u2028सीता", "", "भारत"]
+    path.write_bytes("राम\u2028सीता\nगीता\rहरि\n\nभारत\r\n".encode("utf-8"))
+    assert load_system(path) == ["राम\u2028सीता", "गीता\rहरि", "", "भारत\r"]
     path.write_text("भारत", encoding="utf-8")
     assert load_system(path) == ["भारत"]
     path.write_text("", encoding="utf-8")

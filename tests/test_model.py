@@ -7,7 +7,7 @@ import pytest
 
 from ne_translit.alignment import AlignedPair
 from ne_translit.errors import ModelFormatError, ModelValidationError, ModelVersionError
-from ne_translit.model import BOS, EOS, TransliterationModel, estimate, load_model, save_model
+from ne_translit.model import BOS, EOS, ROW_SUM_TOLERANCE, TransliterationModel, estimate, load_model, save_model
 
 from helpers import count_tables, random_aligned_corpus
 
@@ -25,9 +25,12 @@ def test_unseen_pair_unsmoothed_is_zero(single_entry_model):
     assert single_entry_model.transition_prob("अ", "र") == 0.0
 
 
-def test_unknown_source_is_uniform(single_entry_model):
-    assert single_entry_model.emission_prob("घ", "a") == pytest.approx(1 / 3)
-    assert single_entry_model.transition_prob("घ", "अ") == pytest.approx(1 / 4)
+@pytest.mark.parametrize("source", ["घ", EOS])
+def test_an_unknown_source_is_a_key_error(single_entry_model, source):
+    with pytest.raises(KeyError):
+        single_entry_model.emission_prob(source, "a")
+    with pytest.raises(KeyError):
+        single_entry_model.transition_prob(source, "अ")
 
 
 def test_emission_ratio_from_mixed_counts():
@@ -71,7 +74,10 @@ def test_rows_normalize_after_estimation():
     for k in (0.0, 0.1, 1.0):
         corpus = random_aligned_corpus(rng, max_pairs=60)
         m = estimate(corpus, smoothing_k=k)
-        m.validate()  # includes the row-sum check at 1e-9
+        for h in m.h_vocab:
+            assert abs(sum(m.emission_prob(h, e) for e in m.e_vocab) - 1.0) <= ROW_SUM_TOLERANCE
+        for prev in m.transition:
+            assert abs(sum(m.transition_prob(prev, h) for h in m.h_vocab | {EOS}) - 1.0) <= ROW_SUM_TOLERANCE
 
 
 def test_boundary_symbols_never_reversed():
@@ -136,7 +142,6 @@ def test_save_load_round_trip_smoothed(tmp_path):
     save_model(m, path)
     loaded = load_model(path)
     assert loaded == m
-    loaded.validate()
 
 
 @pytest.mark.parametrize("smoothing_k", [0.0, 0.25])
@@ -263,6 +268,8 @@ def test_load_rejects_row_that_does_not_sum_to_one(single_entry_model, tmp_path)
 LOAD_REJECTIONS = [
     (0.0, 1, "[meta]", "meta", ModelFormatError, "{path}: line 1: content before any section header"),
     (0.0, 2, "version\t1", "version 1", ModelFormatError, "{path}: line 2: expected key<TAB>value"),
+    (0.0, 3, "smoothing_k\t0", "smoothing_k\t0\nsmoothing_k\t0.5", ModelFormatError,
+     "{path}: line 4: duplicate meta key 'smoothing_k'"),
     (0.0, 8, "म\tma\t1", "म\tma", ModelFormatError,
      "{path}: line 8: expected source<TAB>target<TAB>probability"),
     (0.0, 8, "म\tma\t1", "म\tma\tabc", ModelFormatError, "{path}: line 8: bad probability 'abc'"),

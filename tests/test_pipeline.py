@@ -12,7 +12,6 @@ from ne_translit.pipeline import (
     EntitySpan,
     PipelineConfig,
     Route,
-    format_inline,
     parse_annotations,
     parse_inline,
     process_sentence,
@@ -81,12 +80,6 @@ def test_parse_inline_matches_the_character_scanner_on_fuzz():
             assert parse_inline(line) == expected, line
             parsed += expected[1] != []
     assert parsed > 1000 and rejected > 1000  # both outcomes well exercised
-
-
-def test_inline_round_trip():
-    for line in (INDIA_LINE, "[[A|PER]] met [[B|PER]]", "plain text"):
-        sentence, spans = parse_annotations(line, "inline")
-        assert format_inline(sentence, spans) == line
 
 
 def test_parse_columnar():
