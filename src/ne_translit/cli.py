@@ -267,6 +267,10 @@ def main(argv=None) -> int:
     except (NeTranslitError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:  # file loaders report their own; --in and stdin decode as read
+        source = getattr(args, "infile", None) or "standard input"
+        print(f"{PROG}: error: cannot read {source}: not UTF-8 ({exc.reason})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import inspect
 
 from .alignment import ParallelEntry, align_corpus
 from .decoder import Fallback, transliterate
-from .errors import NotFittedError
+from .errors import CorpusError, NotFittedError
 from .kb import KnowledgeBase, normalize
 from .model import TransliterationModel, estimate
 from .pipeline import ANNOTATION_FORMATS, PipelineConfig, parse_annotations, process_sentence
@@ -45,14 +45,13 @@ class ParamsMixin:
         return self
 
 
-def _coerce_entries(X) -> list[ParallelEntry]:
-    entries = []
-    for item in X:
-        if isinstance(item, ParallelEntry):
-            entries.append(item)
-        else:
-            entries.append(ParallelEntry(*item))
-    return entries
+def _coerce_entry(index, item) -> ParallelEntry:
+    """Item `index` of fit's X: a ParallelEntry or an (english, hindi) pair."""
+    if isinstance(item, ParallelEntry):
+        return item
+    if isinstance(item, (tuple, list)) and len(item) == 2 and all(isinstance(s, str) and s for s in item):
+        return ParallelEntry(*item)
+    raise CorpusError(f"item {index}: expected an (english, hindi) pair of non-empty strings: {item!r}")
 
 
 class HmmTransliterator(ParamsMixin):
@@ -74,10 +73,11 @@ class HmmTransliterator(ParamsMixin):
 
     def fit(self, X, y=None):
         """X: parallel entries, as ParallelEntry or (english, hindi) pairs.
-        Raises CorpusError if no entry is usable."""
+        Raises CorpusError for an item that is neither, or if no entry is
+        usable."""
         iterations = check("em_iterations", self.em_iterations)
         k = check("smoothing_k", self.smoothing_k)
-        entries = _coerce_entries(X)
+        entries = [_coerce_entry(index, item) for index, item in enumerate(X)]
         self.alignment_, usable, skipped = align_corpus(entries, iterations)
         self.model_: TransliterationModel = estimate(usable, k)
         self.skipped_ = tuple(skipped)

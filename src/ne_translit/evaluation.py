@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import EvaluationError
 from .kb import EntityCategory, normalize
-from .textfile import read_lines
+from .textfile import read_lines, read_text
 
 # Display order of the per-category rows.
 CATEGORY_ORDER = (EntityCategory.PERSON, EntityCategory.LOCATION, EntityCategory.ORGANIZATION)
@@ -136,11 +136,7 @@ def load_gold(path) -> list[GoldRecord]:
 
 def load_system(path) -> list[str]:
     """Read system outputs, one per line, index-aligned with the gold file.
-    Lines end at a newline only and a leading byte-order mark is dropped,
-    as in read_lines; lines are otherwise kept as they are."""
-    path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8-sig")
-    except OSError as exc:
-        raise EvaluationError(f"cannot read system file {path}: {exc}") from exc
+    The file is read by read_text, as every input file is; its lines end
+    at a newline only and are otherwise kept as they are."""
+    text = read_text(path, EvaluationError, "system file")
     return text.removesuffix("\n").split("\n") if text else []

@@ -1,11 +1,13 @@
 """Rule-based segmentation of words into phoneme-like grapheme clusters.
 
-Latin words are split around vowel nuclei: the longest consonant run before
-a vowel joins it as the onset, a nasal (n/m) right after the nucleus joins
-as a coda when another consonant follows, and consonant material with no
-vowel left to claim it stands alone.  Devanagari words are split into
-aksharas: an independent vowel, or a consonant cluster with its optional
-matra, either one optionally carrying a nasalization sign.
+Each script is segmented by one regular expression, compiled at import
+from the character classes below.  A Latin word is what `C*V(?:N(?=C))?|C+`
+finds from left to right (C a consonant, V a vowel, N an n or m, in either
+case): `C*V` holds phonify_latin's rules 1 and 4, `N(?=C)` rule 2 and `C+`
+rule 3.  A Devanagari word is one match of `IS?|K(?:HK)*(?:H|M)?S?` at each
+offset (I an independent vowel, K a consonant with an optional nukta, H the
+halant, M a matra, S a nasalization sign); an offset where none starts holds
+a dependent sign with no base consonant or a letter of another script.
 
 Segmentation is lossless: concatenating the phoneme surfaces of a word
 always reproduces the (NFC-normalized) word exactly.  A PhonemeSequence
@@ -15,6 +17,7 @@ case-folded form the model tables are keyed by) and bracketed().
 
 from __future__ import annotations
 
+import re
 import string
 import unicodedata
 from dataclasses import dataclass
@@ -33,8 +36,6 @@ class Script(Enum):
 LATIN_LETTERS = frozenset(string.ascii_letters)
 LATIN_VOWELS = frozenset("aeiou")
 LATIN_NASALS = frozenset("nm")
-_LATIN_CONSONANTS = LATIN_LETTERS - LATIN_VOWELS - frozenset("AEIOU")
-_LATIN_NASALS_ANY_CASE = LATIN_NASALS | frozenset("NM")
 
 DEV_INDEPENDENT_VOWELS = frozenset(chr(c) for c in range(0x0904, 0x0915)) | frozenset("ॠॡ")
 DEV_CONSONANTS = (
@@ -52,14 +53,33 @@ _DEV_ALL = (
 )
 
 
+def _any_of(chars) -> str:
+    """A regex character class; sorted, so the pattern text does not
+    depend on the hash seed."""
+    return "[" + "".join(sorted(chars)) + "]"
+
+
+_LATIN_VOWEL = _any_of(c for c in LATIN_LETTERS if c.lower() in LATIN_VOWELS)
+_LATIN_CONSONANT = _any_of(c for c in LATIN_LETTERS if c.lower() not in LATIN_VOWELS)
+_LATIN_NASAL = _any_of(c for c in LATIN_LETTERS if c.lower() in LATIN_NASALS)
+_LATIN_PHONEME = re.compile(
+    f"{_LATIN_CONSONANT}*{_LATIN_VOWEL}(?:{_LATIN_NASAL}(?={_LATIN_CONSONANT}))?|{_LATIN_CONSONANT}+"
+)
+
+_DEV_CONSONANT = _any_of(DEV_CONSONANTS) + DEV_NUKTA + "?"
+_DEV_AKSHARA = re.compile(
+    f"{_any_of(DEV_INDEPENDENT_VOWELS)}{_any_of(DEV_NASALIZATION)}?"
+    f"|{_DEV_CONSONANT}(?:{DEV_HALANT}{_DEV_CONSONANT})*"
+    f"(?:{DEV_HALANT}|{_any_of(DEV_MATRAS)})?{_any_of(DEV_NASALIZATION)}?"
+)
+
+
 @dataclass(frozen=True)
 class PhonemeSequence:
-    """Ordered phonemes of one word, all in the same script, held as their
-    surfaces."""
+    """Ordered phonemes of one word, held as their surfaces."""
 
     units: tuple[str, ...]
     source_word: str
-    script: Script
 
     def __post_init__(self):
         if "" in self.units:
@@ -101,23 +121,7 @@ def phonify_latin(word: str) -> PhonemeSequence:
         for idx, c in enumerate(word):
             if c not in LATIN_LETTERS:
                 raise ScriptError(f"not a Latin letter: {c!r} at offset {idx} in {word!r}")
-
-    consonants = _LATIN_CONSONANTS
-    units = []
-    i, n = 0, len(word)
-    while i < n:
-        j = i
-        while j < n and word[j] in consonants:
-            j += 1
-        if j == n:  # trailing consonant run, no nucleus left
-            k = n
-        else:
-            k = j + 1  # word[j] is the single vowel nucleus
-            if k + 1 < n and word[k] in _LATIN_NASALS_ANY_CASE and word[k + 1] in consonants:
-                k += 1
-        units.append(word[i:k])
-        i = k
-    return PhonemeSequence(tuple(units), word, Script.LATIN)
+    return PhonemeSequence(tuple(_LATIN_PHONEME.findall(word)), word)
 
 
 def phonify_devanagari(word: str) -> PhonemeSequence:
@@ -129,38 +133,18 @@ def phonify_devanagari(word: str) -> PhonemeSequence:
     halant stays with its consonant as an explicit vowel killer.
     """
     word = unicodedata.normalize("NFC", word)
-    if not word:
-        return PhonemeSequence((), "", Script.DEVANAGARI)
-
     units = []
-    i, n = 0, len(word)
-    while i < n:
-        c = word[i]
-        start = i
-        if c in DEV_INDEPENDENT_VOWELS:
-            i += 1
-            if i < n and word[i] in DEV_NASALIZATION:
-                i += 1
-        elif c in DEV_CONSONANTS:
-            i += 1
-            if i < n and word[i] == DEV_NUKTA:
-                i += 1
-            while i + 1 < n and word[i] == DEV_HALANT and word[i + 1] in DEV_CONSONANTS:
-                i += 2
-                if i < n and word[i] == DEV_NUKTA:
-                    i += 1
-            if i < n and word[i] == DEV_HALANT:
-                i += 1  # dead consonant: trailing halant suppresses the vowel
-            elif i < n and word[i] in DEV_MATRAS:
-                i += 1
-            if i < n and word[i] in DEV_NASALIZATION:
-                i += 1
-        elif c in DEV_MATRAS or c in DEV_NASALIZATION or c in (DEV_HALANT, DEV_NUKTA):
-            raise MalformedWordError(f"dependent sign {c!r} with no base consonant", offset=i)
-        else:
+    i = 0
+    while i < len(word):
+        akshara = _DEV_AKSHARA.match(word, i)
+        if akshara is None:
+            c = word[i]
+            if c in DEV_MATRAS or c in DEV_NASALIZATION or c in (DEV_HALANT, DEV_NUKTA):
+                raise MalformedWordError(f"dependent sign {c!r} with no base consonant", offset=i)
             raise ScriptError(f"not a Devanagari letter or sign: {c!r} at offset {i} in {word!r}")
-        units.append(word[start:i])
-    return PhonemeSequence(tuple(units), word, Script.DEVANAGARI)
+        units.append(akshara.group())
+        i = akshara.end()
+    return PhonemeSequence(tuple(units), word)
 
 
 def detect_script(word: str) -> Script:

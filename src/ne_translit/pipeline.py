@@ -57,7 +57,6 @@ class EntityDecision:
 
 @dataclass(frozen=True)
 class ProcessedSentence:
-    original: str
     substituted: str
     decisions: tuple[EntityDecision, ...]
 
@@ -230,4 +229,4 @@ def process_sentence(
     for decision in reversed(decisions):
         span = decision.span
         substituted = substituted[: span.start] + decision.output + substituted[span.end :]
-    return ProcessedSentence(sentence, substituted, tuple(decisions))
+    return ProcessedSentence(substituted, tuple(decisions))

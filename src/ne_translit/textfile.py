@@ -1,25 +1,35 @@
-"""The one reader of the package's line-oriented text files."""
+"""The one reader of the package's text files."""
 
 from __future__ import annotations
 
+import codecs
 from pathlib import Path
 
 
-def read_lines(path, error, what: str) -> list[tuple[int, str]]:
-    """(line number, stripped line) for each line of a UTF-8 file that is
-    neither blank nor a '#' comment.  A leading byte-order mark is dropped.
-    Lines end at a newline only: unlike str.splitlines or universal
-    newlines, a lone carriage return, form feed, U+0085 or U+2028 stays
-    inside its line (the CR of a CRLF is stripped with the other
-    whitespace).  An unreadable file raises
-    `error`("cannot read <what> <path>: <reason>").
-    """
+def read_text(path, error, what: str) -> str:
+    """The text of a UTF-8 file, a leading byte-order mark dropped.  A file
+    that cannot be read, or is not UTF-8, raises
+    `error`("cannot read <what> <path>: <reason>")."""
     try:
-        text = Path(path).read_bytes().decode("utf-8-sig")
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"cannot read {what} {path}: line {lineno} is not UTF-8 ({exc.reason})") from exc
+
+
+def read_lines(path, error, what: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) for each line of a UTF-8 file (see
+    read_text) that is neither blank nor a '#' comment.  Lines end at a
+    newline only: unlike str.splitlines or universal newlines, a lone
+    carriage return, form feed, U+0085 or U+2028 stays inside its line
+    (the CR of a CRLF is stripped with the other whitespace).
+    """
     return [
         (lineno, line)
-        for lineno, raw in enumerate(text.split("\n"), start=1)
+        for lineno, raw in enumerate(read_text(path, error, what).split("\n"), start=1)
         if (line := raw.strip()) and line[0] != "#"
     ]

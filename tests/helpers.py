@@ -20,6 +20,7 @@ from ne_translit.alignment import (
 )
 from ne_translit.errors import (
     AnnotationError,
+    MalformedWordError,
     NeTranslitError,
     ScriptError,
     UnseenPhonemeError,
@@ -28,7 +29,17 @@ from ne_translit.errors import (
 from ne_translit.decoder import UNK_OUTPUT, Fallback, viterbi
 from ne_translit.kb import EntityCategory
 from ne_translit.model import BOS, EOS, TransliterationModel
-from ne_translit.phonology import phonify_devanagari, phonify_latin
+from ne_translit.phonology import (
+    DEV_CONSONANTS,
+    DEV_HALANT,
+    DEV_INDEPENDENT_VOWELS,
+    DEV_MATRAS,
+    DEV_NASALIZATION,
+    DEV_NUKTA,
+    LATIN_LETTERS,
+    phonify_devanagari,
+    phonify_latin,
+)
 from ne_translit.pipeline import EntitySpan
 
 NEG_INF = float("-inf")
@@ -391,6 +402,74 @@ def make_memorization_corpus(n=50, seed=7) -> list[ParallelEntry]:
         hindi = "".join(h for _, h in picks)
         entries[english] = ParallelEntry(english.capitalize(), hindi)
     return list(entries.values())
+
+
+# --- segmentation references ----------------------------------------------
+
+_LATIN_CONSONANTS = LATIN_LETTERS - frozenset("aeiouAEIOU")
+_LATIN_NASALS_ANY_CASE = frozenset("nmNM")
+
+
+def reference_phonify_latin(word: str) -> tuple[str, ...]:
+    """Latin segmentation one character at a time: the units
+    phonology.phonify_latin must reproduce, errors included.  `word` is
+    taken as already NFC-normalized."""
+    if not LATIN_LETTERS.issuperset(word):
+        for idx, c in enumerate(word):
+            if c not in LATIN_LETTERS:
+                raise ScriptError(f"not a Latin letter: {c!r} at offset {idx} in {word!r}")
+
+    consonants = _LATIN_CONSONANTS
+    units = []
+    i, n = 0, len(word)
+    while i < n:
+        j = i
+        while j < n and word[j] in consonants:
+            j += 1
+        if j == n:  # trailing consonant run, no nucleus left
+            k = n
+        else:
+            k = j + 1  # word[j] is the single vowel nucleus
+            if k + 1 < n and word[k] in _LATIN_NASALS_ANY_CASE and word[k + 1] in consonants:
+                k += 1
+        units.append(word[i:k])
+        i = k
+    return tuple(units)
+
+
+def reference_phonify_devanagari(word: str) -> tuple[str, ...]:
+    """Akshara segmentation one character at a time: the units
+    phonology.phonify_devanagari must reproduce, errors and offsets
+    included.  `word` is taken as already NFC-normalized."""
+    units = []
+    i, n = 0, len(word)
+    while i < n:
+        c = word[i]
+        start = i
+        if c in DEV_INDEPENDENT_VOWELS:
+            i += 1
+            if i < n and word[i] in DEV_NASALIZATION:
+                i += 1
+        elif c in DEV_CONSONANTS:
+            i += 1
+            if i < n and word[i] == DEV_NUKTA:
+                i += 1
+            while i + 1 < n and word[i] == DEV_HALANT and word[i + 1] in DEV_CONSONANTS:
+                i += 2
+                if i < n and word[i] == DEV_NUKTA:
+                    i += 1
+            if i < n and word[i] == DEV_HALANT:
+                i += 1  # dead consonant: trailing halant suppresses the vowel
+            elif i < n and word[i] in DEV_MATRAS:
+                i += 1
+            if i < n and word[i] in DEV_NASALIZATION:
+                i += 1
+        elif c in DEV_MATRAS or c in DEV_NASALIZATION or c in (DEV_HALANT, DEV_NUKTA):
+            raise MalformedWordError(f"dependent sign {c!r} with no base consonant", offset=i)
+        else:
+            raise ScriptError(f"not a Devanagari letter or sign: {c!r} at offset {i} in {word!r}")
+        units.append(word[start:i])
+    return tuple(units)
 
 
 # --- annotation parsing reference -------------------------------------------

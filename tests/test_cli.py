@@ -123,6 +123,42 @@ def test_a_pipe_and_an_in_file_give_the_same_lines(argv, text, lines_out, model_
         assert piped.stdout.decode("utf-8") == "राधिका met\rरीमी.\r\nरीमी left.\n"
 
 
+NOT_UTF8 = b"\xef\xbb\xbf# a comment\n\xff\xfe\n"  # a BOM, then a bad byte on line 2
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["train", "BAD", "MODEL_OUT"], "corpus BAD: line 2 is"),
+        (["translate", "--model", "MODEL", "--kb", "BAD"], "knowledge base BAD: line 2 is"),
+        (["evaluate", "--gold", "BAD", "--system", "SYSTEM"], "gold file BAD: line 2 is"),
+        (["evaluate", "--gold", "GOLD", "--system", "BAD"], "system file BAD: line 2 is"),
+        (["--config", "BAD", "phonify"], "config BAD: line 2 is"),
+        (["transliterate", "--model", "BAD"], "model BAD: line 2 is"),
+        (["phonify", "--in", "BAD"], "BAD:"),
+        (["phonify"], "standard input:"),
+    ],
+    ids=["corpus", "kb", "gold", "system", "config", "model", "in", "stdin"],
+)
+def test_input_that_is_not_utf8_is_a_one_line_error(argv, what, model_file, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("Rama\tPER\tरामा\n", encoding="utf-8")
+    system = tmp_path / "system.txt"
+    system.write_text("रामा\n", encoding="utf-8")
+    paths = {"BAD": bad, "MODEL": model_file, "MODEL_OUT": tmp_path / "out.txt", "GOLD": gold, "SYSTEM": system}
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    stdin = NOT_UTF8 if what == "standard input:" else b"Rama\n"
+    result = subprocess.run(
+        [sys.executable, "-m", "ne_translit", *argv], input=stdin, capture_output=True, env=child_env()
+    )
+    what = what.replace("BAD", str(bad))
+    expected = f"ne-translit: error: cannot read {what} not UTF-8 (invalid start byte)\n"
+    assert (result.returncode, result.stdout, result.stderr.decode("utf-8")) == (1, b"", expected)
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_phonify_bad_word_exits_one(capsys, monkeypatch):
     code = run_cli(["phonify"], "abc123\n", monkeypatch=monkeypatch)
     assert code == 1

@@ -68,9 +68,15 @@ def test_fit_on_an_unusable_corpus_raises_corpus_error():
 
 
 def test_fit_takes_english_hindi_pairs_only():
-    # a corpus category is not part of a training entry
-    with pytest.raises(TypeError):
-        HmmTransliterator().fit([("Rama", "रामा", "PER")])
+    # a corpus category is not part of a training entry, and an item that
+    # is no pair of non-empty strings is named before EM runs
+    for item in [("Rama", "रामा", "PER"), ("Rama",), ("", "x"), (None, "x"), "ab"]:
+        est = HmmTransliterator()
+        message = f"item 1: expected an (english, hindi) pair of non-empty strings: {item!r}"
+        with pytest.raises(CorpusError) as excinfo:
+            est.fit([("Sita", "सीता"), item])
+        assert str(excinfo.value) == message
+        assert not hasattr(est, "model_")
 
 
 def test_predict_zero_probability_word_falls_back(memorization_corpus):

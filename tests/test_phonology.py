@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import unicodedata
@@ -5,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from ne_translit.errors import MalformedWordError, ScriptError
+from ne_translit.errors import MalformedWordError, NeTranslitError, ScriptError
 from ne_translit.phonology import (
     PhonemeSequence,
     Script,
@@ -14,6 +15,8 @@ from ne_translit.phonology import (
     phonify_devanagari,
     phonify_latin,
 )
+
+from helpers import reference_phonify_devanagari, reference_phonify_latin
 
 LATIN_GOLDENS = [
     ("Amar", ["A", "ma", "r"]),
@@ -129,9 +132,29 @@ def test_empty_word_gives_empty_sequence():
     assert len(phonify_devanagari("")) == 0
 
 
+# Rule boundaries the goldens above do not reach: a coda in capitals, a
+# final nasal after a coda, a doubled nasal, a vowel run, a final consonant;
+# a nukta in a conjunct, chandrabindu and visarga, a trailing halant, and the
+# conjuncts of common names.
+BOUNDARY_GOLDENS = [
+    (phonify_latin, "ANTa", ["AN", "Ta"]),
+    (phonify_latin, "Sonam", ["So", "na", "m"]),
+    (phonify_latin, "Amman", ["Am", "ma", "n"]),
+    (phonify_latin, "Aia", ["A", "i", "a"]),
+    (phonify_latin, "Sanjay", ["San", "ja", "y"]),
+    (phonify_devanagari, "फ़्रांस", ["फ़्रां", "स"]),
+    (phonify_devanagari, "हँसः", ["हँ", "सः"]),
+    (phonify_devanagari, "अँधेरा", ["अँ", "धे", "रा"]),
+    (phonify_devanagari, "राम्", ["रा", "म्"]),
+    (phonify_devanagari, "क्षत्रिय", ["क्ष", "त्रि", "य"]),
+    (phonify_devanagari, "ज्ञान", ["ज्ञा", "न"]),
+    (phonify_devanagari, "स्तंभ", ["स्तं", "भ"]),
+]
+
 SEGMENTATION_GOLDENS = (
     [(phonify_latin, word, surfaces) for word, surfaces in LATIN_GOLDENS]
     + [(phonify_devanagari, word, surfaces) for word, surfaces in DEVANAGARI_GOLDENS]
+    + BOUNDARY_GOLDENS
 )
 
 
@@ -141,6 +164,36 @@ def test_sequence_reads_back_the_golden_surfaces(segment, word, surfaces):
     assert (seq.surfaces(), len(seq)) == (surfaces, len(surfaces))
     assert seq.keys() == [s.casefold() for s in surfaces]
     assert seq.bracketed() == "".join(f"[{s}]" for s in surfaces)
+
+
+def _units_or_error(segment, word):
+    """The units of `word`, or the type, message and offset of its error."""
+    try:
+        return segment(word)
+    except NeTranslitError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+@pytest.mark.parametrize(
+    "segment,reference,alphabet,max_length",
+    [
+        (phonify_latin, reference_phonify_latin, "aeAEbnNmMky", 5),
+        (
+            phonify_devanagari,
+            reference_phonify_devanagari,
+            ["क", "ष", "अ", "ॠ", "ऩ", "ा", "ि", "्", "़", "ं", "ँ", "ः", "x"],
+            4,
+        ),
+    ],
+)
+def test_segmenters_match_the_reference_scanners(segment, reference, alphabet, max_length):
+    # every word up to max_length over an alphabet that reaches each rule (and
+    # each Devanagari error): the phonifiers cut and fail as the scanners do
+    for length in range(max_length + 1):
+        for letters in itertools.product(alphabet, repeat=length):
+            word = unicodedata.normalize("NFC", "".join(letters))
+            got = _units_or_error(lambda w: segment(w).units, word)
+            assert got == _units_or_error(reference, word), word
 
 
 @pytest.mark.parametrize(
@@ -154,7 +207,7 @@ def test_sequence_reads_back_the_golden_surfaces(segment, word, surfaces):
 )
 def test_sequence_construction_rejects_bad_units(units, word, message):
     with pytest.raises(ValueError) as excinfo:
-        PhonemeSequence(units, word, Script.LATIN)
+        PhonemeSequence(units, word)
     assert str(excinfo.value) == message
 
 
