@@ -18,7 +18,7 @@ from .decoder import Decoding, Fallback, candidates, decode_or_fallback, transli
 from .errors import NeTranslitError
 from .estimator import HmmTransliterator, NamedEntityTranslator
 from .evaluation import AccuracyReport, GoldRecord, evaluate, render_report
-from .kb import EntityCategory, KBEntry, KnowledgeBase, load_kb, load_seed_kb, normalize
+from .kb import EntityCategory, KnowledgeBase, load_kb, load_seed_kb, normalize
 from .model import BOS, EOS, TransliterationModel, estimate, load_model, save_model
 from .phonology import PhonemeSequence, Script, phonify, phonify_devanagari, phonify_latin
 from .pipeline import (
@@ -46,7 +46,6 @@ __all__ = [
     "Fallback",
     "GoldRecord",
     "HmmTransliterator",
-    "KBEntry",
     "KnowledgeBase",
     "NamedEntityTranslator",
     "NeTranslitError",

@@ -18,7 +18,7 @@ from .errors import ConfigError, NeTranslitError
 from .model import BOS, EOS
 from .pipeline import ANNOTATION_FORMATS, PipelineConfig, parse_annotations, process_sentence
 from .settings import SETTINGS, check
-from .textfile import read_lines
+from .textfile import decoded_lines, read_lines
 
 # Not called here (decode_or_fallback makes the call), but the benchmark's
 # tracer patches this name on this module.
@@ -47,14 +47,14 @@ def _add_setting(parser, key, **kwargs):
     parser.add_argument("--" + key.replace("_", "-"), dest=key, type=SETTINGS[key][0], **kwargs)
 
 
-def _open_input(args):
-    """The --in file or stdin (left open on exit), as a context manager;
-    both drop a leading byte-order mark and end lines at a newline only,
-    so a carriage return stays in its line."""
+@contextlib.contextmanager
+def _input_lines(args):
+    """(line number, line) for each line of the --in file or of stdin
+    (left open on exit), decoded one line at a time (see
+    textfile.decoded_lines), as a context manager."""
     path = getattr(args, "infile", None)
-    if path:
-        return open(path, "r", encoding="utf-8-sig", newline="\n")
-    return contextlib.nullcontext(sys.stdin)
+    with open(path, "rb") if path else contextlib.nullcontext(sys.stdin.buffer) as stream:
+        yield decoded_lines(stream, NeTranslitError, path or "standard input")
 
 
 def _info(args, message):
@@ -64,8 +64,8 @@ def _info(args, message):
 
 def cmd_phonify(args) -> int:
     failed = False
-    with _open_input(args) as stream:
-        for lineno, raw in enumerate(stream, start=1):
+    with _input_lines(args) as lines:
+        for lineno, raw in lines:
             word = raw.strip()
             if not word:
                 continue
@@ -118,8 +118,8 @@ def cmd_train(args) -> int:
 
 def cmd_transliterate(args) -> int:
     trained = model_mod.load_model(args.model)
-    with _open_input(args) as stream:
-        for raw in stream:
+    with _input_lines(args) as lines:
+        for _, raw in lines:
             word = raw.strip()
             if not word:
                 continue
@@ -151,10 +151,10 @@ def cmd_translate(args) -> int:
     failed = False
     # the input opens first, so a missing input leaves no decisions file behind
     with (
-        _open_input(args) as stream,
+        _input_lines(args) as lines,
         open(args.decisions, "w", encoding="utf-8") if args.decisions else contextlib.nullcontext() as decisions_out,
     ):
-        for lineno, raw in enumerate(stream, start=1):
+        for lineno, raw in lines:
             line = raw.rstrip("\n")
             try:
                 sentence, spans = parse_annotations(line, args.format)
@@ -249,12 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # stdin drops a leading byte-order mark, as --in files do; output
-    # never gets one
-    for stream, encoding in ((sys.stdin, "utf-8-sig"), (sys.stdout, "utf-8"), (sys.stderr, "utf-8")):
+    # output is UTF-8 with no byte-order mark; input is read as bytes (see _input_lines)
+    for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             try:
-                stream.reconfigure(encoding=encoding)
+                stream.reconfigure(encoding="utf-8")
             except (ValueError, OSError):
                 pass
     args = build_parser().parse_args(argv)
@@ -266,10 +265,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (NeTranslitError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:  # file loaders report their own; --in and stdin decode as read
-        source = getattr(args, "infile", None) or "standard input"
-        print(f"{PROG}: error: cannot read {source}: not UTF-8 ({exc.reason})", file=sys.stderr)
         return 1
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -49,37 +48,25 @@ def normalize(text: str) -> str:
     return " ".join(nfc("NFC", nfc("NFC", text).casefold()).split())
 
 
-def _check_normal_form(key: str) -> None:
-    """Raise ValueError unless key is a fixed point of normalize."""
-    if key != normalize(key):
-        raise ValueError(f"key {key!r} is not in normal form")
-
-
-@dataclass(frozen=True)
-class KBEntry:
-    english_normalized: str
-    hindi: str
-    category: EntityCategory
-
-    def __post_init__(self):
-        _check_normal_form(self.english_normalized)
-        if not self.hindi:
-            raise ValueError("translation must be non-empty")
-
-
 class KnowledgeBase:
     """Immutable-by-convention lookup of (category, normalized name)."""
 
-    def __init__(self, entries=()):
+    def __init__(self, rows=()):
+        """rows: (english, hindi, category) triples, each stored by add."""
         self._table: dict[tuple[EntityCategory, str], str] = {}
-        for entry in entries:
-            self.add(entry)
+        for english, hindi, category in rows:
+            self.add(english, hindi, category)
 
-    def add(self, entry: KBEntry) -> None:
-        self._insert(entry.category, entry.english_normalized, entry.hindi)
-
-    def _insert(self, category: EntityCategory, key: str, hindi: str) -> None:
-        """Store one row; key must already be in normal form."""
+    def add(self, english: str, hindi: str, category: EntityCategory) -> None:
+        """Store hindi, stripped, under the normal form of english.  An
+        empty name or translation, or a key that is not a fixed point of
+        normalize, raises ValueError; a second row with one key in one
+        category raises KnowledgeBaseError."""
+        key, hindi = normalize(english), hindi.strip()
+        if not key or not hindi:
+            raise ValueError("empty entity or translation")
+        if key != normalize(key):
+            raise ValueError(f"key {key!r} is not in normal form")
         if (category, key) in self._table:
             raise KnowledgeBaseError(f"duplicate entry for {key!r} ({category.value})")
         self._table[category, key] = hindi
@@ -88,13 +75,12 @@ class KnowledgeBase:
         """Exact match only; None means fall through to transliteration."""
         return self._table.get((category, normalize(entity)))
 
-    def entries(self) -> list[KBEntry]:
-        return [
-            KBEntry(key, hindi, category)
-            for (category, key), hindi in sorted(
-                self._table.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-            )
-        ]
+    def entries(self) -> list[tuple[str, str, EntityCategory]]:
+        """(normalized name, hindi, category) rows, by category code, then name."""
+        return sorted(
+            ((key, hindi, category) for (category, key), hindi in self._table.items()),
+            key=lambda row: (row[2].value, row[0]),
+        )
 
     def __len__(self) -> int:
         return len(self._table)
@@ -104,19 +90,16 @@ def load_kb(path, allow_person: bool = False) -> KnowledgeBase:
     """Load a KB file: english<TAB>hindi<TAB>category per line, '#' comments.
 
     Categories are ORG and LOC; PER rows are accepted only when
-    allow_person is set.  Duplicates and malformed lines are hard errors
-    naming the offending line.
+    allow_person is set.  Each row is stored by KnowledgeBase.add, and
+    every error, the file's or add's, names the offending line.
     """
     path = Path(path)
     kb = KnowledgeBase()
-    # one pass per row, with no KBEntry built: this is translate's set-up cost
     for lineno, line in read_lines(path, KnowledgeBaseError, "knowledge base"):
         cols = line.split("\t")
         if len(cols) != 3:
             raise KnowledgeBaseError(f"{path}: line {lineno}: expected english<TAB>hindi<TAB>category")
-        english, hindi, cat_text = cols[0].strip(), cols[1].strip(), cols[2].strip()
-        if not english or not hindi:
-            raise KnowledgeBaseError(f"{path}: line {lineno}: empty entity or translation")
+        english, hindi, cat_text = cols[0], cols[1], cols[2].strip()
         category = _CATEGORY_LABELS.get(cat_text.upper())
         if category is None:
             raise KnowledgeBaseError(f"{path}: line {lineno}: unknown entity category {cat_text!r}")
@@ -124,10 +107,8 @@ def load_kb(path, allow_person: bool = False) -> KnowledgeBase:
             raise KnowledgeBaseError(
                 f"{path}: line {lineno}: PER entries need the person-lookup extension"
             )
-        key = normalize(english)
         try:
-            _check_normal_form(key)
-            kb._insert(category, key, hindi)
+            kb.add(english, hindi, category)
         except (ValueError, KnowledgeBaseError) as exc:
             raise KnowledgeBaseError(f"{path}: line {lineno}: {exc}") from exc
     return kb

@@ -143,8 +143,6 @@ def parse_columnar(line: str) -> tuple[str, list[EntitySpan]]:
             category = EntityCategory.parse(parts[2])
         except ValueError as exc:
             raise AnnotationError(f"bad span record {rec!r}: {exc}") from exc
-        if not 0 <= start < end <= len(sentence):
-            raise AnnotationError(f"span ({start}, {end}) out of bounds")
         spans.append(EntitySpan(start, end, sentence[start:end], category))
     validate_spans(sentence, spans)
     return sentence, spans

@@ -1,4 +1,4 @@
-"""The one reader of the package's text files."""
+"""The one reader of the package's text input: whole files and line streams."""
 
 from __future__ import annotations
 
@@ -33,3 +33,18 @@ def read_lines(path, error, what: str) -> list[tuple[int, str]]:
         for lineno, raw in enumerate(read_text(path, error, what).split("\n"), start=1)
         if (line := raw.strip()) and line[0] != "#"
     ]
+
+
+def decoded_lines(stream, error, what: str):
+    """(line number, line) for each line of a binary stream, decoded as
+    UTF-8 one line at a time, a byte-order mark at the start of line 1
+    dropped.  Lines end at a newline only, which each line keeps.  A line
+    that is not UTF-8 raises `error`("cannot read <what>: line N is not
+    UTF-8 (<reason>)"), after every earlier line has been yielded."""
+    for lineno, raw in enumerate(stream, start=1):
+        if lineno == 1:
+            raw = raw.removeprefix(codecs.BOM_UTF8)
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"cannot read {what}: line {lineno} is not UTF-8 ({exc.reason})") from exc

@@ -38,9 +38,11 @@ def model_file(tmp_path, corpus_file):
     return path
 
 
-def run_cli(argv, stdin_text="", monkeypatch=None):
-    assert monkeypatch is not None
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+def run_cli(argv, stdin_text, monkeypatch):
+    """main(argv) with stdin the UTF-8 bytes of stdin_text behind a text
+    wrapper that ends lines at a newline only, as a real pipe is."""
+    stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode("utf-8")), encoding="utf-8", newline="\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
     return main(argv)
 
 
@@ -57,13 +59,6 @@ def test_in_file_with_a_bom_reads_its_first_word(tmp_path, capsys):
     words.write_text("\ufeffRadhika\n", encoding="utf-8")
     assert main(["phonify", "--in", str(words)]) == 0
     assert capsys.readouterr().out == "Radhika\t[Ra][dhi][ka]\n"
-
-
-def run_cli_bytes(argv, stdin_bytes, monkeypatch):
-    """main(argv) with stdin a byte stream that main decodes itself, ending
-    lines at a newline only, as a real pipe does."""
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin_bytes), encoding="utf-8", newline="\n"))
-    return main(argv)
 
 
 def child_env():
@@ -90,9 +85,9 @@ def test_a_bom_on_piped_stdin_is_dropped():
 )
 def test_a_bom_on_stdin_is_dropped_before_the_first_line(command, line, model_file, capsys, monkeypatch):
     argv = [command, "--model", str(model_file)]
-    assert run_cli_bytes(argv, f"{line}\n".encode("utf-8"), monkeypatch) == 0
+    assert run_cli(argv, f"{line}\n", monkeypatch=monkeypatch) == 0
     plain = capsys.readouterr()
-    assert run_cli_bytes(argv, f"\ufeff{line}\n".encode("utf-8"), monkeypatch) == 0
+    assert run_cli(argv, f"\ufeff{line}\n", monkeypatch=monkeypatch) == 0
     assert capsys.readouterr() == plain
     assert "\ufeff" not in plain.out
 
@@ -135,8 +130,8 @@ NOT_UTF8 = b"\xef\xbb\xbf# a comment\n\xff\xfe\n"  # a BOM, then a bad byte on l
         (["evaluate", "--gold", "GOLD", "--system", "BAD"], "system file BAD: line 2 is"),
         (["--config", "BAD", "phonify"], "config BAD: line 2 is"),
         (["transliterate", "--model", "BAD"], "model BAD: line 2 is"),
-        (["phonify", "--in", "BAD"], "BAD:"),
-        (["phonify"], "standard input:"),
+        (["phonify", "--in", "BAD"], "BAD: line 2 is"),
+        (["phonify"], "standard input: line 2 is"),
     ],
     ids=["corpus", "kb", "gold", "system", "config", "model", "in", "stdin"],
 )
@@ -149,14 +144,36 @@ def test_input_that_is_not_utf8_is_a_one_line_error(argv, what, model_file, tmp_
     system.write_text("रामा\n", encoding="utf-8")
     paths = {"BAD": bad, "MODEL": model_file, "MODEL_OUT": tmp_path / "out.txt", "GOLD": gold, "SYSTEM": system}
     argv = [str(paths.get(arg, arg)) for arg in argv]
-    stdin = NOT_UTF8 if what == "standard input:" else b"Rama\n"
+    stdin = NOT_UTF8 if what.startswith("standard input") else b"Rama\n"
     result = subprocess.run(
         [sys.executable, "-m", "ne_translit", *argv], input=stdin, capture_output=True, env=child_env()
     )
     what = what.replace("BAD", str(bad))
     expected = f"ne-translit: error: cannot read {what} not UTF-8 (invalid start byte)\n"
+    if argv[0] == "phonify":
+        # phonify's input is decoded a line at a time, so line 1 reaches it first
+        expected = "ne-translit: error: line 1: mixed or unsupported script in '# a comment'\n" + expected
     assert (result.returncode, result.stdout, result.stderr.decode("utf-8")) == (1, b"", expected)
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("source", ["stdin", "in"])
+def test_every_line_before_a_bad_byte_is_handled(source, tmp_path):
+    data = b"Radhika\n" * 2000 + b"\xff\nSita\n"
+    argv = [sys.executable, "-m", "ne_translit", "phonify"]
+    if source == "in":
+        infile = tmp_path / "words.txt"
+        infile.write_bytes(data)
+        argv += ["--in", str(infile)]
+        what, data = str(infile), b""
+    else:
+        what = "standard input"
+    result = subprocess.run(argv, input=data, capture_output=True, env=child_env())
+    assert result.returncode == 1
+    assert result.stdout.decode("utf-8").splitlines() == ["Radhika\t[Ra][dhi][ka]"] * 2000
+    assert result.stderr.decode("utf-8") == (
+        f"ne-translit: error: cannot read {what}: line 2001 is not UTF-8 (invalid start byte)\n"
+    )
 
 
 def test_phonify_bad_word_exits_one(capsys, monkeypatch):

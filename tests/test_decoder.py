@@ -61,7 +61,8 @@ def cli_trace(monkeypatch, capsys, model, word):
     """The --trace items CLI transliterate prints for word, with model
     standing in for the loaded model file; None if the word fell back."""
     monkeypatch.setattr(model_mod, "load_model", lambda path: model)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(word + "\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(f"{word}\n".encode("utf-8")), encoding="utf-8", newline="\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
     assert cli.main(["transliterate", "--model", "in-memory", "--trace", "--fallback", "copy"]) == 0
     cols = capsys.readouterr().out.rstrip("\n").split("\t")
     return None if cols[2] == "-" else cols[3].split(" ")

@@ -13,7 +13,7 @@ from ne_translit.errors import (
 )
 from ne_translit import estimator
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
-from ne_translit.kb import EntityCategory, KBEntry, KnowledgeBase, load_seed_kb
+from ne_translit.kb import EntityCategory, KnowledgeBase, load_seed_kb
 from ne_translit.model import TransliterationModel
 from ne_translit.pipeline import PipelineConfig, Route, parse_annotations, process_sentence
 
@@ -223,7 +223,7 @@ def test_translator_names_a_bad_parameter_at_first_use(param, value, memorizatio
      ("true", "राधा sang."), (True, "राधा sang.")],
 )
 def test_translator_reads_kb_persons_as_the_cli_does(kb_persons, expected, memorization_model):
-    kb = KnowledgeBase([KBEntry("radhika", "राधा", EntityCategory.PERSON)])
+    kb = KnowledgeBase([("radhika", "राधा", EntityCategory.PERSON)])
     translator = NamedEntityTranslator(model=memorization_model, kb=kb, kb_persons=kb_persons)
     assert translator.transform(["[[Radhika|PER]] sang."]) == [expected]
 

@@ -9,7 +9,6 @@ from ne_translit import kb as kb_mod
 from ne_translit.errors import KnowledgeBaseError
 from ne_translit.kb import (
     EntityCategory,
-    KBEntry,
     KnowledgeBase,
     SEED_KB_ENV_VAR,
     load_kb,
@@ -102,8 +101,8 @@ def test_seed_kb_env_override(tmp_path, monkeypatch):
 
 def test_category_scoping_allows_same_key_twice():
     kb = KnowledgeBase()
-    kb.add(KBEntry("delhi", "दिल्ली शहर", EntityCategory.LOCATION))
-    kb.add(KBEntry("delhi", "दिल्ली संगठन", EntityCategory.ORGANIZATION))
+    kb.add("delhi", "दिल्ली शहर", EntityCategory.LOCATION)
+    kb.add("delhi", "दिल्ली संगठन", EntityCategory.ORGANIZATION)
     assert kb.lookup("Delhi", EntityCategory.LOCATION) == "दिल्ली शहर"
     assert kb.lookup("Delhi", EntityCategory.ORGANIZATION) == "दिल्ली संगठन"
 
@@ -222,10 +221,36 @@ def _write_kb(tmp_path, rows):
 
 def test_load_kb_table_in_normal_form(tmp_path):
     kb = load_kb(_write_kb(tmp_path, KB_ROWS), allow_person=True)
-    assert [(e.english_normalized, e.hindi, e.category.value) for e in kb.entries()] == KB_TABLE
+    assert [(key, hindi, category.value) for key, hindi, category in kb.entries()] == KB_TABLE
     assert kb.lookup("NEW delhi", EntityCategory.LOCATION) == "नई दिल्ली"
     assert kb.lookup("Zürich", EntityCategory.LOCATION) == "ज्यूरिख"
     assert kb.lookup("strasse", EntityCategory.ORGANIZATION) == "स्ट्रासे संघ"
+
+
+def test_a_kb_built_in_code_equals_the_loaded_file(tmp_path):
+    # each row's raw columns, unstripped: add normalizes the name and strips
+    # the translation, for load_kb's rows and for these alike
+    rows = [
+        (english, hindi, EntityCategory.parse(label))
+        for english, hindi, label in (row.split("\t") for row in KB_ROWS if row and row[0] != "#")
+    ]
+    assert KnowledgeBase(rows).entries() == load_kb(_write_kb(tmp_path, KB_ROWS), allow_person=True).entries()
+
+
+def test_add_stores_the_normal_form_of_the_name():
+    kb = KnowledgeBase()
+    kb.add("  New Delhi ", "नई दिल्ली", EntityCategory.LOCATION)
+    assert kb.entries() == [("new delhi", "नई दिल्ली", EntityCategory.LOCATION)]
+    assert kb.lookup("NEW\u00a0DELHI", EntityCategory.LOCATION) == "नई दिल्ली"
+
+
+@pytest.mark.parametrize("english, hindi", [("", "दिल्ली"), ("\u3000", "दिल्ली"), ("Delhi", ""), ("Delhi", " \u3000")])
+def test_add_rejects_an_empty_name_or_translation(english, hindi):
+    kb = KnowledgeBase()
+    with pytest.raises(ValueError) as excinfo:
+        kb.add(english, hindi, EntityCategory.LOCATION)
+    assert str(excinfo.value) == "empty entity or translation"
+    assert len(kb) == 0
 
 
 @pytest.mark.parametrize(
@@ -262,10 +287,12 @@ def test_load_kb_reports_a_name_whose_key_is_not_in_normal_form(tmp_path, monkey
     path = _write_kb(tmp_path, KB_ROWS[:-1] + [f"{name}\tइस्तांबुल\tLOC"])
     kb = load_kb(path)
     assert kb.lookup(name, EntityCategory.LOCATION) == "इस्तांबुल"
-    assert KBEntry("i\u0316\u0307stanbul", "इस्तांबुल", EntityCategory.LOCATION) in kb.entries()
+    assert ("i\u0316\u0307stanbul", "इस्तांबुल", EntityCategory.LOCATION) in kb.entries()
+    # add takes a name in any form: this one's marks are out of canonical order
     key = "i\u0307\u0316stanbul"
-    with pytest.raises(ValueError, match="not in normal form"):
-        KBEntry(key, "इस्तांबुल", EntityCategory.LOCATION)
+    built = KnowledgeBase()
+    built.add(key, "इस्तांबुल", EntityCategory.LOCATION)
+    assert built.entries() == [("i\u0316\u0307stanbul", "इस्तांबुल", EntityCategory.LOCATION)]
     # without the second NFC the key is not a fixed point, and load_kb says so
     monkeypatch.setattr(
         kb_mod, "normalize", lambda text: " ".join(unicodedata.normalize("NFC", text).casefold().split())
@@ -276,8 +303,8 @@ def test_load_kb_reports_a_name_whose_key_is_not_in_normal_form(tmp_path, monkey
 
 
 def test_add_rejects_a_duplicate_key_in_one_category():
-    kb = KnowledgeBase([KBEntry("delhi", "दिल्ली", EntityCategory.LOCATION)])
+    kb = KnowledgeBase([("delhi", "दिल्ली", EntityCategory.LOCATION)])
     with pytest.raises(KnowledgeBaseError) as excinfo:
-        kb.add(KBEntry("delhi", "दिल्ली शहर", EntityCategory.LOCATION))
+        kb.add("Delhi ", "दिल्ली शहर", EntityCategory.LOCATION)
     assert str(excinfo.value) == "duplicate entry for 'delhi' (LOC)"
     assert kb.lookup("Delhi", EntityCategory.LOCATION) == "दिल्ली"

@@ -5,7 +5,7 @@ import pytest
 
 from ne_translit.decoder import Fallback, UNK_OUTPUT
 from ne_translit.errors import AnnotationError, ScriptError, UnseenPhonemeError, ZeroProbabilityError
-from ne_translit.kb import EntityCategory, KBEntry, KnowledgeBase, load_seed_kb
+from ne_translit.kb import EntityCategory, KnowledgeBase, load_seed_kb
 from ne_translit import pipeline
 from ne_translit.pipeline import (
     EntityDecision,
@@ -131,7 +131,7 @@ def test_zero_spans_leaves_sentence_unchanged(india_model):
 
 
 def test_person_skips_the_kb_by_default(memorization_model):
-    kb = KnowledgeBase([KBEntry("radhika", "गलत", EntityCategory.PERSON)])
+    kb = KnowledgeBase([("radhika", "गलत", EntityCategory.PERSON)])
     sentence, spans = parse_annotations("[[Radhika|PER]] sang.", "inline")
     processed = process_sentence(sentence, spans, kb, memorization_model)
     assert processed.decisions[0].route is Route.TRANSLITERATED
@@ -210,7 +210,7 @@ def test_non_entity_text_is_byte_identical(memorization_model, memorization_corp
 def test_route_is_kb_hit_iff_lookup_succeeds(memorization_model, memorization_corpus):
     kb = KnowledgeBase(
         [
-            KBEntry(entry.english.casefold(), "ज्ञात", EntityCategory.ORGANIZATION)
+            (entry.english.casefold(), "ज्ञात", EntityCategory.ORGANIZATION)
             for entry in memorization_corpus[:10]
         ]
     )
