@@ -17,6 +17,7 @@ from functools import cached_property
 from itertools import product
 from operator import getitem, mul
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CorpusError, NeTranslitError
 from .kb import EntityCategory
@@ -53,16 +54,12 @@ class ParallelEntry:
         return e_keys, h_keys
 
 
-@dataclass(frozen=True)
-class AlignedPair:
-    """One matched (English phoneme, Hindi phoneme) correspondence."""
+class AlignedPair(NamedTuple):
+    """One matched (English phoneme, Hindi phoneme) correspondence.  It
+    checks nothing: the model built from it rejects a bad phoneme."""
 
     e: str
     h: str
-
-    def __post_init__(self):
-        if not self.e or not self.h:
-            raise ValueError("aligned phonemes must be non-empty")
 
 
 @dataclass

@@ -35,6 +35,8 @@ def parse_config(path) -> dict:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in SETTINGS:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
         try:
             values[key] = check(key, value)
         except ConfigError as exc:

@@ -45,12 +45,14 @@ class CategoryScore:
     @property
     def accuracy(self) -> float:
         """correct/total truncated to five decimals."""
-        if self.total == 0:
-            raise EvaluationError("cannot compute accuracy over zero records")
         return float(self.accuracy_text)
 
     @property
     def accuracy_text(self) -> str:
+        """correct/total truncated to five decimals, as text ("0.99053");
+        EvaluationError over zero records."""
+        if self.total == 0:
+            raise EvaluationError("cannot compute accuracy over zero records")
         quantized = (Decimal(self.correct) / Decimal(self.total)).quantize(
             Decimal("0.00001"), rounding=ROUND_DOWN
         )

@@ -55,15 +55,16 @@ class TransliterationModel:
     each row's probability for pairs never observed (0.0 when unsmoothed).
     The constructor checks every table invariant and raises
     ModelValidationError, so every model, from `estimate`, `load_model`,
-    the constructor or `dataclasses.replace`, keeps them.  `h_vocab` (the
-    emission sources) and `e_vocab` (their targets) are derived from
-    `emission`.  The tables never change once built.  Decoding lazily
-    adds two derived structures on first use: `decode_table`, the tables
-    laid out for Viterbi, and `decode_memo`, the word outcomes that
-    `decoder.decode_or_fallback` remembers.  Neither is part of equality
-    or of the saved file, and both stay correct when threads share one
-    model (the memo is a plain dict that is cleared, not evicted from,
-    when it fills up, so no lock is needed).
+    the constructor or `dataclasses.replace`, keeps them.  It is the one
+    check of phoneme symbols: no phoneme is empty or BOS, EOS or UNK.
+    `h_vocab` (the emission sources) and `e_vocab` (their targets) are
+    derived from `emission`.  The tables never change once built.
+    Decoding lazily adds two derived structures on first use:
+    `decode_table`, the tables laid out for Viterbi, and `decode_memo`, the
+    word outcomes that `decoder.decode_or_fallback` remembers.  Neither is
+    part of equality or of the saved file, and both stay correct when
+    threads share one model (the memo is a plain dict that is cleared, not
+    evicted from, when it fills up, so no lock is needed).
     """
 
     emission: dict[str, dict[str, float]]
@@ -79,27 +80,38 @@ class TransliterationModel:
             raise ModelValidationError(str(exc)) from None
         if not self.emission:
             raise ModelValidationError("a model needs at least one Hindi phoneme")
-        h_vocab = self.h_vocab
+        h_vocab, e_vocab = self.h_vocab, self.e_vocab
+        for symbol in ("", BOS, EOS, UNK):
+            if symbol in h_vocab or symbol in e_vocab:
+                raise ModelValidationError(f"{symbol!r} cannot be a phoneme")
         if set(self.transition) != h_vocab | {BOS}:
             raise ModelValidationError("transition rows must cover the Hindi vocabulary plus BOS")
-        if set(self.emission_floor) != set(self.emission):
-            raise ModelValidationError("emission floors must mirror emission rows")
-        if set(self.transition_floor) != set(self.transition):
-            raise ModelValidationError("transition floors must mirror transition rows")
 
         smoothed = self.smoothing_k > 0
-        e_size = len(self.e_vocab)
-        t_size = len(h_vocab) + 1
-        for h, row in self.emission.items():
-            self._check_row("emission", h, row, self.emission_floor[h], e_size, smoothed)
-        for prev, row in self.transition.items():
-            if BOS in row:
-                raise ModelValidationError("BOS must never be a transition target")
-            if not set(row) <= h_vocab | {EOS}:
-                raise ModelValidationError(f"transition row {prev!r} targets outside the vocabulary")
-            self._check_row("transition", prev, row, self.transition_floor[prev], t_size, smoothed)
-        if EOS in self.transition:
-            raise ModelValidationError("EOS must never be a transition source")
+        for kind, rows, floors, targets in (
+            ("emission", self.emission, self.emission_floor, e_vocab),
+            ("transition", self.transition, self.transition_floor, h_vocab | {EOS}),
+        ):
+            if set(floors) != set(rows):
+                raise ModelValidationError(f"{kind} floors must mirror {kind} rows")
+            width = len(targets)
+            for source, row in rows.items():
+                if not row:
+                    raise ModelValidationError(f"empty {kind} row for {source!r}")
+                if not row.keys() <= targets:
+                    raise ModelValidationError(f"{kind} row {source!r} targets outside the vocabulary")
+                for target, p in row.items():
+                    if not 0.0 < p <= 1.0:
+                        raise ModelValidationError(f"{kind} ({source!r}, {target!r}) out of (0,1]: {p!r}")
+                floor = floors[source]
+                if smoothed:
+                    if floor <= 0.0:
+                        raise ModelValidationError(f"{kind} row {source!r} lacks a positive floor")
+                elif floor != 0.0:
+                    raise ModelValidationError(f"unsmoothed {kind} row {source!r} has a nonzero floor")
+                total = sum(row.values()) + (width - len(row)) * floor
+                if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+                    raise ModelValidationError(f"{kind} row {source!r} sums to {total!r}")
 
     @property
     def h_vocab(self) -> frozenset[str]:
@@ -157,22 +169,6 @@ class TransliterationModel:
             * self.transition_prob(h, h_next)
         )
 
-    @staticmethod
-    def _check_row(kind, source, row, floor, width, smoothed):
-        if not row:
-            raise ModelValidationError(f"empty {kind} row for {source!r}")
-        for target, p in row.items():
-            if not 0.0 < p <= 1.0:
-                raise ModelValidationError(f"{kind} ({source!r}, {target!r}) out of (0,1]: {p!r}")
-        if smoothed:
-            if floor <= 0.0:
-                raise ModelValidationError(f"{kind} row {source!r} lacks a positive floor")
-        elif floor != 0.0:
-            raise ModelValidationError(f"unsmoothed {kind} row {source!r} has a nonzero floor")
-        total = sum(row.values()) + (width - len(row)) * floor
-        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-            raise ModelValidationError(f"{kind} row {source!r} sums to {total!r}")
-
 
 def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else float("-inf")
@@ -189,7 +185,8 @@ def smoothing_constant(k) -> float:
 
 def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:
     """Build a model from per-entry aligned pair lists; the model's
-    constructor validates it.
+    constructor validates it, so an empty or reserved phoneme raises
+    ModelValidationError.
 
     Emission P(e|h) = (count(h,e) + k) / (count(h) + k * |E|); transition
     rows are the same with BOS prepended and EOS appended to each entry's
@@ -211,22 +208,8 @@ def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:
             tr_counts[prev][nxt] += 1
 
     e_size = len({e for row in em_counts.values() for e in row})
-    t_size = len(em_counts) + 1
-
-    emission: dict[str, dict[str, float]] = {}
-    emission_floor: dict[str, float] = {}
-    for h, row in em_counts.items():
-        denom = sum(row.values()) + k * e_size
-        emission[h] = {e: (c + k) / denom for e, c in row.items()}
-        emission_floor[h] = k / denom if k else 0.0
-
-    transition: dict[str, dict[str, float]] = {}
-    transition_floor: dict[str, float] = {}
-    for prev, row in tr_counts.items():
-        denom = sum(row.values()) + k * t_size
-        transition[prev] = {nxt: (c + k) / denom for nxt, c in row.items()}
-        transition_floor[prev] = k / denom if k else 0.0
-
+    emission, emission_floor = _relative_frequencies(em_counts, e_size, k)
+    transition, transition_floor = _relative_frequencies(tr_counts, len(em_counts) + 1, k)
     return TransliterationModel(
         emission=emission,
         transition=transition,
@@ -234,6 +217,19 @@ def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:
         transition_floor=transition_floor,
         smoothing_k=k,
     )
+
+
+def _relative_frequencies(counts, width: int, k: float):
+    """(rows, floors) of a table of count rows over `width` targets: each
+    seen target gets (c + k) / (row total + k * width), and the row's floor
+    is k / (row total + k * width), or 0.0 when k is 0."""
+    rows: dict[str, dict[str, float]] = {}
+    floors: dict[str, float] = {}
+    for source, row in counts.items():
+        denom = sum(row.values()) + k * width
+        rows[source] = {target: (c + k) / denom for target, c in row.items()}
+        floors[source] = k / denom if k else 0.0
+    return rows, floors
 
 
 def _fmt(x: float) -> str:

@@ -622,6 +622,17 @@ def test_config_top_k_below_one_is_a_one_line_error(tmp_path, model_file, capsys
     assert captured.err.splitlines() == [f"ne-translit: error: {config}: line 1: bad value for 'top_k': '0'"]
 
 
+def test_a_repeated_config_key_is_a_one_line_error(tmp_path, model_file):
+    config = tmp_path / "config.ini"
+    config.write_text("top_k = 3\ntop_k = 5\n", encoding="utf-8")
+    argv = ["--config", str(config), "transliterate", "--model", str(model_file)]
+    result = subprocess.run(
+        [sys.executable, "-m", "ne_translit", *argv], input=b"Radhika\n", capture_output=True, env=child_env()
+    )
+    expected = f"ne-translit: error: {config}: line 2: duplicate key 'top_k'\n"
+    assert (result.returncode, result.stdout, result.stderr.decode("utf-8")) == (1, b"", expected)
+
+
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_kb_persons_from_flag_or_config_loads_person_rows(how, tmp_path, model_file, capsys, monkeypatch):
     kb = tmp_path / "kb.tsv"

@@ -50,6 +50,13 @@ def test_accuracy_truncates_rather_than_rounds():
     assert CategoryScore(29283, 29143).accuracy_text == "0.99521"
 
 
+@pytest.mark.parametrize("name", ["accuracy", "accuracy_text"])
+def test_accuracy_over_zero_records_is_an_evaluation_error(name):
+    with pytest.raises(EvaluationError) as excinfo:
+        getattr(CategoryScore(0, 0), name)
+    assert str(excinfo.value) == "cannot compute accuracy over zero records"
+
+
 def test_all_correct_is_one():
     gold = [GoldRecord(f"e{i}", EntityCategory.PERSON, "ठीक") for i in range(10)]
     report = evaluate(gold, ["ठीक"] * 10)

@@ -7,7 +7,16 @@ import pytest
 
 from ne_translit.alignment import AlignedPair
 from ne_translit.errors import ModelFormatError, ModelValidationError, ModelVersionError
-from ne_translit.model import BOS, EOS, ROW_SUM_TOLERANCE, TransliterationModel, estimate, load_model, save_model
+from ne_translit.model import (
+    BOS,
+    EOS,
+    ROW_SUM_TOLERANCE,
+    UNK,
+    TransliterationModel,
+    estimate,
+    load_model,
+    save_model,
+)
 
 from helpers import count_tables, random_aligned_corpus
 
@@ -193,6 +202,28 @@ def test_a_model_without_a_hindi_phoneme_cannot_be_built():
     assert str(excinfo.value) == "a model needs at least one Hindi phoneme"
 
 
+@pytest.mark.parametrize("symbol", ["", BOS, EOS, UNK])
+@pytest.mark.parametrize("side", ["hindi", "english"])
+def test_no_phoneme_is_empty_or_a_reserved_symbol(side, symbol):
+    # rows, floors and sums are all consistent: only the symbol is wrong
+    h, e = (symbol, "a") if side == "hindi" else ("अ", symbol)
+    with pytest.raises(ModelValidationError) as excinfo:
+        TransliterationModel(
+            emission={h: {e: 1.0}},
+            transition={BOS: {h: 1.0}, h: {EOS: 1.0}},
+            emission_floor={h: 0.0},
+            transition_floor={BOS: 0.0, h: 0.0},
+            smoothing_k=0.0,
+        )
+    assert str(excinfo.value) == f"{symbol!r} cannot be a phoneme"
+
+
+def test_estimate_rejects_an_empty_phoneme():
+    with pytest.raises(ModelValidationError) as excinfo:
+        estimate([[AlignedPair("", "अ")]])
+    assert str(excinfo.value) == "'' cannot be a phoneme"
+
+
 def test_a_model_stores_its_tables_and_derives_its_vocabularies(single_entry_model):
     m = single_entry_model
     fields = [f.name for f in dataclasses.fields(m)]
@@ -276,6 +307,7 @@ LOAD_REJECTIONS = [
     (0.5, 9, "म\t<unk>\t0.20000000000000001", "अ\t<unk>\t0.20000000000000001", ModelFormatError,
      "{path}: line 9: duplicate floor for 'अ'"),
     (0.0, 8, "म\tma\t1", "अ\ta\t1", ModelFormatError, "{path}: line 8: duplicate row ('अ', 'a')"),
+    (0.0, 9, "र\tr\t1", "<s>\tr\t1", ModelValidationError, "{path}: '<s>' cannot be a phoneme"),
     (0.0, 5, "h_vocab_size\t3", "", ModelFormatError, "{path}: missing meta key 'h_vocab_size'"),
     (0.0, 4, "e_vocab_size\t3", "e_vocab_size\tthree", ModelFormatError, "{path}: malformed meta values"),
     (0.0, 6, "[emission]", "[transition]", ModelValidationError, "{path}: a model needs at least one Hindi phoneme"),
@@ -290,7 +322,8 @@ LOAD_REJECTIONS = [
      "{path}: emission floors must mirror emission rows"),
     (0.0, 14, "र\t</s>\t1", "घ\t</s>\t1", ModelValidationError,
      "{path}: transition rows must cover the Hindi vocabulary plus BOS"),
-    (0.0, 12, "अ\tम\t1", "अ\t<s>\t1", ModelValidationError, "{path}: BOS must never be a transition target"),
+    (0.0, 12, "अ\tम\t1", "अ\t<s>\t1", ModelValidationError,
+     "{path}: transition row 'अ' targets outside the vocabulary"),
     (0.0, 12, "अ\tम\t1", "अ\tघ\t1", ModelValidationError,
      "{path}: transition row 'अ' targets outside the vocabulary"),
     (0.0, 7, "अ\ta\t1", "अ\ta\t1.5", ModelValidationError, "{path}: emission ('अ', 'a') out of (0,1]: 1.5"),
