@@ -20,7 +20,7 @@ from .estimator import HmmTransliterator, NamedEntityTranslator
 from .evaluation import AccuracyReport, GoldRecord, evaluate, render_report
 from .kb import EntityCategory, KnowledgeBase, load_kb, load_seed_kb, normalize
 from .model import BOS, EOS, TransliterationModel, estimate, load_model, save_model
-from .phonology import PhonemeSequence, Script, phonify, phonify_devanagari, phonify_latin
+from .phonology import PhonemeSequence, phonify, phonify_devanagari, phonify_latin
 from .pipeline import (
     EntityDecision,
     EntitySpan,
@@ -54,7 +54,6 @@ __all__ = [
     "PipelineConfig",
     "ProcessedSentence",
     "Route",
-    "Script",
     "TransliterationModel",
     "align_corpus",
     "align_monotone",

@@ -121,11 +121,15 @@ def cmd_train(args) -> int:
 def cmd_transliterate(args) -> int:
     trained = model_mod.load_model(args.model)
     with _input_lines(args) as lines:
-        for _, raw in lines:
+        for lineno, raw in lines:
             word = raw.strip()
             if not word:
                 continue
-            hindi, decoding = decode_or_fallback(trained, word, args.fallback, args.top_k)
+            try:
+                hindi, decoding = decode_or_fallback(trained, word, args.fallback, args.top_k)
+            except NeTranslitError as exc:  # only under --fallback error
+                print(f"{PROG}: error: line {lineno}: {exc}", file=sys.stderr)
+                return 1
             if decoding is None:
                 print(f"{word}\t{hindi}\t-")
                 continue
@@ -162,10 +166,10 @@ def cmd_translate(args) -> int:
                 sentence, spans = parse_annotations(line, args.format)
                 processed = process_sentence(sentence, spans, knowledge, trained, pipeline_config)
             except NeTranslitError as exc:
-                if args.on_error == "abort":
-                    raise
-                # one output line per input line, so later lines stay aligned
                 print(f"{PROG}: error: line {lineno}: {exc}", file=sys.stderr)
+                if args.on_error == "abort":
+                    return 1
+                # one output line per input line, so later lines stay aligned
                 print("" if args.on_error == "skip" else line)
                 failed = True
                 continue

@@ -16,7 +16,6 @@ from enum import Enum
 from . import phonology
 from .errors import ScriptError, UnseenPhonemeError, ZeroProbabilityError
 from .model import TransliterationModel
-from .phonology import PhonemeSequence
 
 
 class Fallback(Enum):
@@ -59,17 +58,19 @@ def candidates(model: TransliterationModel, e: str, top_k: int = 10) -> tuple[tu
     return model.decode_table.columns.get(e, ())[:top_k]
 
 
-def viterbi(model: TransliterationModel, e_seq, top_k: int = 10) -> Decoding:
+def viterbi(model: TransliterationModel, keys, top_k: int = 10) -> Decoding:
     """Best Hindi sequence for an English phoneme sequence.
 
-    Accepts a PhonemeSequence or an iterable of already-folded keys.
-    Reads the model's decode_table: one candidates() slice of (h id, log
-    emission) per position and the dense log-transition rows, so no
-    logarithm is taken per decode.  Raises UnseenPhonemeError when some
+    Takes the sequence's keys as a list or a tuple, such as
+    phonify_latin(word).keys(); anything else is a TypeError.  Reads the
+    model's decode_table: one candidates() slice of (h id, log emission)
+    per position and the dense log-transition rows, so no logarithm is
+    taken per decode.  Raises UnseenPhonemeError when some
     position has no candidates; the caller decides the fallback policy.
     Nothing is memoized here: decode_or_fallback keeps the per-model memo.
     """
-    keys = e_seq.keys() if isinstance(e_seq, PhonemeSequence) else list(e_seq)
+    if not isinstance(keys, (list, tuple)):
+        raise TypeError(f"viterbi takes a list or tuple of keys, not {type(keys).__name__}")
     if not keys:
         raise ValueError("cannot decode an empty phoneme sequence")
 
@@ -142,10 +143,10 @@ def decode_or_fallback(
     found = memo.get(memo_key)
     if found is None or (not found and fallback is Fallback.ERROR):
         try:
-            seq = phonology.phonify_latin(word)
-            if not seq:
+            keys = phonology.phonify_latin(word).keys()
+            if not keys:
                 return "", None
-            decoding = viterbi(model, seq, top_k)
+            decoding = viterbi(model, keys, top_k)
             if decoding.score == NEG_INF:
                 raise ZeroProbabilityError(word)
             found = "".join(decoding.hindi_sequence), decoding

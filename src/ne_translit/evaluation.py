@@ -30,7 +30,7 @@ class GoldRecord:
 
     def __post_init__(self):
         if not self.english or not self.hindi:
-            raise ValueError("gold records need a non-empty entity and translation")
+            raise ValueError("empty entity or translation")
 
 
 @dataclass(frozen=True)
@@ -127,12 +127,9 @@ def load_gold(path) -> list[GoldRecord]:
             raise EvaluationError(f"{path}: line {lineno}: expected english<TAB>category<TAB>hindi")
         english, cat_text, hindi = (c.strip() for c in cols)
         try:
-            category = EntityCategory.parse(cat_text)
+            records.append(GoldRecord(english, EntityCategory.parse(cat_text), hindi))
         except ValueError as exc:
             raise EvaluationError(f"{path}: line {lineno}: {exc}") from exc
-        if not english or not hindi:
-            raise EvaluationError(f"{path}: line {lineno}: empty entity or translation")
-        records.append(GoldRecord(english, category, hindi))
     return records
 
 

@@ -10,6 +10,7 @@ are plain count ratios.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +27,7 @@ UNK = "<unk>"  # reserved target carrying a row's unseen-pair probability
 MODEL_FORMAT_VERSION = "1"
 ROW_SUM_TOLERANCE = 1e-9
 _BAD_SMOOTHING = "smoothing constant must be a finite number >= 0"
+_UNWRITABLE = re.compile(r"[\s#]")  # a phoneme holding one would not read back from a model file
 
 
 class DecodeTable(NamedTuple):
@@ -56,7 +58,8 @@ class TransliterationModel:
     The constructor checks every table invariant and raises
     ModelValidationError, so every model, from `estimate`, `load_model`,
     the constructor or `dataclasses.replace`, keeps them.  It is the one
-    check of phoneme symbols: no phoneme is empty or BOS, EOS or UNK.
+    check of phoneme symbols: no phoneme is empty or BOS, EOS or UNK, or
+    holds whitespace or '#', which a model file could not carry.
     `h_vocab` (the emission sources) and `e_vocab` (their targets) are
     derived from `emission`.  The tables never change once built.
     Decoding lazily adds two derived structures on first use:
@@ -81,9 +84,13 @@ class TransliterationModel:
         if not self.emission:
             raise ModelValidationError("a model needs at least one Hindi phoneme")
         h_vocab, e_vocab = self.h_vocab, self.e_vocab
+        phonemes = h_vocab | e_vocab
         for symbol in ("", BOS, EOS, UNK):
-            if symbol in h_vocab or symbol in e_vocab:
+            if symbol in phonemes:
                 raise ModelValidationError(f"{symbol!r} cannot be a phoneme")
+        if _UNWRITABLE.search("".join(phonemes)):  # one scan; name a symbol only on failure
+            symbol = min(s for s in phonemes if _UNWRITABLE.search(s))
+            raise ModelValidationError(f"{symbol!r} cannot be a phoneme")
         if set(self.transition) != h_vocab | {BOS}:
             raise ModelValidationError("transition rows must cover the Hindi vocabulary plus BOS")
 

@@ -21,14 +21,8 @@ import re
 import string
 import unicodedata
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import MalformedWordError, ScriptError
-
-
-class Script(Enum):
-    LATIN = "latin"
-    DEVANAGARI = "devanagari"
 
 
 # Only ASCII letters count as Latin: str.lower() would also let through
@@ -147,22 +141,15 @@ def phonify_devanagari(word: str) -> PhonemeSequence:
     return PhonemeSequence(tuple(units), word)
 
 
-def detect_script(word: str) -> Script:
-    """Decide which script a word is written in; mixed input is rejected."""
+def phonify(word: str) -> PhonemeSequence:
+    """Segment a word in the script it is written in, Latin or
+    Devanagari; an empty word, or one that mixes scripts or uses another,
+    raises ScriptError."""
     word = unicodedata.normalize("NFC", word)
     if not word:
         raise ScriptError("cannot detect the script of an empty string")
-    latin = all(c in LATIN_LETTERS for c in word)
-    devanagari = all(c in _DEV_ALL for c in word)
-    if latin:
-        return Script.LATIN
-    if devanagari:
-        return Script.DEVANAGARI
-    raise ScriptError(f"mixed or unsupported script in {word!r}")
-
-
-def phonify(word: str) -> PhonemeSequence:
-    """Segment a word after auto-detecting its script."""
-    if detect_script(word) is Script.LATIN:
+    if LATIN_LETTERS.issuperset(word):
         return phonify_latin(word)
-    return phonify_devanagari(word)
+    if _DEV_ALL.issuperset(word):
+        return phonify_devanagari(word)
+    raise ScriptError(f"mixed or unsupported script in {word!r}")

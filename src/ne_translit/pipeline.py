@@ -184,11 +184,12 @@ def _transliterate_token(token, model, config):
     return "".join(out), score, fell_back
 
 
+_PERSON = EntityCategory.PERSON  # bound once: an Enum class attribute lookup costs about 0.1 µs
+
+
 def _decide(span, kb, model, config) -> EntityDecision:
-    consult_kb = span.category in (EntityCategory.ORGANIZATION, EntityCategory.LOCATION) or (
-        config.kb_persons and span.category is EntityCategory.PERSON
-    )
-    if consult_kb and kb is not None:
+    # organizations and locations, the other two categories, always consult the KB
+    if kb is not None and (config.kb_persons or span.category is not _PERSON):
         hit = kb.lookup(span.surface, span.category)
         if hit is not None:
             return EntityDecision(span, Route.KB_HIT, hit)

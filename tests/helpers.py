@@ -526,7 +526,7 @@ def reference_transliterate_token(token, model, config):
                 j += 1
             run = token[i:j]
             try:
-                decoding = viterbi(model, phonify_latin(run), config.top_k)
+                decoding = viterbi(model, phonify_latin(run).keys(), config.top_k)
                 if decoding.score == NEG_INF:
                     raise ZeroProbabilityError(run)
                 out.append("".join(decoding.hindi_sequence))

@@ -487,7 +487,7 @@ def test_translate_fallback_decision_has_no_score(tmp_path, model_file, capsys, 
     assert len(fields) == 7  # no trailing score column
 
 
-ZERO_PROBABILITY_ERROR = "ne-translit: error: every transliteration of 'Pusaki' has probability 0 under this model\n"
+ZERO_PROBABILITY_ERROR = "ne-translit: error: line 1: every transliteration of 'Pusaki' has probability 0 under this model\n"
 
 
 def test_transliterate_zero_probability_word_falls_back(model_file, capsys, monkeypatch):
@@ -560,7 +560,7 @@ def test_translate_aborts_on_a_bad_line_by_default(on_error, model_file, capsys,
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == "राधिका sang.\n"
-    assert captured.err == "ne-translit: error: offset 0: unknown entity category 'XYZ'\n"
+    assert captured.err == BAD_LINE_ERROR + "\n"
 
 
 @pytest.mark.parametrize(
@@ -828,7 +828,7 @@ def test_fallback_flag_beats_config_which_beats_default(tmp_path, model_file, ca
     config.write_text("fallback = copy\n", encoding="utf-8")
     argv = ["transliterate", "--model", str(model_file)]
     assert run_cli(argv, "Xylophone\n", monkeypatch=monkeypatch) == 1
-    assert capsys.readouterr().err == "ne-translit: error: no candidates for phoneme 'xylo' at position 0\n"
+    assert capsys.readouterr().err == "ne-translit: error: line 1: no candidates for phoneme 'xylo' at position 0\n"
     assert run_cli(["--config", str(config)] + argv, "Xylophone\n", monkeypatch=monkeypatch) == 0
     assert capsys.readouterr().out == "Xylophone\tXylophone\t-\n"
     argv = ["--config", str(config)] + argv + ["--fallback", "unk"]

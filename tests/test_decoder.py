@@ -75,7 +75,7 @@ def expected_trace(model, seq, score, keys):
 
 
 def test_viterbi_single_path(single_entry_model, monkeypatch, capsys):
-    decoding = viterbi(single_entry_model, phonify_latin("Amar"))
+    decoding = viterbi(single_entry_model, phonify_latin("Amar").keys())
     assert decoding.hindi_sequence == ("अ", "म", "र")
     assert cli_trace(monkeypatch, capsys, single_entry_model, "Amar") == ["अ:1", "म:1", "र:1"]
 
@@ -121,7 +121,7 @@ def test_a_model_missing_transition_rows_cannot_be_built():
 
 
 def test_viterbi_score_is_the_path_log_product(single_entry_model):
-    decoding = viterbi(single_entry_model, phonify_latin("Amar"))
+    decoding = viterbi(single_entry_model, phonify_latin("Amar").keys())
     m = single_entry_model
     seq = decoding.hindi_sequence
     expected = math.log(m.transition_prob(BOS, seq[0]))
@@ -145,11 +145,20 @@ def test_viterbi_rejects_empty_input(single_entry_model):
         viterbi(single_entry_model, [])
 
 
+def test_viterbi_takes_only_a_list_or_tuple_of_keys(single_entry_model):
+    keys = phonify_latin("Amar").keys()
+    assert viterbi(single_entry_model, tuple(keys)) == viterbi(single_entry_model, keys)
+    # a sequence or an iterator, even an empty one, is never decoded
+    for not_keys in (phonify_latin("Amar"), phonify_latin(""), iter(keys), iter([])):
+        with pytest.raises(TypeError):
+            viterbi(single_entry_model, not_keys)
+
+
 def test_output_length_equals_input_length(memorization_model, memorization_corpus):
     for entry in memorization_corpus[:10]:
-        seq = phonify_latin(entry.english)
-        decoding = viterbi(memorization_model, seq)
-        assert len(decoding.hindi_sequence) == len(seq)
+        keys = phonify_latin(entry.english).keys()
+        decoding = viterbi(memorization_model, keys)
+        assert len(decoding.hindi_sequence) == len(keys)
 
 
 def test_transliterate_memorizes_single_training_word(single_entry_model):
@@ -172,8 +181,8 @@ def test_transliterate_empty_word(single_entry_model):
 
 
 def test_decode_word_is_deterministic(memorization_model):
-    first = viterbi(memorization_model, phonify_latin("Radhika"))
-    second = viterbi(memorization_model, phonify_latin("Radhika"))
+    first = viterbi(memorization_model, phonify_latin("Radhika").keys())
+    second = viterbi(memorization_model, phonify_latin("Radhika").keys())
     assert first == second
 
 

@@ -174,6 +174,31 @@ def test_load_gold_errors_name_the_line(tmp_path):
     assert "line 2" in str(excinfo.value)
 
 
+# read_lines strips each line, so an empty first or last column leaves two
+# columns: no file line reaches GoldRecord with an empty entity or translation
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("\tPER\tराधिका", "expected english<TAB>category<TAB>hindi"),
+        ("Radhika\tPER\t ", "expected english<TAB>category<TAB>hindi"),
+        ("Radhika\tXYZ\tराधिका", "unknown entity category 'XYZ'"),
+    ],
+)
+def test_load_gold_rejects_a_bad_record_on_its_line(tmp_path, line, message):
+    path = tmp_path / "gold.tsv"
+    path.write_text(f"India\tLOC\tभारत\n{line}\n", encoding="utf-8")
+    with pytest.raises(EvaluationError) as excinfo:
+        load_gold(path)
+    assert str(excinfo.value) == f"{path}: line 2: {message}"
+
+
+@pytest.mark.parametrize("english, hindi", [("", "x"), ("x", "")])
+def test_a_gold_record_needs_an_entity_and_a_translation(english, hindi):
+    with pytest.raises(ValueError) as excinfo:
+        GoldRecord(english, EntityCategory.PERSON, hindi)
+    assert str(excinfo.value) == "empty entity or translation"
+
+
 def test_load_system_splits_lines_at_newlines_only(tmp_path):
     # str.splitlines would make two outputs of the line with U+2028 in it,
     # and universal newlines two of the line with a lone carriage return

@@ -18,7 +18,7 @@ from ne_translit.model import (
     save_model,
 )
 
-from helpers import count_tables, random_aligned_corpus
+from helpers import build_random_model, count_tables, random_aligned_corpus
 
 
 def test_single_entry_unsmoothed(single_entry_model):
@@ -144,6 +144,15 @@ def test_save_load_round_trip_unsmoothed(single_entry_model, tmp_path):
     assert load_model(path) == single_entry_model
 
 
+def test_save_load_round_trip_random_models(tmp_path):
+    rng = random.Random(27)
+    path = tmp_path / "model.txt"
+    for _ in range(10):
+        m = build_random_model(rng, n_h=rng.randint(1, 8), n_e=rng.randint(1, 8))
+        save_model(m, path)
+        assert load_model(path) == m
+
+
 def test_save_load_round_trip_smoothed(tmp_path):
     rng = random.Random(24)
     m = estimate(random_aligned_corpus(rng, max_pairs=40), smoothing_k=0.357)
@@ -202,7 +211,9 @@ def test_a_model_without_a_hindi_phoneme_cannot_be_built():
     assert str(excinfo.value) == "a model needs at least one Hindi phoneme"
 
 
-@pytest.mark.parametrize("symbol", ["", BOS, EOS, UNK])
+# the reserved symbols, then what a model file cannot carry: whitespace
+# anywhere (U+3000 too) and '#'
+@pytest.mark.parametrize("symbol", ["", BOS, EOS, UNK, "#a", "a\tb", "a\nb", " a", "a b", "a\u3000"])
 @pytest.mark.parametrize("side", ["hindi", "english"])
 def test_no_phoneme_is_empty_or_a_reserved_symbol(side, symbol):
     # rows, floors and sums are all consistent: only the symbol is wrong

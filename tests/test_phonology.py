@@ -9,8 +9,6 @@ import pytest
 from ne_translit.errors import MalformedWordError, NeTranslitError, ScriptError
 from ne_translit.phonology import (
     PhonemeSequence,
-    Script,
-    detect_script,
     phonify,
     phonify_devanagari,
     phonify_latin,
@@ -266,13 +264,13 @@ def test_latin_accepts_only_ascii_letters(word):
     with pytest.raises(ScriptError):
         phonify_latin(word)
     with pytest.raises(ScriptError):
-        detect_script(word)
+        phonify(word)
 
 
 def test_kelvin_sign_is_normalized_to_k():
     # NFC maps the Kelvin sign to "K"; only the unnormalized character is OTHER
     assert phonify_latin("\u212aamal").source_word == "Kamal"
-    assert detect_script("\u212aamal") is Script.LATIN
+    assert phonify("\u212aamal").source_word == "Kamal"
 
 
 def test_devanagari_rejects_latin():
@@ -297,9 +295,13 @@ def test_conjunct_stays_in_one_phoneme():
 
 
 def test_detect_script_and_phonify_dispatch():
-    assert detect_script("Amar") is Script.LATIN
-    assert detect_script("अमर") is Script.DEVANAGARI
     assert phonify("Radhika").surfaces() == ["Ra", "dhi", "ka"]
     assert phonify("राधिका").surfaces() == ["रा", "धि", "का"]
-    with pytest.raises(ScriptError):
-        detect_script("aअ")
+    with pytest.raises(ScriptError, match="mixed or unsupported script"):
+        phonify("aअ")
+
+
+def test_phonify_rejects_an_empty_word():
+    with pytest.raises(ScriptError) as excinfo:
+        phonify("")
+    assert str(excinfo.value) == "cannot detect the script of an empty string"
