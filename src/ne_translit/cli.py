@@ -33,8 +33,6 @@ def parse_config(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key = value")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in SETTINGS:
-            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
         try:
@@ -149,11 +147,8 @@ def cmd_transliterate(args) -> int:
 
 def cmd_translate(args) -> int:
     trained = model_mod.load_model(args.model)
-    if args.kb:
-        knowledge = kb_mod.load_kb(args.kb, allow_person=args.kb_persons)
-    else:
-        knowledge = kb_mod.load_seed_kb(allow_person=args.kb_persons)
-    pipeline_config = PipelineConfig(fallback=args.fallback, top_k=args.top_k, kb_persons=args.kb_persons)
+    knowledge = kb_mod.load_kb(args.kb) if args.kb else kb_mod.load_seed_kb()
+    pipeline_config = PipelineConfig(fallback=args.fallback, top_k=args.top_k)
     failed = False
     # the input opens first, so a missing input leaves no decisions file behind
     with (
@@ -233,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", parents=[decode], help="substitute entities in annotated sentences")
     p.add_argument("--kb", help=f"knowledge base file (default: ${kb_mod.SEED_KB_ENV_VAR} or the packaged seed)")
     p.add_argument("--format", choices=list(ANNOTATION_FORMATS), default="inline")
-    p.add_argument("--kb-persons", action="store_true", default=None, help="let person names consult the KB")
     p.add_argument("--in", dest="infile", help="read sentences from a file instead of stdin")
     p.add_argument("--decisions", help="write one record per entity to this file")
     p.add_argument(

@@ -111,7 +111,7 @@ class NamedEntityTranslator(ParamsMixin):
 
     `model` may be a TransliterationModel or a fitted HmmTransliterator;
     `kb` is consulted first for organizations and locations (and for
-    persons too when kb_persons is set).
+    persons too when it holds a PER row).
     """
 
     def __init__(
@@ -121,14 +121,12 @@ class NamedEntityTranslator(ParamsMixin):
         annotation_format: str = "inline",
         fallback=Fallback.ERROR,
         top_k: int = 10,
-        kb_persons: bool = False,
     ):
         self.model = model
         self.kb = kb
         self.annotation_format = annotation_format
         self.fallback = fallback
         self.top_k = top_k
-        self.kb_persons = kb_persons
 
     def fit(self, X=None, y=None):
         return self
@@ -148,7 +146,7 @@ class NamedEntityTranslator(ParamsMixin):
         fmt = self.annotation_format
         if not (isinstance(fmt, str) and fmt in ANNOTATION_FORMATS):
             raise bad_value("annotation_format", fmt)
-        config = PipelineConfig(fallback=self.fallback, top_k=self.top_k, kb_persons=self.kb_persons)
+        config = PipelineConfig(fallback=self.fallback, top_k=self.top_k)
         model = self._resolved_model()
         return [process_sentence(*parse_annotations(line, fmt), self.kb, model, config) for line in lines]
 

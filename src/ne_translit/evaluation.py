@@ -29,7 +29,11 @@ class GoldRecord:
     hindi: str
 
     def __post_init__(self):
-        if not self.english or not self.hindi:
+        """The rules of KnowledgeBase.add: an EntityCategory, and a name and
+        translation that are not empty after stripping."""
+        if not isinstance(self.category, EntityCategory):
+            raise TypeError(f"not an EntityCategory: {self.category!r}")
+        if not self.english.strip() or not self.hindi.strip():
             raise ValueError("empty entity or translation")
 
 

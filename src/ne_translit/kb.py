@@ -1,9 +1,10 @@
-"""Exact-match translation store for organization and location names.
+"""Exact-match translation store for entity names.
 
 Some entity names have conventional Hindi translations that sound nothing
 like the English ("Finance Ministry" is वित्त मंत्रालय); transliterating
 those makes the text worse, so the pipeline checks this store first and
-only falls through to transliteration on a miss.
+only falls through to transliteration on a miss.  Organizations and
+locations always consult it; person names do only when it holds a PER row.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class EntityCategory(Enum):
 
 
 _CATEGORY_LABELS = {label: cat for cat in EntityCategory for label in (cat.value, cat.name)}
+_PERSON = EntityCategory.PERSON  # bound once: an Enum class attribute lookup costs about 0.1 µs
 
 
 def normalize(text: str) -> str:
@@ -49,19 +51,27 @@ def normalize(text: str) -> str:
 
 
 class KnowledgeBase:
-    """Immutable-by-convention lookup of (category, normalized name)."""
+    """Immutable-by-convention lookup of (category, normalized name).
+
+    has_persons tells whether a PER row has been stored, and so whether
+    person names consult this KB.
+    """
 
     def __init__(self, rows=()):
         """rows: (english, hindi, category) triples, each stored by add."""
         self._table: dict[tuple[EntityCategory, str], str] = {}
+        self.has_persons = False
         for english, hindi, category in rows:
             self.add(english, hindi, category)
 
     def add(self, english: str, hindi: str, category: EntityCategory) -> None:
-        """Store hindi, stripped, under the normal form of english.  An
-        empty name or translation, or a key that is not a fixed point of
+        """Store hindi, stripped, under the normal form of english.  A
+        category that is not an EntityCategory raises TypeError; an empty
+        name or translation, or a key that is not a fixed point of
         normalize, raises ValueError; a second row with one key in one
         category raises KnowledgeBaseError."""
+        if not isinstance(category, EntityCategory):
+            raise TypeError(f"not an EntityCategory: {category!r}")
         key, hindi = normalize(english), hindi.strip()
         if not key or not hindi:
             raise ValueError("empty entity or translation")
@@ -70,6 +80,8 @@ class KnowledgeBase:
         if (category, key) in self._table:
             raise KnowledgeBaseError(f"duplicate entry for {key!r} ({category.value})")
         self._table[category, key] = hindi
+        if category is _PERSON:
+            self.has_persons = True
 
     def lookup(self, entity: str, category: EntityCategory) -> str | None:
         """Exact match only; None means fall through to transliteration."""
@@ -86,26 +98,22 @@ class KnowledgeBase:
         return len(self._table)
 
 
-def load_kb(path, allow_person: bool = False) -> KnowledgeBase:
+def load_kb(path) -> KnowledgeBase:
     """Load a KB file: english<TAB>hindi<TAB>category per line, '#' comments.
 
-    Categories are ORG and LOC; PER rows are accepted only when
-    allow_person is set.  Each row is stored by KnowledgeBase.add, and
-    every error, the file's or add's, names the offending line.
+    Each row is stored by KnowledgeBase.add, and every error, the file's
+    or add's, names the offending line.
     """
     path = Path(path)
     kb = KnowledgeBase()
     # looked up once: each attribute lookup on an Enum class costs about 0.1 µs
-    parse, person = EntityCategory.parse, EntityCategory.PERSON
+    parse = EntityCategory.parse
     for lineno, line in read_lines(path, KnowledgeBaseError, "knowledge base"):
         cols = line.split("\t")
         if len(cols) != 3:
             raise KnowledgeBaseError(f"{path}: line {lineno}: expected english<TAB>hindi<TAB>category")
         try:
-            category = parse(cols[2].strip())
-            if category is person and not allow_person:
-                raise ValueError("PER entries need the person-lookup extension")
-            kb.add(cols[0], cols[1], category)
+            kb.add(cols[0], cols[1], parse(cols[2].strip()))
         except (ValueError, KnowledgeBaseError) as exc:
             raise KnowledgeBaseError(f"{path}: line {lineno}: {exc}") from exc
     return kb
@@ -119,5 +127,5 @@ def default_kb_path() -> Path:
     return Path(str(resources.files("ne_translit").joinpath("data/seed_kb.tsv")))
 
 
-def load_seed_kb(allow_person: bool = False) -> KnowledgeBase:
-    return load_kb(default_kb_path(), allow_person=allow_person)
+def load_seed_kb() -> KnowledgeBase:
+    return load_kb(default_kb_path())

@@ -1,7 +1,8 @@
 """Sentence-level preprocessing: substitute each annotated entity.
 
 Organizations and locations go through the knowledge base first and are
-transliterated only on a miss; person names are transliterated directly.
+transliterated only on a miss; person names do too when the knowledge base
+holds a PER row, and are otherwise transliterated directly.
 Everything outside the annotated spans is left byte-for-byte unchanged,
 so the output is the same sentence with Hindi entities dropped in place,
 ready for a downstream MT system.
@@ -68,10 +69,9 @@ class PipelineConfig:
 
     fallback: Fallback = Fallback.ERROR
     top_k: int = 10
-    kb_persons: bool = False  # extension: let person names consult the KB too
 
     def __post_init__(self):
-        for key in ("fallback", "top_k", "kb_persons"):
+        for key in ("fallback", "top_k"):
             setattr(self, key, check(key, getattr(self, key)))
 
 
@@ -88,6 +88,11 @@ def validate_spans(sentence: str, spans) -> None:
                 f"span surface {span.surface!r} does not match the sentence at offset {span.start}"
             )
         prev_end = span.end
+
+
+# bound once: an Enum class attribute lookup costs about 0.1 µs
+_parse_category = EntityCategory.parse
+_PERSON = EntityCategory.PERSON
 
 
 def parse_inline(line: str) -> tuple[str, list[EntitySpan]]:
@@ -117,7 +122,7 @@ def parse_inline(line: str) -> tuple[str, list[EntitySpan]]:
             raise AnnotationError(f"entity marker at offset {start} lacks a |category")
         surface, cat_text = body[:sep], body[sep + 1 :]
         try:
-            category = EntityCategory.parse(cat_text)
+            category = _parse_category(cat_text)
         except ValueError as exc:
             raise AnnotationError(f"offset {start}: {exc}") from exc
         spans.append(EntitySpan(pos, pos + len(surface), surface, category))
@@ -140,7 +145,7 @@ def parse_columnar(line: str) -> tuple[str, list[EntitySpan]]:
         except ValueError as exc:
             raise AnnotationError(f"bad span offsets in {rec!r}") from exc
         try:
-            category = EntityCategory.parse(parts[2])
+            category = _parse_category(parts[2])
         except ValueError as exc:
             raise AnnotationError(f"bad span record {rec!r}: {exc}") from exc
         spans.append(EntitySpan(start, end, sentence[start:end], category))
@@ -184,12 +189,10 @@ def _transliterate_token(token, model, config):
     return "".join(out), score, fell_back
 
 
-_PERSON = EntityCategory.PERSON  # bound once: an Enum class attribute lookup costs about 0.1 µs
-
-
 def _decide(span, kb, model, config) -> EntityDecision:
-    # organizations and locations, the other two categories, always consult the KB
-    if kb is not None and (config.kb_persons or span.category is not _PERSON):
+    # organizations and locations, the other two categories, always consult
+    # the KB; person names only when it holds a PER row
+    if kb is not None and (span.category is not _PERSON or kb.has_persons):
         hit = kb.lookup(span.surface, span.category)
         if hit is not None:
             return EntityDecision(span, Route.KB_HIT, hit)

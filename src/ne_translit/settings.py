@@ -14,11 +14,6 @@ from .decoder import Fallback
 from .errors import ConfigError
 from .model import smoothing_constant
 
-_BOOLEANS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
-
 
 def positive_int(value) -> int:
     """A decimal string or an int (not a bool), at least 1."""
@@ -36,15 +31,6 @@ def smoothing_k(value) -> float:
     return smoothing_constant(float(value))
 
 
-def boolean(value) -> bool:
-    """A bool, or 1/true/yes/on or 0/false/no/off in any case."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.lower() in _BOOLEANS:
-        return _BOOLEANS[value.lower()]
-    raise ValueError(f"not a boolean: {value!r}")
-
-
 # Every setting: its parser and its default.  The CLI resolves each one
 # from the flag, else the config file, else this default.
 SETTINGS = {
@@ -52,7 +38,6 @@ SETTINGS = {
     "em_iterations": (positive_int, 10),
     "top_k": (positive_int, 10),
     "fallback": (Fallback, Fallback.ERROR),
-    "kb_persons": (boolean, False),
 }
 
 
@@ -62,7 +47,9 @@ def bad_value(key: str, value) -> ConfigError:
 
 def check(key: str, value):
     """value parsed by the parser of SETTINGS[key]; a ConfigError naming
-    the key if the parser rejects it."""
+    the key if there is no such setting or the parser rejects the value."""
+    if key not in SETTINGS:
+        raise ConfigError(f"unknown key {key!r}")
     try:
         return SETTINGS[key][0](value)
     except (TypeError, ValueError) as exc:

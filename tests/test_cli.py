@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import io
 import os
 import subprocess
@@ -11,11 +12,12 @@ import pytest
 
 import ne_translit
 from ne_translit import alignment
-from ne_translit.alignment import build_aligned_corpus, em_train_alignment, load_corpus
+from ne_translit.alignment import align_corpus, build_aligned_corpus, em_train_alignment, load_corpus
 from ne_translit.cli import SETTINGS, main, parse_config
-from ne_translit.decoder import Fallback, viterbi
+from ne_translit.decoder import Fallback, candidates, decode_or_fallback, transliterate, viterbi
+from ne_translit.errors import ConfigError
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
-from ne_translit.model import load_model, save_model
+from ne_translit.model import estimate, load_model, save_model
 from ne_translit.phonology import phonify_latin
 from ne_translit.pipeline import PipelineConfig
 
@@ -635,18 +637,26 @@ def test_a_repeated_config_key_is_a_one_line_error(tmp_path, model_file):
 
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_kb_persons_from_flag_or_config_loads_person_rows(how, tmp_path, model_file, capsys, monkeypatch):
+    # a KB file's PER rows load with neither the flag nor the config key,
+    # and person names then consult it; both ways of asking are refused
     kb = tmp_path / "kb.tsv"
     kb.write_text("Amitabh\tअमिताभ\tPER\n", encoding="utf-8")
-    config = tmp_path / "config.ini"
-    config.write_text("kb_persons = true\n", encoding="utf-8")
+    decisions = tmp_path / "decisions.tsv"
     argv = ["translate", "--model", str(model_file), "--kb", str(kb)]
-    argv = argv + ["--kb-persons"] if how == "flag" else ["--config", str(config)] + argv
-    assert run_cli(argv, "[[Amitabh|PER]] spoke.\n", monkeypatch=monkeypatch) == 0
+    assert run_cli(argv + ["--decisions", str(decisions)], "[[Amitabh|PER]] spoke.\n", monkeypatch=monkeypatch) == 0
     assert capsys.readouterr().out == "अमिताभ spoke.\n"
+    assert decisions.read_text(encoding="utf-8") == "1\t0\t7\tAmitabh\tPER\tKB_HIT\tअमिताभ\n"
 
-    argv = ["translate", "--model", str(model_file), "--kb", str(kb)]
-    assert run_cli(argv, "[[Amitabh|PER]] spoke.\n", monkeypatch=monkeypatch) == 1
-    assert "PER entries need the person-lookup extension" in capsys.readouterr().err
+    if how == "flag":
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(argv + ["--kb-persons"], "[[Amitabh|PER]] spoke.\n", monkeypatch=monkeypatch)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --kb-persons" in capsys.readouterr().err
+    else:
+        config = tmp_path / "config.ini"
+        config.write_text("kb_persons = true\n", encoding="utf-8")
+        assert run_cli(["--config", str(config)] + argv, "[[Amitabh|PER]] spoke.\n", monkeypatch=monkeypatch) == 1
+        assert capsys.readouterr().err == f"ne-translit: error: {config}: line 1: unknown key 'kb_persons'\n"
 
 
 @pytest.mark.parametrize(
@@ -654,10 +664,21 @@ def test_kb_persons_from_flag_or_config_loads_person_rows(how, tmp_path, model_f
     [("1", True), ("true", True), ("Yes", True), ("ON", True),
      ("0", False), ("false", False), ("no", False), ("Off", False)],
 )
-def test_config_kb_persons_reads_booleans(text, value, tmp_path):
+def test_config_kb_persons_reads_booleans(text, value, tmp_path, model_file, capsys, monkeypatch):
+    # kb_persons is no longer a key, whatever it is set to.  What it did,
+    # the KB's rows do: radhika as a PER row gives what `kb_persons = on`
+    # gave, and radhika as a LOC row only gives what `kb_persons = off` gave
     config = tmp_path / "config.ini"
     config.write_text(f"kb_persons = {text}\n", encoding="utf-8")
-    assert parse_config(config) == {"kb_persons": value}
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(config)
+    assert str(excinfo.value) == f"{config}: line 1: unknown key 'kb_persons'"
+
+    kb = tmp_path / "kb.tsv"
+    kb.write_text(f"Radhika\tराधा\t{'PER' if value else 'LOC'}\n", encoding="utf-8")
+    argv = ["translate", "--model", str(model_file), "--kb", str(kb)]
+    assert run_cli(argv, "[[Radhika|PER]] sang.\n", monkeypatch=monkeypatch) == 0
+    assert capsys.readouterr().out == ("राधा sang.\n" if value else "राधिका sang.\n")
 
 
 @pytest.mark.parametrize("text", ["ture", "", "2", "y"])
@@ -672,7 +693,7 @@ def test_config_kb_persons_rejects_other_values(text, tmp_path, model_file, caps
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"ne-translit: error: {config}: line 1: bad value for 'kb_persons': {text!r}"]
+    assert captured.err.splitlines() == [f"ne-translit: error: {config}: line 1: unknown key 'kb_persons'"]
 
 
 def test_config_fallback_reads_each_policy(tmp_path):
@@ -850,20 +871,32 @@ def test_smoothing_flag_beats_config_which_beats_default(tmp_path, corpus_file):
         assert load_model(model).smoothing_k == expected
 
 
+# (function, parameter, setting) for each library function that repeats a
+# setting's default
+REPEATED_DEFAULTS = [
+    (candidates, "top_k", "top_k"),
+    (viterbi, "top_k", "top_k"),
+    (decode_or_fallback, "top_k", "top_k"),
+    (decode_or_fallback, "fallback", "fallback"),
+    (transliterate, "top_k", "top_k"),
+    (transliterate, "fallback", "fallback"),
+    (estimate, "smoothing_k", "smoothing_k"),
+    (em_train_alignment, "iterations", "em_iterations"),
+    (align_corpus, "iterations", "em_iterations"),
+]
+
+
 def test_settings_defaults_equal_the_library_defaults():
     defaults = {key: default for key, (_, default) in SETTINGS.items()}
     estimator = HmmTransliterator().get_params()
     translator = NamedEntityTranslator().get_params()
     pipeline = PipelineConfig()
-    assert defaults == {
-        "smoothing_k": estimator["smoothing_k"],
-        "em_iterations": estimator["em_iterations"],
-        "top_k": estimator["top_k"],
-        "fallback": estimator["fallback"],
-        "kb_persons": pipeline.kb_persons,
-    }
-    for key in ("top_k", "fallback", "kb_persons"):
+    assert defaults == {key: estimator[key] for key in ("smoothing_k", "em_iterations", "top_k", "fallback")}
+    for key in ("top_k", "fallback"):
         assert defaults[key] == getattr(pipeline, key) == translator[key]
+    for function, parameter, key in REPEATED_DEFAULTS:
+        default = inspect.signature(function).parameters[parameter].default
+        assert default == defaults[key], (function.__name__, parameter)
 
 
 # the setting flags each subcommand takes
@@ -872,7 +905,7 @@ SETTING_FLAGS = {
     "align-dump": {"--em-iterations"},
     "train": {"--smoothing-k", "--em-iterations"},
     "transliterate": {"--fallback", "--top-k"},
-    "translate": {"--fallback", "--top-k", "--kb-persons"},
+    "translate": {"--fallback", "--top-k"},
     "evaluate": set(),
 }
 
@@ -885,6 +918,7 @@ def test_help_lists_the_setting_flags_of_each_subcommand(command, capsys):
     out = capsys.readouterr().out
     assert {flag_of(key) for key in SETTINGS if flag_of(key) in out} == SETTING_FLAGS[command]
     assert ("--fallback {error,copy,unk}" in out) == ("--fallback" in SETTING_FLAGS[command])
+    assert "--kb-persons" not in out
 
 
 @pytest.mark.parametrize("k", ["nan", "inf", "-1"])

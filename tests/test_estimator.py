@@ -171,7 +171,6 @@ def test_transformer_params_protocol():
         "annotation_format",
         "fallback",
         "top_k",
-        "kb_persons",
     }
 
 
@@ -209,7 +208,7 @@ def test_predict_names_a_bad_parameter(param, value, memorization_corpus):
 
 @pytest.mark.parametrize(
     "param, value",
-    [("annotation_format", "bogus"), ("top_k", 2.9), ("fallback", "bogus"), ("kb_persons", "maybe")],
+    [("annotation_format", "bogus"), ("top_k", 2.9), ("fallback", "bogus")],
 )
 def test_translator_names_a_bad_parameter_at_first_use(param, value, memorization_model):
     translator = NamedEntityTranslator(model=memorization_model, **{param: value})
@@ -223,9 +222,19 @@ def test_translator_names_a_bad_parameter_at_first_use(param, value, memorizatio
      ("true", "राधा sang."), (True, "राधा sang.")],
 )
 def test_translator_reads_kb_persons_as_the_cli_does(kb_persons, expected, memorization_model):
-    kb = KnowledgeBase([("radhika", "राधा", EntityCategory.PERSON)])
-    translator = NamedEntityTranslator(model=memorization_model, kb=kb, kb_persons=kb_persons)
+    # the parameter is gone, as --kb-persons is from the CLI.  What each of
+    # its values did, the KB's rows do: radhika as a PER row gives what the
+    # true values gave, and radhika as a LOC row only what the false ones gave
+    with pytest.raises(TypeError, match="kb_persons"):
+        NamedEntityTranslator(model=memorization_model, kb_persons=kb_persons)
+    with pytest.raises(ValueError, match="invalid parameter 'kb_persons'"):
+        NamedEntityTranslator().set_params(kb_persons=kb_persons)
+    on = str(kb_persons).lower() == "true"
+    kb = KnowledgeBase([("radhika", "राधा", EntityCategory.PERSON if on else EntityCategory.LOCATION)])
+    translator = NamedEntityTranslator(model=memorization_model, kb=kb)
     assert translator.transform(["[[Radhika|PER]] sang."]) == [expected]
+    route = translator.process_line("[[Radhika|PER]] sang.").decisions[0].route
+    assert route is (Route.KB_HIT if on else Route.TRANSLITERATED)
 
 
 def test_transform_builds_one_config_per_call(memorization_model, monkeypatch):

@@ -199,6 +199,21 @@ def test_a_gold_record_needs_an_entity_and_a_translation(english, hindi):
     assert str(excinfo.value) == "empty entity or translation"
 
 
+@pytest.mark.parametrize("english, hindi", [(" ", "राम"), ("Ram", "\u3000"), (" \t", "\u3000 ")])
+def test_a_blank_gold_side_is_empty(english, hindi):
+    # KnowledgeBase.add's rule: a side that is empty after stripping
+    with pytest.raises(ValueError) as excinfo:
+        GoldRecord(english, EntityCategory.PERSON, hindi)
+    assert str(excinfo.value) == "empty entity or translation"
+
+
+@pytest.mark.parametrize("category", ["PER", "PERSON", None])
+def test_a_gold_record_needs_an_entity_category(category):
+    with pytest.raises(TypeError) as excinfo:
+        GoldRecord("Ram", category, "राम")
+    assert str(excinfo.value) == f"not an EntityCategory: {category!r}"
+
+
 def test_load_system_splits_lines_at_newlines_only(tmp_path):
     # str.splitlines would make two outputs of the line with U+2028 in it,
     # and universal newlines two of the line with a lone carriage return

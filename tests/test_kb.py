@@ -132,13 +132,46 @@ def test_missing_column_errors_with_line(tmp_path):
     assert "line 2" in str(excinfo.value)
 
 
-def test_person_entries_need_the_extension_flag(tmp_path):
+def test_person_entries_load_and_turn_on_person_lookup(tmp_path):
     path = tmp_path / "kb.tsv"
-    path.write_text("Gandhi\tगांधी\tPER\n", encoding="utf-8")
-    with pytest.raises(KnowledgeBaseError):
-        load_kb(path)
-    kb = load_kb(path, allow_person=True)
+    path.write_text("India\tभारत\tLOC\n", encoding="utf-8")
+    assert load_kb(path).has_persons is False
+    path.write_text("India\tभारत\tLOC\nGandhi\tगांधी\tPER\n", encoding="utf-8")
+    kb = load_kb(path)
+    assert kb.has_persons is True
     assert kb.lookup("Gandhi", EntityCategory.PERSON) == "गांधी"
+
+
+def test_the_seed_kb_has_no_person_row():
+    # so a person name never consults it, as before PER rows could load
+    kb = load_seed_kb()
+    assert kb.has_persons is False
+    assert all(category is not EntityCategory.PERSON for _, _, category in kb.entries())
+
+
+def test_a_stored_person_row_turns_on_person_lookup():
+    kb = KnowledgeBase([("Delhi", "दिल्ली", EntityCategory.LOCATION)])
+    assert kb.has_persons is False
+    with pytest.raises(ValueError):
+        kb.add("Gandhi", " ", EntityCategory.PERSON)  # a rejected row stores nothing
+    assert kb.has_persons is False
+    kb.add("Gandhi", "गांधी", EntityCategory.PERSON)
+    assert kb.has_persons is True
+    with pytest.raises(KnowledgeBaseError):
+        kb.add("gandhi", "गांधी", EntityCategory.PERSON)
+    assert kb.has_persons is True
+    assert KnowledgeBase([("Gandhi", "गांधी", EntityCategory.PERSON)]).has_persons is True
+
+
+@pytest.mark.parametrize("category", ["LOC", "LOCATION", None, 1])
+def test_add_rejects_a_category_that_is_not_an_entity_category(category):
+    kb = KnowledgeBase()
+    with pytest.raises(TypeError) as excinfo:
+        kb.add("Delhi", "दिल्ली", category)
+    assert str(excinfo.value) == f"not an EntityCategory: {category!r}"
+    assert (len(kb), kb.entries(), kb.has_persons) == (0, [], False)
+    with pytest.raises(TypeError):
+        KnowledgeBase([("Delhi", "दिल्ली", category)])
 
 
 def test_generated_kb_lookup_is_exhaustive(tmp_path):
@@ -220,7 +253,7 @@ def _write_kb(tmp_path, rows):
 
 
 def test_load_kb_table_in_normal_form(tmp_path):
-    kb = load_kb(_write_kb(tmp_path, KB_ROWS), allow_person=True)
+    kb = load_kb(_write_kb(tmp_path, KB_ROWS))
     assert [(key, hindi, category.value) for key, hindi, category in kb.entries()] == KB_TABLE
     assert kb.lookup("NEW delhi", EntityCategory.LOCATION) == "नई दिल्ली"
     assert kb.lookup("Zürich", EntityCategory.LOCATION) == "ज्यूरिख"
@@ -234,7 +267,7 @@ def test_a_kb_built_in_code_equals_the_loaded_file(tmp_path):
         (english, hindi, EntityCategory.parse(label))
         for english, hindi, label in (row.split("\t") for row in KB_ROWS if row and row[0] != "#")
     ]
-    assert KnowledgeBase(rows).entries() == load_kb(_write_kb(tmp_path, KB_ROWS), allow_person=True).entries()
+    assert KnowledgeBase(rows).entries() == load_kb(_write_kb(tmp_path, KB_ROWS)).entries()
 
 
 def test_add_stores_the_normal_form_of_the_name():
@@ -254,7 +287,7 @@ def test_add_rejects_an_empty_name_or_translation(english, hindi):
 
 
 @pytest.mark.parametrize(
-    "last_row, allow_person, message",
+    "last_row, person_row, message",
     [
         ("STRASSE\tअन्य\tORG", True, "duplicate entry for 'strasse' (ORG)"),
         ("new delhi\tअन्य\tLOCATION", True, "duplicate entry for 'new delhi' (LOC)"),
@@ -263,13 +296,21 @@ def test_add_rejects_an_empty_name_or_translation(english, hindi):
         ("a\tb\tLOC\textra", True, "expected english<TAB>hindi<TAB>category"),
         ("Mars\t\u3000\tLOC", True, "empty entity or translation"),
         ("Mars\tमंगल\t planet", True, "unknown entity category 'planet'"),
-        (KB_ROWS[-1], False, "PER entries need the person-lookup extension"),
+        ("Mars\tमंगल\t planet", False, "unknown entity category 'planet'"),
+        ("GANDHI\tअन्य\tPER", True, "duplicate entry for 'gandhi' (PER)"),
+        ("Gandhi\t \tPER", False, "empty entity or translation"),
     ],
 )
-def test_load_kb_diagnostics_name_path_and_line(tmp_path, last_row, allow_person, message):
-    path = _write_kb(tmp_path, KB_ROWS[:-1] + [last_row])
+def test_load_kb_diagnostics_name_path_and_line(tmp_path, last_row, person_row, message):
+    # person_row puts KB_ROWS's PER row on the blank line 3: it loads like
+    # any other row, so the file still fails at its line 9, and a PER row
+    # gets the checks every row gets
+    rows = KB_ROWS[:-1]
+    if person_row:
+        rows = rows[:2] + [KB_ROWS[-1]] + rows[3:]
+    path = _write_kb(tmp_path, rows + [last_row])
     with pytest.raises(KnowledgeBaseError) as excinfo:
-        load_kb(path, allow_person=allow_person)
+        load_kb(path)
     assert str(excinfo.value) == f"{path}: line 9: {message}"
 
 

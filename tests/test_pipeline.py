@@ -130,18 +130,39 @@ def test_zero_spans_leaves_sentence_unchanged(india_model):
     assert processed.decisions == ()
 
 
-def test_person_skips_the_kb_by_default(memorization_model):
-    kb = KnowledgeBase([("radhika", "गलत", EntityCategory.PERSON)])
-    sentence, spans = parse_annotations("[[Radhika|PER]] sang.", "inline")
-    processed = process_sentence(sentence, spans, kb, memorization_model)
-    assert processed.decisions[0].route is Route.TRANSLITERATED
-    assert processed.substituted == "राधिका sang."
+def counted_lookups(monkeypatch):
+    """The (entity, category) of every KnowledgeBase.lookup call, as made."""
+    calls = []
+    lookup = KnowledgeBase.lookup
 
-    extended = process_sentence(
-        sentence, spans, kb, memorization_model, PipelineConfig(kb_persons=True)
-    )
-    assert extended.decisions[0].route is Route.KB_HIT
-    assert extended.substituted == "गलत sang."
+    def counting(self, entity, category):
+        calls.append((entity, category))
+        return lookup(self, entity, category)
+
+    monkeypatch.setattr(KnowledgeBase, "lookup", counting)
+    return calls
+
+
+def test_person_skips_the_kb_by_default(memorization_model, monkeypatch):
+    # a KB with no PER row, as the packaged seed is: a person name never
+    # consults it, even where it holds the same name in another category
+    kb = KnowledgeBase([("radhika", "गलत", EntityCategory.LOCATION)])
+    calls = counted_lookups(monkeypatch)
+    sentence, spans = parse_annotations("[[Radhika|PER]] sang in [[Radhika|LOC]].", "inline")
+    processed = process_sentence(sentence, spans, kb, memorization_model)
+    assert [d.route for d in processed.decisions] == [Route.TRANSLITERATED, Route.KB_HIT]
+    assert processed.substituted == "राधिका sang in गलत."
+    assert calls == [("Radhika", EntityCategory.LOCATION)]
+
+
+def test_person_consults_a_kb_that_holds_a_person_row(memorization_model, monkeypatch):
+    kb = KnowledgeBase([("radhika", "राधा", EntityCategory.PERSON)])
+    calls = counted_lookups(monkeypatch)
+    sentence, spans = parse_annotations("[[Radhika|PER]] met [[Kami|PER]].", "inline")
+    processed = process_sentence(sentence, spans, kb, memorization_model)
+    assert [d.route for d in processed.decisions] == [Route.KB_HIT, Route.TRANSLITERATED]
+    assert processed.substituted.startswith("राधा met ")
+    assert calls == [("Radhika", EntityCategory.PERSON), ("Kami", EntityCategory.PERSON)]
 
 
 def test_multi_token_entity_joined_with_single_spaces(memorization_model):

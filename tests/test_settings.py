@@ -3,7 +3,7 @@ import pytest
 from ne_translit.decoder import Fallback
 from ne_translit.errors import ConfigError
 from ne_translit.pipeline import PipelineConfig
-from ne_translit.settings import check
+from ne_translit.settings import SETTINGS, check
 
 
 @pytest.mark.parametrize(
@@ -12,8 +12,6 @@ from ne_translit.settings import check
         ("top_k", "3", 3),
         ("top_k", 3, 3),
         ("em_iterations", " 12 ", 12),
-        ("kb_persons", "Off", False),
-        ("kb_persons", True, True),
         ("fallback", "copy", Fallback.COPY_SOURCE),
         ("fallback", Fallback.UNK_MARKER, Fallback.UNK_MARKER),
         ("smoothing_k", "0.5", 0.5),
@@ -42,13 +40,22 @@ def test_check_takes_the_text_or_a_typed_value(key, value, parsed):
     ],
 )
 def test_check_names_the_key_of_a_bad_value(key, value):
+    # kb_persons is no longer a setting, so check names it as an unknown
+    # key, as a config file's line would (the KB's rows decide person lookup)
     with pytest.raises(ConfigError) as excinfo:
         check(key, value)
-    assert str(excinfo.value) == f"bad value for {key!r}: {value!r}"
+    expected = f"bad value for {key!r}: {value!r}" if key in SETTINGS else f"unknown key {key!r}"
+    assert str(excinfo.value) == expected
+
+
+def test_settings_has_four_keys():
+    assert list(SETTINGS) == ["smoothing_k", "em_iterations", "top_k", "fallback"]
 
 
 def test_pipeline_config_parses_its_settings():
-    config = PipelineConfig(fallback="copy", top_k="3", kb_persons="false")
-    assert (config.fallback, config.top_k, config.kb_persons) == (Fallback.COPY_SOURCE, 3, False)
+    config = PipelineConfig(fallback="copy", top_k="3")
+    assert (config.fallback, config.top_k) == (Fallback.COPY_SOURCE, 3)
+    with pytest.raises(TypeError, match="kb_persons"):
+        PipelineConfig(kb_persons=True)
     with pytest.raises(ConfigError, match="bad value for 'top_k': 2.9"):
         PipelineConfig(top_k=2.9)
