@@ -65,8 +65,12 @@ def viterbi(model: TransliterationModel, keys, top_k: int = 10) -> Decoding:
     phonify_latin(word).keys(); anything else is a TypeError.  Reads the
     model's decode_table: one candidates() slice of (h id, log emission)
     per position and the dense log-transition rows, so no logarithm is
-    taken per decode.  Raises UnseenPhonemeError when some
-    position has no candidates; the caller decides the fallback policy.
+    taken per decode.  While the lattice holds one state, a position with
+    one candidate costs one addition, with nothing ranked or sorted; so a
+    one-to-one model, or any model at top_k=1, decodes at that cost
+    throughout.  The scores and the tie-break are those of the general
+    case.  Raises UnseenPhonemeError when some position has no
+    candidates; the caller decides the fallback policy.
     Nothing is memoized here: decode_or_fallback keeps the per-model memo.
     """
     if not isinstance(keys, (list, tuple)):
@@ -75,46 +79,73 @@ def viterbi(model: TransliterationModel, keys, top_k: int = 10) -> Decoding:
         raise ValueError("cannot decode an empty phoneme sequence")
 
     # Back-pointer Viterbi over decode_table's int symbol ids (code-point
-    # order).  Each position keeps one entry (predecessor index, h id,
-    # score) per state, sorted so that the states' best prefixes are in
-    # code-point order: a prefix is its predecessor's prefix plus h, so that
-    # order is (predecessor index, h id).  Scanning predecessors in that
-    # order and keeping the first maximum then gives ties to the
-    # code-point-smallest prefix without building any prefix tuple.
+    # order).  A column of several states keeps one entry (predecessor
+    # index, h id, score) per state, sorted so that the states' best
+    # prefixes are in code-point order: a prefix is its predecessor's prefix
+    # plus h, so that order is (predecessor index, h id).  Scanning
+    # predecessors in that order and keeping the first maximum then gives
+    # ties to the code-point-smallest prefix without building any prefix
+    # tuple.  While the lattice holds one state, prevs is None, that state
+    # is the bare pair (score, row), and its column is stored as
+    # (predecessor index, h id): a one-candidate column reached from it is
+    # one addition, with nothing to rank, sort or rebuild.
     table = model.decode_table
     rows = table.rows
     boundary = len(rows) - 1  # BOS as a source, EOS as a target
-    prevs = [(0.0, rows[boundary])]  # (score, transition row) per state
+    score, row = 0.0, rows[boundary]  # the single state
+    prevs = None  # or (score, transition row) per state, when several
     columns = []
     for pos, e in enumerate(keys):
         cs = candidates(model, e, top_k)
         if not cs:
             raise UnseenPhonemeError(e, pos)
-        if len(prevs) == 1:  # a single predecessor is every state's best
-            psc, row = prevs[0]
-            ranked = [(0, h, (psc + row[h]) + le) for h, le in cs]
+        if len(cs) == 1:  # one candidate: the lattice holds one state
+            ((h, le),) = cs
+            if prevs is None:
+                back, score = 0, (score + row[h]) + le
+            else:
+                scores = [(psc + prow[h]) + le for psc, prow in prevs]
+                score = max(scores)
+                back = scores.index(score)
+                prevs = None
+            columns.append((back, h))
+            row = rows[h]
+            continue
+        if prevs is None:  # a single predecessor is every state's best
+            ranked = [(0, h, (score + row[h]) + le) for h, le in cs]
         else:
             ranked = []
             for h, le in cs:
-                scores = [(psc + row[h]) + le for psc, row in prevs]
+                scores = [(psc + prow[h]) + le for psc, prow in prevs]
                 best = max(scores)
                 ranked.append((scores.index(best), h, best))
         ranked.sort()  # the h are distinct, so scores are never compared
         columns.append(ranked)
         prevs = [(sc, rows[h]) for _, h, sc in ranked]
 
-    ends = [sc + row[boundary] for sc, row in prevs]
-    best_score = max(ends)
+    if prevs is None:
+        best_score, last = score + row[boundary], 0
+    else:
+        ends = [sc + prow[boundary] for sc, prow in prevs]
+        best_score = max(ends)
+        last = ends.index(best_score)
     symbols = table.symbols
+    # a one-state column is a tuple (predecessor index, h id), a column of
+    # several states a list of (predecessor index, h id, score)
     if best_score == NEG_INF:
         # every path has a zero-probability transition, so all sequences tie;
         # the lexicographic tie-break reduces to the smallest candidate per slot
-        path = [symbols[min(h for _, h, _ in ranked)] for ranked in columns]
+        path = [
+            symbols[column[1] if type(column) is tuple else min(h for _, h, _ in column)]
+            for column in columns
+        ]
     else:
-        last = ends.index(best_score)
         path = []
-        for ranked in reversed(columns):
-            last, h, _ = ranked[last]
+        for column in reversed(columns):
+            if type(column) is tuple:
+                last, h = column
+            else:
+                last, h, _ = column[last]
             path.append(symbols[h])
         path.reverse()
 

@@ -76,7 +76,8 @@ class PipelineConfig:
 
 
 def validate_spans(sentence: str, spans) -> None:
-    """Enforce span sanity: in bounds, sorted, non-overlapping, surface match."""
+    """Enforce span sanity: in bounds, sorted, non-overlapping, surface
+    match, and not blank (a span of whitespace alone names no entity)."""
     prev_end = 0
     for span in spans:
         if not 0 <= span.start < span.end <= len(sentence):
@@ -87,6 +88,8 @@ def validate_spans(sentence: str, spans) -> None:
             raise AnnotationError(
                 f"span surface {span.surface!r} does not match the sentence at offset {span.start}"
             )
+        if span.surface.isspace():
+            raise AnnotationError(f"blank entity at offset {span.start}")
         prev_end = span.end
 
 
@@ -190,12 +193,24 @@ def _transliterate_token(token, model, config):
 
 
 def _decide(span, kb, model, config) -> EntityDecision:
+    route, output, score = _route(span, kb, model, config)
+    surface = span.surface
+    if surface[0].isspace() or surface[-1].isspace():
+        # the output replaces the whole span, so the whitespace at either
+        # end of the surface goes back around it
+        lead = len(surface) - len(surface.lstrip())
+        output = surface[:lead] + output + surface[len(surface.rstrip()) :]
+    return EntityDecision(span, route, output, score)
+
+
+def _route(span, kb, model, config) -> tuple[Route, str, float | None]:
+    """(route, output, score) for one span, from its words alone."""
     # organizations and locations, the other two categories, always consult
     # the KB; person names only when it holds a PER row
     if kb is not None and (span.category is not _PERSON or kb.has_persons):
         hit = kb.lookup(span.surface, span.category)
         if hit is not None:
-            return EntityDecision(span, Route.KB_HIT, hit)
+            return Route.KB_HIT, hit, None
 
     outputs: list[str] = []
     total = 0.0
@@ -207,8 +222,8 @@ def _decide(span, kb, model, config) -> EntityDecision:
         fell_back = fell_back or fb
     output = " ".join(outputs)
     if fell_back:
-        return EntityDecision(span, Route.FALLBACK, output)
-    return EntityDecision(span, Route.TRANSLITERATED, output, total)
+        return Route.FALLBACK, output, None
+    return Route.TRANSLITERATED, output, total
 
 
 def process_sentence(

@@ -593,6 +593,16 @@ def test_translate_on_error_reports_every_bad_line(model_file, capsys, monkeypat
     assert [e.split(":")[2] for e in errors] == [" line 1", " line 2", " line 4"]
 
 
+def test_translate_reports_a_blank_entity_by_line(model_file, capsys, monkeypatch):
+    lines = ["[[Radhika|PER]] sang.", "[[ |PER]] x", "[[Radhika|PER]] sang."]
+    argv = ["translate", "--model", str(model_file), "--on-error", "passthrough"]
+    code = run_cli(argv, "\n".join(lines) + "\n", monkeypatch=monkeypatch)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["राधिका sang.", "[[ |PER]] x", "राधिका sang."]
+    assert captured.err == "ne-translit: error: line 2: blank entity at offset 0\n"
+
+
 def test_translate_on_error_exits_zero_when_no_line_fails(model_file, capsys, monkeypatch):
     argv = ["translate", "--model", str(model_file), "--on-error", "skip"]
     code = run_cli(argv, "[[Radhika|PER]] sang.\nplain\n", monkeypatch=monkeypatch)

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 import random
 import sys
@@ -57,13 +58,14 @@ def test_candidates_truncates_to_top_k():
         candidates(m, "ka", top_k=0)
 
 
-def cli_trace(monkeypatch, capsys, model, word):
-    """The --trace items CLI transliterate prints for word, with model
-    standing in for the loaded model file; None if the word fell back."""
+def cli_trace(monkeypatch, capsys, model, word, top_k=10):
+    """The --trace items CLI transliterate prints for word at top_k, with
+    model standing in for the loaded model file; None if the word fell back."""
     monkeypatch.setattr(model_mod, "load_model", lambda path: model)
     stdin = io.TextIOWrapper(io.BytesIO(f"{word}\n".encode("utf-8")), encoding="utf-8", newline="\n")
     monkeypatch.setattr(sys, "stdin", stdin)
-    assert cli.main(["transliterate", "--model", "in-memory", "--trace", "--fallback", "copy"]) == 0
+    argv = ["transliterate", "--model", "in-memory", "--trace", "--fallback", "copy", "--top-k", str(top_k)]
+    assert cli.main(argv) == 0
     cols = capsys.readouterr().out.rstrip("\n").split("\t")
     return None if cols[2] == "-" else cols[3].split(" ")
 
@@ -268,6 +270,96 @@ def latin_random_model(rng, discrete=False):
         m,
         emission={h: {names[e]: p for e, p in row.items()} for h, row in m.emission.items()},
     )
+
+
+def test_viterbi_at_top_k_1_matches_exhaustive_search(monkeypatch, capsys):
+    # one candidate per position: the lattice holds one state throughout
+    rng = random.Random(35)
+    for trial in range(200):
+        m = latin_random_model(rng, discrete=trial % 2 == 1)
+        keys = [rng.choice(SYLLABLES) for _ in range(rng.randint(1, 6))]
+        decoding = viterbi(m, keys, top_k=1)
+        seq, score = exhaustive_decode(m, keys, top_k=1)
+        assert decoding.hindi_sequence == seq
+        assert decoding.score == score
+        assert cli_trace(monkeypatch, capsys, m, "".join(keys), top_k=1) == expected_trace(m, seq, score, keys)
+
+
+# "ba" has one candidate (A), "di" three (Q, P, R) and "ku" two (R, P), so
+# a word's columns alternate between one state and several.  After "di",
+# the best way into A is from R, the last state of that column, so a
+# one-candidate column after several states must keep its back-pointer.
+MIXED_EMISSION = {
+    "A": {"ba": 1.0},
+    "P": {"di": 0.55, "ku": 0.45},
+    "Q": {"di": 1.0},
+    "R": {"di": 0.3, "ku": 0.7},
+}
+# Uneven values, so that no two paths tie in exact arithmetic: a tie would
+# rest on rounding, where the search and the oracle need not agree.
+MIXED_TRANSITION = {
+    BOS: {"A": 0.41, "P": 0.27, "Q": 0.19, "R": 0.13},
+    "A": {"A": 0.17, "P": 0.29, "Q": 0.11, "R": 0.31, EOS: 0.12},
+    "P": {"A": 0.07, "P": 0.23, "Q": 0.33, "R": 0.09, EOS: 0.28},
+    "Q": {"A": 0.06, "P": 0.37, "Q": 0.14, "R": 0.18, EOS: 0.25},
+    "R": {"A": 0.81, "P": 0.04, "Q": 0.03, "R": 0.05, EOS: 0.07},
+}
+# the same model with no way to end a word, so every path scores -inf
+NO_END_TRANSITION = {
+    source: {h: p / (1.0 - row.get(EOS, 0.0)) for h, p in row.items() if h != EOS}
+    for source, row in MIXED_TRANSITION.items()
+}
+MIXED_WORDS = [list(keys) for n in range(1, 6) for keys in itertools.product(("ba", "di", "ku"), repeat=n)]
+
+
+def mixed_model(transition=MIXED_TRANSITION):
+    return TransliterationModel(
+        emission=MIXED_EMISSION,
+        transition=transition,
+        emission_floor={h: 0.0 for h in MIXED_EMISSION},
+        transition_floor={source: 0.0 for source in transition},
+        smoothing_k=0.0,
+    )
+
+
+@pytest.mark.parametrize("top_k", [1, 2, 3])
+@pytest.mark.parametrize("transition", [MIXED_TRANSITION, NO_END_TRANSITION], ids=["scored", "no-end"])
+def test_viterbi_mixing_one_state_and_several_state_columns_matches_exhaustive_search(
+    transition, top_k, monkeypatch, capsys
+):
+    m = mixed_model(transition)
+    for keys in MIXED_WORDS:
+        decoding = viterbi(m, keys, top_k=top_k)
+        seq, score = exhaustive_decode(m, keys, top_k=top_k)
+        assert decoding.hindi_sequence == seq, keys
+        assert decoding.score == score, keys
+        assert (score == NEG_INF) == (transition is NO_END_TRANSITION)
+        if len(keys) <= 3:
+            assert cli_trace(monkeypatch, capsys, m, "".join(keys), top_k) == expected_trace(m, seq, score, keys)
+
+
+def test_a_one_candidate_column_after_several_states_keeps_its_back_pointer():
+    # the best predecessor of A is the last of the states before it
+    m = mixed_model()
+    assert viterbi(m, ["di", "ba"], top_k=3).hindi_sequence == ("R", "A")  # of P, Q, R
+    assert viterbi(m, ["di", "ba"], top_k=2).hindi_sequence == ("Q", "A")  # of P, Q
+
+
+def test_viterbi_looks_up_candidates_once_per_position(monkeypatch):
+    looked_up = []
+    real = decoder.candidates
+
+    def counting(model, e, top_k=10):
+        looked_up.append(e)
+        return real(model, e, top_k)
+
+    monkeypatch.setattr(decoder, "candidates", counting)
+    m = mixed_model()
+    for keys in MIXED_WORDS:
+        for top_k in (1, 2, 3):
+            looked_up.clear()
+            viterbi(m, keys, top_k=top_k)
+            assert looked_up == keys
 
 
 def test_memo_returns_equal_decodings(memorization_model, memorization_corpus):

@@ -172,6 +172,31 @@ def test_multi_token_entity_joined_with_single_spaces(memorization_model):
     assert processed.substituted == "राधिका कामी arrived."
 
 
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ("Hello[[ Radhika|PER]] sang", "Hello राधिका sang"),  # transliterated
+        ("We saw [[ India |LOC]]!", "We saw  भारत !"),  # a KB hit
+        ("[[\u2003Radhika   Kami\u3000|PER]] arrived.", "\u2003राधिका कामी\u3000 arrived."),
+    ],
+)
+def test_whitespace_at_the_edges_of_a_span_is_kept(line, expected, memorization_model):
+    kb = KnowledgeBase([("India", "भारत", EntityCategory.LOCATION)])
+    sentence, spans = parse_annotations(line, "inline")
+    processed = process_sentence(sentence, spans, kb, memorization_model)
+    assert processed.substituted == expected
+    # columnar spans take the same route
+    columnar = sentence + "".join(f"\t{s.start},{s.end},{s.category.value}" for s in spans)
+    assert process_sentence(*parse_annotations(columnar, "columnar"), kb, memorization_model) == processed
+
+
+def test_a_blank_span_is_rejected(memorization_model):
+    with pytest.raises(AnnotationError, match="^blank entity at offset 0$"):
+        process_sentence(*parse_annotations("[[ |PER]] x", "inline"), None, memorization_model)
+    with pytest.raises(AnnotationError, match="^blank entity at offset 2$"):
+        parse_annotations("ab \u3000 c\t2,5,LOC", "columnar")
+
+
 def test_fallback_route_on_unseen_phoneme(india_model):
     sentence, spans = parse_annotations("[[Zanzibar|LOC]] calls.", "inline")
     with pytest.raises(UnseenPhonemeError):
