@@ -24,7 +24,6 @@ from .phonology import PhonemeSequence, phonify, phonify_devanagari, phonify_lat
 from .pipeline import (
     EntityDecision,
     EntitySpan,
-    PipelineConfig,
     ProcessedSentence,
     Route,
     parse_annotations,
@@ -51,7 +50,6 @@ __all__ = [
     "NeTranslitError",
     "ParallelEntry",
     "PhonemeSequence",
-    "PipelineConfig",
     "ProcessedSentence",
     "Route",
     "TransliterationModel",

@@ -16,7 +16,7 @@ from . import alignment, evaluation, kb as kb_mod, model as model_mod, phonology
 from .decoder import Fallback, decode_or_fallback
 from .errors import ConfigError, NeTranslitError
 from .model import BOS, EOS
-from .pipeline import ANNOTATION_FORMATS, PipelineConfig, parse_annotations, process_sentence
+from .pipeline import ANNOTATION_FORMATS, parse_annotations, process_sentence
 from .settings import SETTINGS, check
 from .textfile import decoded_lines, read_lines
 
@@ -148,7 +148,6 @@ def cmd_transliterate(args) -> int:
 def cmd_translate(args) -> int:
     trained = model_mod.load_model(args.model)
     knowledge = kb_mod.load_kb(args.kb) if args.kb else kb_mod.load_seed_kb()
-    pipeline_config = PipelineConfig(fallback=args.fallback, top_k=args.top_k)
     failed = False
     # the input opens first, so a missing input leaves no decisions file behind
     with (
@@ -159,7 +158,7 @@ def cmd_translate(args) -> int:
             line = raw.rstrip("\n")
             try:
                 sentence, spans = parse_annotations(line, args.format)
-                processed = process_sentence(sentence, spans, knowledge, trained, pipeline_config)
+                processed = process_sentence(sentence, spans, knowledge, trained, args.fallback, args.top_k)
             except NeTranslitError as exc:
                 print(f"{PROG}: error: line {lineno}: {exc}", file=sys.stderr)
                 if args.on_error == "abort":
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transliterate)
 
     p = sub.add_parser("translate", parents=[decode], help="substitute entities in annotated sentences")
-    p.add_argument("--kb", help=f"knowledge base file (default: ${kb_mod.SEED_KB_ENV_VAR} or the packaged seed)")
+    p.add_argument("--kb", help="knowledge base file (default: the packaged seed)")
     p.add_argument("--format", choices=list(ANNOTATION_FORMATS), default="inline")
     p.add_argument("--in", dest="infile", help="read sentences from a file instead of stdin")
     p.add_argument("--decisions", help="write one record per entity to this file")

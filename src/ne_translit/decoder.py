@@ -2,8 +2,13 @@
 
 The decoded sequence maximizes the full path product: the start
 transition, one emission and one incoming transition per position, and
-the end transition.  Scores accumulate in log domain; ties pick the
-code-point-smallest Hindi sequence so output is reproducible.  The
+the end transition.  Scores accumulate in log domain as floats, and a tie
+is broken where it arises: each state keeps the best float score among
+the prefixes that reach it, and of prefixes that score the same float the
+code-point-smallest, so output is reproducible.  The result is therefore
+the code-point-smallest best sequence only among rivals that tie at every
+prefix: two paths whose prefix sums round apart but whose totals round to
+the same float are not compared by code point.  The
 per-position composite scores that `transliterate --trace` prints come
 from TransliterationModel.position_score over the decoded path.
 """
@@ -168,7 +173,11 @@ def decode_or_fallback(
     the word as given and top_k, so a repeated word skips both
     segmentation and Viterbi; the policy is applied on every call, and
     under Fallback.ERROR a word that falls back is decoded again to raise.
+    A fallback that is not a Fallback member, such as its text "copy", is
+    a TypeError: only the CLI and the estimators parse text (settings.check).
     """
+    if type(fallback) is not Fallback:
+        raise TypeError(f"not a Fallback: {fallback!r}")
     memo = model.decode_memo
     memo_key = (word, top_k)
     found = memo.get(memo_key)

@@ -21,7 +21,7 @@ from .decoder import Fallback, transliterate
 from .errors import CorpusError, NotFittedError
 from .kb import KnowledgeBase, normalize
 from .model import TransliterationModel, estimate
-from .pipeline import ANNOTATION_FORMATS, PipelineConfig, parse_annotations, process_sentence
+from .pipeline import ANNOTATION_FORMATS, parse_annotations, process_sentence
 from .settings import bad_value, check
 
 
@@ -146,9 +146,11 @@ class NamedEntityTranslator(ParamsMixin):
         fmt = self.annotation_format
         if not (isinstance(fmt, str) and fmt in ANNOTATION_FORMATS):
             raise bad_value("annotation_format", fmt)
-        config = PipelineConfig(fallback=self.fallback, top_k=self.top_k)
+        policy, top_k = check("fallback", self.fallback), check("top_k", self.top_k)
         model = self._resolved_model()
-        return [process_sentence(*parse_annotations(line, fmt), self.kb, model, config) for line in lines]
+        return [
+            process_sentence(*parse_annotations(line, fmt), self.kb, model, policy, top_k) for line in lines
+        ]
 
     def process_line(self, line: str):
         """The ProcessedSentence, decisions included, for one annotated line."""

@@ -9,7 +9,6 @@ locations always consult it; person names do only when it holds a PER row.
 
 from __future__ import annotations
 
-import os
 import unicodedata
 from enum import Enum
 from importlib import resources
@@ -17,8 +16,6 @@ from pathlib import Path
 
 from .errors import KnowledgeBaseError
 from .textfile import read_lines
-
-SEED_KB_ENV_VAR = "NE_TRANSLIT_SEED_KB"
 
 
 class EntityCategory(Enum):
@@ -119,13 +116,6 @@ def load_kb(path) -> KnowledgeBase:
     return kb
 
 
-def default_kb_path() -> Path:
-    """Packaged seed KB, unless NE_TRANSLIT_SEED_KB points elsewhere."""
-    override = os.environ.get(SEED_KB_ENV_VAR)
-    if override:
-        return Path(override)
-    return Path(str(resources.files("ne_translit").joinpath("data/seed_kb.tsv")))
-
-
 def load_seed_kb() -> KnowledgeBase:
-    return load_kb(default_kb_path())
+    """The packaged seed KB, data/seed_kb.tsv; load_kb reads any other."""
+    return load_kb(Path(str(resources.files("ne_translit").joinpath("data/seed_kb.tsv"))))

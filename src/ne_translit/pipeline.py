@@ -18,7 +18,6 @@ from .decoder import Fallback, decode_or_fallback
 from .errors import AnnotationError
 from .kb import EntityCategory, KnowledgeBase
 from .model import TransliterationModel
-from .settings import check
 
 # Not called here (decode_or_fallback makes these calls), but the
 # benchmark's tracer patches both names on this module.
@@ -60,19 +59,6 @@ class EntityDecision:
 class ProcessedSentence:
     substituted: str
     decisions: tuple[EntityDecision, ...]
-
-
-@dataclass
-class PipelineConfig:
-    """Decode settings for process_sentence, each parsed on construction
-    as its flag or config key is (see settings.check)."""
-
-    fallback: Fallback = Fallback.ERROR
-    top_k: int = 10
-
-    def __post_init__(self):
-        for key in ("fallback", "top_k"):
-            setattr(self, key, check(key, getattr(self, key)))
 
 
 def validate_spans(sentence: str, spans) -> None:
@@ -168,7 +154,7 @@ def parse_annotations(line: str, format: str = "inline") -> tuple[str, list[Enti
     return parse(line)
 
 
-def _transliterate_token(token, model, config):
+def _transliterate_token(token, model, fallback, top_k):
     """Transliterate the letter runs of one token, copying everything else.
 
     A run the model cannot decode gets the fallback policy (see
@@ -183,7 +169,7 @@ def _transliterate_token(token, model, config):
         if not is_run:
             out.append(text)
             continue
-        output, decoding = decode_or_fallback(model, text, config.fallback, config.top_k)
+        output, decoding = decode_or_fallback(model, text, fallback, top_k)
         out.append(output)
         if decoding is None:
             fell_back = True
@@ -192,8 +178,8 @@ def _transliterate_token(token, model, config):
     return "".join(out), score, fell_back
 
 
-def _decide(span, kb, model, config) -> EntityDecision:
-    route, output, score = _route(span, kb, model, config)
+def _decide(span, kb, model, fallback, top_k) -> EntityDecision:
+    route, output, score = _route(span, kb, model, fallback, top_k)
     surface = span.surface
     if surface[0].isspace() or surface[-1].isspace():
         # the output replaces the whole span, so the whitespace at either
@@ -203,7 +189,7 @@ def _decide(span, kb, model, config) -> EntityDecision:
     return EntityDecision(span, route, output, score)
 
 
-def _route(span, kb, model, config) -> tuple[Route, str, float | None]:
+def _route(span, kb, model, fallback, top_k) -> tuple[Route, str, float | None]:
     """(route, output, score) for one span, from its words alone."""
     # organizations and locations, the other two categories, always consult
     # the KB; person names only when it holds a PER row
@@ -216,7 +202,7 @@ def _route(span, kb, model, config) -> tuple[Route, str, float | None]:
     total = 0.0
     fell_back = False
     for token in span.surface.split():
-        out, score, fb = _transliterate_token(token, model, config)
+        out, score, fb = _transliterate_token(token, model, fallback, top_k)
         outputs.append(out)
         total += score
         fell_back = fell_back or fb
@@ -231,17 +217,18 @@ def process_sentence(
     spans,
     kb: KnowledgeBase | None,
     model: TransliterationModel,
-    config: PipelineConfig | None = None,
+    fallback: Fallback = Fallback.ERROR,
+    top_k: int = 10,
 ) -> ProcessedSentence:
     """Translate or transliterate every span and splice the results in.
 
     Characters outside the spans are preserved exactly; decisions come
-    back in span order, one per span.
+    back in span order, one per span.  fallback and top_k are those of
+    decode_or_fallback, which every transliterated letter run goes through.
     """
-    config = config or PipelineConfig()
     spans = list(spans)
     validate_spans(sentence, spans)
-    decisions = [_decide(span, kb, model, config) for span in spans]
+    decisions = [_decide(span, kb, model, fallback, top_k) for span in spans]
     substituted = sentence
     for decision in reversed(decisions):
         span = decision.span

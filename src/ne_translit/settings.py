@@ -1,11 +1,15 @@
-"""The settings a flag, a --config key or a library parameter can give.
+"""The settings a flag, a --config key or an estimator parameter can give.
 
 Each parser takes either the text of a flag or config value or a value
 that is already of its type, and raises ValueError or TypeError on
-anything else.  The CLI's flags and config keys, PipelineConfig and the
-estimators all parse through SETTINGS, so a setting takes the same values
-everywhere; check() turns a rejection into a ConfigError that names the
-setting.  argparse names a parser by its __name__ in a usage error.
+anything else.  Settings are parsed in two places only: the CLI's flags
+and config keys, and the estimators where they use a parameter.  Both
+parse through SETTINGS, so a setting takes the same values in each;
+check() turns a rejection into a ConfigError that names the setting.
+The library functions below them (process_sentence, decode_or_fallback,
+transliterate) take typed values: a fallback that is not a Fallback
+member is a TypeError there.  argparse names a parser by its __name__ in
+a usage error.
 """
 
 from __future__ import annotations

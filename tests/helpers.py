@@ -511,7 +511,7 @@ def reference_parse_inline(line: str):
 
 # --- letter-run scanning reference ------------------------------------------
 
-def reference_transliterate_token(token, model, config):
+def reference_transliterate_token(token, model, fallback, top_k):
     """Letter runs found one character at a time with str.isalpha(): the
     scanner pipeline._transliterate_token must reproduce, fallbacks and
     errors included.  A run whose best path has probability 0 falls back."""
@@ -526,16 +526,16 @@ def reference_transliterate_token(token, model, config):
                 j += 1
             run = token[i:j]
             try:
-                decoding = viterbi(model, phonify_latin(run).keys(), config.top_k)
+                decoding = viterbi(model, phonify_latin(run).keys(), top_k)
                 if decoding.score == NEG_INF:
                     raise ZeroProbabilityError(run)
                 out.append("".join(decoding.hindi_sequence))
                 score += decoding.score
             except (UnseenPhonemeError, ScriptError, ZeroProbabilityError):
-                if config.fallback is Fallback.ERROR:
+                if fallback is Fallback.ERROR:
                     raise
                 fell_back = True
-                out.append(run if config.fallback is Fallback.COPY_SOURCE else UNK_OUTPUT)
+                out.append(run if fallback is Fallback.COPY_SOURCE else UNK_OUTPUT)
             i = j
         else:
             out.append(token[i])

@@ -19,7 +19,7 @@ from ne_translit.errors import ConfigError
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
 from ne_translit.model import estimate, load_model, save_model
 from ne_translit.phonology import phonify_latin
-from ne_translit.pipeline import PipelineConfig
+from ne_translit.pipeline import process_sentence
 
 from helpers import make_memorization_corpus, reference_parse_inline, trace_items
 
@@ -890,6 +890,8 @@ REPEATED_DEFAULTS = [
     (decode_or_fallback, "fallback", "fallback"),
     (transliterate, "top_k", "top_k"),
     (transliterate, "fallback", "fallback"),
+    (process_sentence, "top_k", "top_k"),
+    (process_sentence, "fallback", "fallback"),
     (estimate, "smoothing_k", "smoothing_k"),
     (em_train_alignment, "iterations", "em_iterations"),
     (align_corpus, "iterations", "em_iterations"),
@@ -900,10 +902,9 @@ def test_settings_defaults_equal_the_library_defaults():
     defaults = {key: default for key, (_, default) in SETTINGS.items()}
     estimator = HmmTransliterator().get_params()
     translator = NamedEntityTranslator().get_params()
-    pipeline = PipelineConfig()
     assert defaults == {key: estimator[key] for key in ("smoothing_k", "em_iterations", "top_k", "fallback")}
     for key in ("top_k", "fallback"):
-        assert defaults[key] == getattr(pipeline, key) == translator[key]
+        assert defaults[key] == translator[key]
     for function, parameter, key in REPEATED_DEFAULTS:
         default = inspect.signature(function).parameters[parameter].default
         assert default == defaults[key], (function.__name__, parameter)

@@ -312,11 +312,11 @@ NO_END_TRANSITION = {
 MIXED_WORDS = [list(keys) for n in range(1, 6) for keys in itertools.product(("ba", "di", "ku"), repeat=n)]
 
 
-def mixed_model(transition=MIXED_TRANSITION):
+def mixed_model(transition=MIXED_TRANSITION, emission=MIXED_EMISSION):
     return TransliterationModel(
-        emission=MIXED_EMISSION,
+        emission=emission,
         transition=transition,
-        emission_floor={h: 0.0 for h in MIXED_EMISSION},
+        emission_floor={h: 0.0 for h in emission},
         transition_floor={source: 0.0 for source in transition},
         smoothing_k=0.0,
     )
@@ -343,6 +343,30 @@ def test_a_one_candidate_column_after_several_states_keeps_its_back_pointer():
     m = mixed_model()
     assert viterbi(m, ["di", "ba"], top_k=3).hindi_sequence == ("R", "A")  # of P, Q, R
     assert viterbi(m, ["di", "ba"], top_k=2).hindi_sequence == ("Q", "A")  # of P, Q
+
+
+def test_a_tie_that_rounding_splits_at_a_prefix_is_not_broken_by_code_point():
+    # With even probabilities, the prefixes P Q Q and P P Q of "ku di di" tie
+    # in exact arithmetic (0.0045), but P Q Q's float sum is the larger by
+    # one ulp, so Viterbi keeps it alone for state Q.  After the common
+    # suffix the two totals round to the same float, and only the oracle,
+    # which compares whole sequences, then picks the code-point-smaller
+    # P P Q P.  A tie is broken by code point where it arises, not across
+    # paths that rounding has set apart.
+    m = mixed_model(
+        {
+            BOS: {"A": 0.4, "P": 0.3, "Q": 0.2, "R": 0.1},
+            "A": {"A": 0.2, "P": 0.3, "Q": 0.1, "R": 0.3, EOS: 0.1},
+            "P": {"A": 0.1, "P": 0.2, "Q": 0.3, "R": 0.1, EOS: 0.3},
+            "Q": {"A": 0.05, "P": 0.35, "Q": 0.1, "R": 0.2, EOS: 0.3},
+            "R": {"A": 0.8, "P": 0.05, "Q": 0.05, "R": 0.05, EOS: 0.05},
+        },
+        {"A": {"ba": 1.0}, "P": {"di": 0.5, "ku": 0.5}, "Q": {"di": 1.0}, "R": {"di": 0.25, "ku": 0.75}},
+    )
+    keys = ["ku", "di", "di", "ku"]
+    decoding = viterbi(m, keys, top_k=2)
+    assert (decoding.hindi_sequence, decoding.score) == (("P", "Q", "Q", "P"), -8.350619991590422)
+    assert exhaustive_decode(m, keys, top_k=2) == (("P", "P", "Q", "P"), -8.350619991590422)
 
 
 def test_viterbi_looks_up_candidates_once_per_position(monkeypatch):

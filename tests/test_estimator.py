@@ -15,7 +15,7 @@ from ne_translit import estimator
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
 from ne_translit.kb import EntityCategory, KnowledgeBase, load_seed_kb
 from ne_translit.model import TransliterationModel
-from ne_translit.pipeline import PipelineConfig, Route, parse_annotations, process_sentence
+from ne_translit.pipeline import Route, parse_annotations, process_sentence
 
 
 def test_get_params_returns_init_arguments():
@@ -128,8 +128,9 @@ def test_process_line_decides_as_process_sentence(annotation_format, line, memor
         model=memorization_model, kb=kb, annotation_format=annotation_format, fallback="copy"
     )
     processed = translator.process_line(line)
-    config = PipelineConfig(fallback=Fallback.COPY_SOURCE)
-    expected = process_sentence(*parse_annotations(line, annotation_format), kb, memorization_model, config)
+    expected = process_sentence(
+        *parse_annotations(line, annotation_format), kb, memorization_model, Fallback.COPY_SOURCE
+    )
     decisions = [(d.route, d.output, d.score) for d in processed.decisions]
     assert decisions == [(d.route, d.output, d.score) for d in expected.decisions]
     assert [route for route, _, _ in decisions] == [Route.KB_HIT, Route.TRANSLITERATED, Route.FALLBACK]
@@ -237,9 +238,10 @@ def test_translator_reads_kb_persons_as_the_cli_does(kb_persons, expected, memor
     assert route is (Route.KB_HIT if on else Route.TRANSLITERATED)
 
 
-def test_transform_builds_one_config_per_call(memorization_model, monkeypatch):
-    built = []
-    monkeypatch.setattr(estimator, "PipelineConfig", lambda **kw: built.append(kw) or PipelineConfig(**kw))
+def test_transform_checks_its_settings_once_per_call(memorization_model, monkeypatch):
+    checked = []
+    real = estimator.check
+    monkeypatch.setattr(estimator, "check", lambda key, value: checked.append(key) or real(key, value))
     translator = NamedEntityTranslator(model=memorization_model)
     assert translator.transform(["[[Radhika|PER]] sang."] * 3) == ["राधिका sang."] * 3
-    assert len(built) == 1
+    assert checked == ["fallback", "top_k"]

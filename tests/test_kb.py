@@ -10,7 +10,6 @@ from ne_translit.errors import KnowledgeBaseError
 from ne_translit.kb import (
     EntityCategory,
     KnowledgeBase,
-    SEED_KB_ENV_VAR,
     load_kb,
     load_seed_kb,
     normalize,
@@ -90,13 +89,17 @@ def test_lookup_miss_returns_none():
     assert kb.lookup("India", EntityCategory.ORGANIZATION) is None
 
 
-def test_seed_kb_env_override(tmp_path, monkeypatch):
+def test_no_environment_variable_replaces_the_seed_kb(tmp_path, monkeypatch):
+    # --kb and load_kb choose another KB; the seed is always the packaged file
     alt = tmp_path / "kb.tsv"
     alt.write_text("Mars\tमंगल\tLOC\n", encoding="utf-8")
-    monkeypatch.setenv(SEED_KB_ENV_VAR, str(alt))
+    packaged = load_seed_kb().entries()
+    monkeypatch.setenv("NE_TRANSLIT_SEED_KB", str(alt))
     kb = load_seed_kb()
-    assert len(kb) == 1
-    assert kb.lookup("Mars", EntityCategory.LOCATION) == "मंगल"
+    assert kb.entries() == packaged
+    assert len(kb) > 1
+    assert kb.lookup("Mars", EntityCategory.LOCATION) is None
+    assert kb.lookup("India", EntityCategory.LOCATION) == "भारत"
 
 
 def test_category_scoping_allows_same_key_twice():

@@ -10,7 +10,6 @@ from ne_translit import pipeline
 from ne_translit.pipeline import (
     EntityDecision,
     EntitySpan,
-    PipelineConfig,
     Route,
     parse_annotations,
     parse_inline,
@@ -202,16 +201,12 @@ def test_fallback_route_on_unseen_phoneme(india_model):
     with pytest.raises(UnseenPhonemeError):
         process_sentence(sentence, spans, KnowledgeBase(), india_model)
 
-    copied = process_sentence(
-        sentence, spans, KnowledgeBase(), india_model, PipelineConfig(fallback=Fallback.COPY_SOURCE)
-    )
+    copied = process_sentence(sentence, spans, KnowledgeBase(), india_model, Fallback.COPY_SOURCE)
     assert copied.substituted == "Zanzibar calls."
     assert copied.decisions[0].route is Route.FALLBACK
     assert copied.decisions[0].score is None
 
-    marked = process_sentence(
-        sentence, spans, KnowledgeBase(), india_model, PipelineConfig(fallback=Fallback.UNK_MARKER)
-    )
+    marked = process_sentence(sentence, spans, KnowledgeBase(), india_model, Fallback.UNK_MARKER)
     assert marked.substituted == f"{UNK_OUTPUT} calls."
 
 
@@ -220,18 +215,14 @@ def test_fallback_route_on_non_latin_letters(memorization_model):
     with pytest.raises(ScriptError):
         process_sentence(sentence, spans, KnowledgeBase(), memorization_model)
 
-    copied = process_sentence(
-        sentence, spans, KnowledgeBase(), memorization_model, PipelineConfig(fallback=Fallback.COPY_SOURCE)
-    )
+    copied = process_sentence(sentence, spans, KnowledgeBase(), memorization_model, Fallback.COPY_SOURCE)
     assert copied.substituted == "José and राधिका sang."
     assert [d.route for d in copied.decisions] == [Route.FALLBACK, Route.TRANSLITERATED]
 
 
 def test_punctuation_inside_entities_is_preserved(memorization_model):
     sentence, spans = parse_annotations("[[Radhika's|PER]] book.", "inline")
-    processed = process_sentence(
-        sentence, spans, KnowledgeBase(), memorization_model, PipelineConfig(fallback=Fallback.COPY_SOURCE)
-    )
+    processed = process_sentence(sentence, spans, KnowledgeBase(), memorization_model, Fallback.COPY_SOURCE)
     # the Radhika run decodes; the apostrophe is copied; the bare s run is
     # unseen by the toy model and falls back to the source
     assert processed.substituted == "राधिका's book."
@@ -272,8 +263,7 @@ def test_route_is_kb_hit_iff_lookup_succeeds(memorization_model, memorization_co
 def test_decisions_come_back_in_span_order(memorization_model):
     line = "[[Radhika|PER]] met [[Rama|PER]] and [[Kama|PER]]."
     sentence, spans = parse_annotations(line, "inline")
-    config = PipelineConfig(fallback=Fallback.COPY_SOURCE)
-    processed = process_sentence(sentence, spans, None, memorization_model, config)
+    processed = process_sentence(sentence, spans, None, memorization_model, Fallback.COPY_SOURCE)
     assert [d.span for d in processed.decisions] == spans
     # the unsmoothed model gives Rama and Kama probability 0: they fall back
     assert [d.route for d in processed.decisions] == [Route.TRANSLITERATED, Route.FALLBACK, Route.FALLBACK]
@@ -316,19 +306,18 @@ def test_letter_runs_match_the_character_scanner(fallback, memorization_model):
     # CV units decode; "zu" is an unseen phoneme; é is a letter outside the
     # Latin script; digits, apostrophes, hyphens and dashes are not letters.
     pieces = [english for english, _ in CV_UNITS] + ["zu", "é", "7", "'", "-", "—"]
-    config = PipelineConfig(fallback=fallback)
     rng = random.Random(31)
     outcomes = set()
     for _ in range(400):
         token = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 6)))
         try:
-            expected = reference_transliterate_token(token, memorization_model, config)
+            expected = reference_transliterate_token(token, memorization_model, fallback, 10)
         except (UnseenPhonemeError, ScriptError, ZeroProbabilityError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                pipeline._transliterate_token(token, memorization_model, config)
+                pipeline._transliterate_token(token, memorization_model, fallback, 10)
             outcomes.add(type(exc))
             continue
-        assert pipeline._transliterate_token(token, memorization_model, config) == expected
+        assert pipeline._transliterate_token(token, memorization_model, fallback, 10) == expected
         outcomes.add(expected[2])
     if fallback is Fallback.ERROR:
         assert outcomes == {False, UnseenPhonemeError, ScriptError, ZeroProbabilityError}

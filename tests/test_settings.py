@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
-from ne_translit.decoder import Fallback
+from ne_translit.decoder import Fallback, decode_or_fallback, transliterate
 from ne_translit.errors import ConfigError
-from ne_translit.pipeline import PipelineConfig
+from ne_translit.pipeline import parse_annotations, process_sentence
 from ne_translit.settings import SETTINGS, check
 
 
@@ -52,10 +54,22 @@ def test_settings_has_four_keys():
     assert list(SETTINGS) == ["smoothing_k", "em_iterations", "top_k", "fallback"]
 
 
-def test_pipeline_config_parses_its_settings():
-    config = PipelineConfig(fallback="copy", top_k="3")
-    assert (config.fallback, config.top_k) == (Fallback.COPY_SOURCE, 3)
-    with pytest.raises(TypeError, match="kb_persons"):
-        PipelineConfig(kb_persons=True)
-    with pytest.raises(ConfigError, match="bad value for 'top_k': 2.9"):
-        PipelineConfig(top_k=2.9)
+@pytest.mark.parametrize("policy", ["copy", "COPY_SOURCE", None])
+def test_a_policy_that_is_not_a_fallback_is_a_type_error(policy, memorization_model):
+    # check parses a policy's text at the CLI and in the estimators; the
+    # library functions take a Fallback member, so the text is not read as
+    # some policy other than the one it names
+    message = f"^not a Fallback: {re.escape(repr(policy))}$"
+    # a word that decodes, one with an unseen phoneme and one outside the
+    # Latin script; the second round finds each in the memo
+    for word, decodes in (("Radhika", True), ("Zzyx", False), ("José", False)):
+        for _ in range(2):
+            with pytest.raises(TypeError, match=message):
+                decode_or_fallback(memorization_model, word, policy)
+            with pytest.raises(TypeError, match=message):
+                transliterate(memorization_model, word, policy)
+            decoding = decode_or_fallback(memorization_model, word, Fallback.COPY_SOURCE)[1]
+            assert (decoding is not None) == decodes
+        sentence, spans = parse_annotations(f"[[{word}|PER]] sang.", "inline")
+        with pytest.raises(TypeError, match=message):
+            process_sentence(sentence, spans, None, memorization_model, policy)
