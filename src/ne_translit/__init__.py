@@ -14,7 +14,7 @@ from .alignment import (
     em_train_alignment,
     load_corpus,
 )
-from .decoder import Decoding, Fallback, candidates, decode_or_fallback, transliterate, viterbi
+from .decoder import Decoding, Fallback, candidates, decode_name, decode_or_fallback, transliterate, viterbi
 from .errors import NeTranslitError
 from .estimator import HmmTransliterator, NamedEntityTranslator
 from .evaluation import AccuracyReport, GoldRecord, evaluate, render_report
@@ -56,6 +56,7 @@ __all__ = [
     "align_corpus",
     "align_monotone",
     "candidates",
+    "decode_name",
     "decode_or_fallback",
     "em_train_alignment",
     "estimate",

@@ -13,7 +13,7 @@ import contextlib
 import sys
 
 from . import alignment, evaluation, kb as kb_mod, model as model_mod, phonology
-from .decoder import Fallback, decode_or_fallback
+from .decoder import Fallback, decode_name
 from .errors import ConfigError, NeTranslitError
 from .model import BOS, EOS
 from .pipeline import ANNOTATION_FORMATS, parse_annotations, process_sentence
@@ -124,23 +124,26 @@ def cmd_transliterate(args) -> int:
             if not word:
                 continue
             try:
-                hindi, decoding = decode_or_fallback(trained, word, args.fallback, args.top_k)
+                hindi, score, runs = decode_name(trained, word, args.fallback, args.top_k)
             except NeTranslitError as exc:  # only under --fallback error
                 print(f"{PROG}: error: line {lineno}: {exc}", file=sys.stderr)
                 return 1
-            if decoding is None:
+            if score is None:
                 print(f"{word}\t{hindi}\t-")
                 continue
-            line = f"{word}\t{hindi}\t{decoding.score:.6f}"
+            line = f"{word}\t{hindi}\t{score:.6f}"
             if args.trace:
-                # each position's composite score, from a second segmentation
-                # of the word (decode_or_fallback keeps only the path)
-                path = (BOS, *decoding.hindi_sequence, EOS)
-                keys = phonology.phonify_latin(word).keys()
-                line += "\t" + " ".join(
-                    f"{h}:{trained.position_score(path[i], h, path[i + 2], e):.6g}"
-                    for i, (h, e) in enumerate(zip(decoding.hindi_sequence, keys))
-                )
+                # each position's composite score, run by run, from a second
+                # segmentation of the run (decode_name keeps only the path)
+                items = []
+                for run, decoding in runs:
+                    path = (BOS, *decoding.hindi_sequence, EOS)
+                    keys = phonology.phonify_latin(run).keys()
+                    items += (
+                        f"{h}:{trained.position_score(path[i], h, path[i + 2], e):.6g}"
+                        for i, (h, e) in enumerate(zip(decoding.hindi_sequence, keys))
+                    )
+                line += "\t" + " ".join(items)
             print(line)
     return 0
 

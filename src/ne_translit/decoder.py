@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 from . import phonology
 from .errors import ScriptError, UnseenPhonemeError, ZeroProbabilityError
@@ -157,6 +158,22 @@ def viterbi(model: TransliterationModel, keys, top_k: int = 10) -> Decoding:
     return Decoding(tuple(path), best_score)
 
 
+def check_decode_settings(fallback, top_k) -> None:
+    """The check every decode entry point makes of its typed settings.
+
+    A fallback that is not a Fallback member, such as its text "copy", or
+    a top_k that is not a plain int, such as True, is a TypeError; a top_k
+    below 1 is a ValueError.  Only the CLI and the estimators parse text
+    (settings.check).
+    """
+    if type(fallback) is not Fallback:
+        raise TypeError(f"not a Fallback: {fallback!r}")
+    if type(top_k) is not int:  # a bool is not one
+        raise TypeError(f"top_k must be an int, not {type(top_k).__name__}")
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+
+
 def decode_or_fallback(
     model: TransliterationModel,
     word: str,
@@ -173,11 +190,9 @@ def decode_or_fallback(
     the word as given and top_k, so a repeated word skips both
     segmentation and Viterbi; the policy is applied on every call, and
     under Fallback.ERROR a word that falls back is decoded again to raise.
-    A fallback that is not a Fallback member, such as its text "copy", is
-    a TypeError: only the CLI and the estimators parse text (settings.check).
+    The settings are checked first, memo or not (check_decode_settings).
     """
-    if type(fallback) is not Fallback:
-        raise TypeError(f"not a Fallback: {fallback!r}")
+    check_decode_settings(fallback, top_k)
     memo = model.decode_memo
     memo_key = (word, top_k)
     found = memo.get(memo_key)
@@ -205,11 +220,56 @@ def decode_or_fallback(
     return (word if fallback is Fallback.COPY_SOURCE else UNK_OUTPUT), None
 
 
+def decode_name(
+    model: TransliterationModel,
+    text: str,
+    fallback: Fallback = Fallback.ERROR,
+    top_k: int = 10,
+) -> tuple[str, float | None, list[tuple[str, Decoding | None]]]:
+    """Transliterate a name: (output, score, runs).
+
+    The one rule every front door decodes by: the text is split at
+    whitespace and the outputs joined with single spaces; within a word,
+    each run of str.isalpha letters goes through decode_or_fallback and
+    every other character is copied.  score is None when any run fell
+    back, and otherwise the sum of the runs' log scores, added within each
+    word and then across words.  runs lists each letter run in order with
+    its Decoding (None for a run that fell back).  A text with no letters
+    is copied, its words rejoined, with score 0.0.
+    """
+    if text.isalpha():  # one letter run, as most names are: 0.0 + score is score
+        output, decoding = decode_or_fallback(model, text, fallback, top_k)
+        return output, None if decoding is None else decoding.score, [(text, decoding)]
+    check_decode_settings(fallback, top_k)  # a text with no letter run checks too
+    outputs: list[str] = []
+    runs: list[tuple[str, Decoding | None]] = []
+    total = 0.0
+    fell_back = False
+    for word in text.split():
+        out: list[str] = []
+        score = 0.0
+        for is_run, chars in groupby(word, str.isalpha):
+            piece = "".join(chars)
+            if not is_run:
+                out.append(piece)
+                continue
+            output, decoding = decode_or_fallback(model, piece, fallback, top_k)
+            out.append(output)
+            runs.append((piece, decoding))
+            if decoding is None:
+                fell_back = True
+            else:
+                score += decoding.score
+        outputs.append("".join(out))
+        total += score
+    return " ".join(outputs), None if fell_back else total, runs
+
+
 def transliterate(
     model: TransliterationModel,
     word: str,
     fallback: Fallback = Fallback.ERROR,
     top_k: int = 10,
 ) -> str:
-    """Latin word in, Hindi string out (see decode_or_fallback)."""
-    return decode_or_fallback(model, word, fallback, top_k)[0]
+    """Latin name in, Hindi string out (see decode_name)."""
+    return decode_name(model, word, fallback, top_k)[0]

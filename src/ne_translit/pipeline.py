@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 
-from .decoder import Fallback, decode_or_fallback
+from .decoder import Fallback, check_decode_settings, decode_name
 from .errors import AnnotationError
 from .kb import EntityCategory, KnowledgeBase
 from .model import TransliterationModel
@@ -154,62 +153,24 @@ def parse_annotations(line: str, format: str = "inline") -> tuple[str, list[Enti
     return parse(line)
 
 
-def _transliterate_token(token, model, fallback, top_k):
-    """Transliterate the letter runs of one token, copying everything else.
-
-    A run the model cannot decode gets the fallback policy (see
-    decode_or_fallback).  Returns (output, summed log score, whether any
-    run fell back).
-    """
-    out: list[str] = []
-    score = 0.0
-    fell_back = False
-    for is_run, chars in groupby(token, str.isalpha):
-        text = "".join(chars)
-        if not is_run:
-            out.append(text)
-            continue
-        output, decoding = decode_or_fallback(model, text, fallback, top_k)
-        out.append(output)
-        if decoding is None:
-            fell_back = True
-        else:
-            score += decoding.score
-    return "".join(out), score, fell_back
-
-
 def _decide(span, kb, model, fallback, top_k) -> EntityDecision:
-    route, output, score = _route(span, kb, model, fallback, top_k)
     surface = span.surface
+    # organizations and locations, the other two categories, always consult
+    # the KB; person names only when it holds a PER row
+    hit = None
+    if kb is not None and (span.category is not _PERSON or kb.has_persons):
+        hit = kb.lookup(surface, span.category)
+    if hit is not None:
+        route, output, score = Route.KB_HIT, hit, None
+    else:
+        output, score, _ = decode_name(model, surface, fallback, top_k)
+        route = Route.FALLBACK if score is None else Route.TRANSLITERATED
     if surface[0].isspace() or surface[-1].isspace():
         # the output replaces the whole span, so the whitespace at either
         # end of the surface goes back around it
         lead = len(surface) - len(surface.lstrip())
         output = surface[:lead] + output + surface[len(surface.rstrip()) :]
     return EntityDecision(span, route, output, score)
-
-
-def _route(span, kb, model, fallback, top_k) -> tuple[Route, str, float | None]:
-    """(route, output, score) for one span, from its words alone."""
-    # organizations and locations, the other two categories, always consult
-    # the KB; person names only when it holds a PER row
-    if kb is not None and (span.category is not _PERSON or kb.has_persons):
-        hit = kb.lookup(span.surface, span.category)
-        if hit is not None:
-            return Route.KB_HIT, hit, None
-
-    outputs: list[str] = []
-    total = 0.0
-    fell_back = False
-    for token in span.surface.split():
-        out, score, fb = _transliterate_token(token, model, fallback, top_k)
-        outputs.append(out)
-        total += score
-        fell_back = fell_back or fb
-    output = " ".join(outputs)
-    if fell_back:
-        return Route.FALLBACK, output, None
-    return Route.TRANSLITERATED, output, total
 
 
 def process_sentence(
@@ -223,9 +184,11 @@ def process_sentence(
     """Translate or transliterate every span and splice the results in.
 
     Characters outside the spans are preserved exactly; decisions come
-    back in span order, one per span.  fallback and top_k are those of
-    decode_or_fallback, which every transliterated letter run goes through.
+    back in span order, one per span.  A span the KB does not translate
+    goes through decode_name, whose fallback and top_k these are; they are
+    checked first, whatever the spans (check_decode_settings).
     """
+    check_decode_settings(fallback, top_k)
     spans = list(spans)
     validate_spans(sentence, spans)
     decisions = [_decide(span, kb, model, fallback, top_k) for span in spans]

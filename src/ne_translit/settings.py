@@ -6,10 +6,12 @@ anything else.  Settings are parsed in two places only: the CLI's flags
 and config keys, and the estimators where they use a parameter.  Both
 parse through SETTINGS, so a setting takes the same values in each;
 check() turns a rejection into a ConfigError that names the setting.
-The library functions below them (process_sentence, decode_or_fallback,
-transliterate) take typed values: a fallback that is not a Fallback
-member is a TypeError there.  argparse names a parser by its __name__ in
-a usage error.
+The library functions below them (process_sentence, decode_name,
+decode_or_fallback, transliterate) take typed values and check them with
+decoder.check_decode_settings: a fallback that is not a Fallback member,
+or a top_k that is not a plain int, is a TypeError there, so positive_int
+returns a plain int.  argparse names a parser by its __name__ in a usage
+error.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from .model import smoothing_constant
 
 
 def positive_int(value) -> int:
-    """A decimal string or an int (not a bool), at least 1."""
+    """A decimal string or an int (not a bool), at least 1, as a plain int."""
     if isinstance(value, str):
         value = int(value)
     elif not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"not an int: {value!r}")
     if value < 1:
         raise ValueError(f"must be >= 1, got {value}")
-    return value
+    return int(value)
 
 
 def smoothing_k(value) -> float:

@@ -345,6 +345,50 @@ def test_transliterate_trace_adds_per_position_column(model_file, capsys, monkey
     assert all(":" in item for item in items)
 
 
+def test_predict_prints_what_the_transliterate_command_prints(tmp_path, capsys, monkeypatch):
+    # one rule behind both doors (decoder.decode_name): the text is split at
+    # whitespace, each letter run of a word decodes and the rest is copied;
+    # Seema has a phoneme this two-name model has not seen, so it is copied
+    estimator = HmmTransliterator(fallback="copy").fit([("Radhika", "राधिका"), ("Seema", "सीमा")])
+    model = tmp_path / "model.txt"
+    save_model(estimator.model_, model)
+    lines = [" Radhika", "Radhi-ka", "Radhika  Seema"]
+    argv = ["transliterate", "--model", str(model), "--fallback", "copy"]
+    assert run_cli(argv, "".join(f"{line}\n" for line in lines), monkeypatch=monkeypatch) == 0
+    printed = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
+    assert printed == estimator.predict(lines) == ["राधिका", "राधि-का", "राधिका Seema"]
+
+
+def test_trace_prints_each_letter_run_in_order(tmp_path, corpus_file, capsys, monkeypatch):
+    model = tmp_path / "model.txt"
+    assert main(["--quiet", "train", str(corpus_file), str(model)]) == 0
+    trained = load_model(model)
+    assert run_cli(["transliterate", "--model", str(model), "--trace"], "Radhi-ka ra\n", monkeypatch=monkeypatch) == 0
+    word, hindi, score, items = capsys.readouterr().out.rstrip("\n").split("\t")
+    expected_items, expected_hindi, scores = [], [], []
+    for run in ("Radhi", "ka", "ra"):
+        keys = phonify_latin(run).keys()
+        decoding = viterbi(trained, keys)
+        expected_items += trace_items(trained, decoding.hindi_sequence, keys)
+        expected_hindi.append("".join(decoding.hindi_sequence))
+        scores.append(decoding.score)
+    assert (word, hindi) == ("Radhi-ka ra", "{}-{} {}".format(*expected_hindi))
+    # the runs' scores are added within each word, then across words
+    assert score == f"{(0.0 + scores[0] + scores[1]) + (0.0 + scores[2]):.6f}"
+    assert items.split(" ") == expected_items
+
+
+def test_a_word_with_no_letters_is_copied_with_score_zero(model_file, tmp_path, capsys, monkeypatch):
+    # nothing in it to decode, so nothing falls back: as a translate span
+    assert run_cli(["transliterate", "--model", str(model_file)], "123\n", monkeypatch=monkeypatch) == 0
+    assert capsys.readouterr().out == "123\t123\t0.000000\n"
+    decisions = tmp_path / "decisions.tsv"
+    argv = ["translate", "--model", str(model_file), "--decisions", str(decisions)]
+    assert run_cli(argv, "[[123|PER]] won.\n", monkeypatch=monkeypatch) == 0
+    assert capsys.readouterr().out == "123 won.\n"
+    assert decisions.read_text(encoding="utf-8") == "1\t0\t3\t123\tPER\tTRANSLITERATED\t123\t0.000000\n"
+
+
 TRACE_WORDS = ["Radhika", "Kamala", "Xylophone", "Radhika", "José", "", "Pusaki", "Kamala"] + [
     line.split("\t")[0] for line in CORPUS_LINES[:6]
 ]

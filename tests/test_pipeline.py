@@ -3,10 +3,9 @@ import re
 
 import pytest
 
-from ne_translit.decoder import Fallback, UNK_OUTPUT
+from ne_translit.decoder import Fallback, UNK_OUTPUT, decode_name
 from ne_translit.errors import AnnotationError, ScriptError, UnseenPhonemeError, ZeroProbabilityError
 from ne_translit.kb import EntityCategory, KnowledgeBase, load_seed_kb
-from ne_translit import pipeline
 from ne_translit.pipeline import (
     EntityDecision,
     EntitySpan,
@@ -314,11 +313,12 @@ def test_letter_runs_match_the_character_scanner(fallback, memorization_model):
             expected = reference_transliterate_token(token, memorization_model, fallback, 10)
         except (UnseenPhonemeError, ScriptError, ZeroProbabilityError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                pipeline._transliterate_token(token, memorization_model, fallback, 10)
+                decode_name(memorization_model, token, fallback, 10)
             outcomes.add(type(exc))
             continue
-        assert pipeline._transliterate_token(token, memorization_model, fallback, 10) == expected
-        outcomes.add(expected[2])
+        output, score, fell_back = expected
+        assert decode_name(memorization_model, token, fallback, 10)[:2] == (output, None if fell_back else score)
+        outcomes.add(fell_back)
     if fallback is Fallback.ERROR:
         assert outcomes == {False, UnseenPhonemeError, ScriptError, ZeroProbabilityError}
     else:

@@ -2,8 +2,9 @@ import re
 
 import pytest
 
-from ne_translit.decoder import Fallback, decode_or_fallback, transliterate
+from ne_translit.decoder import Fallback, decode_name, decode_or_fallback, transliterate
 from ne_translit.errors import ConfigError
+from ne_translit.kb import load_seed_kb
 from ne_translit.pipeline import parse_annotations, process_sentence
 from ne_translit.settings import SETTINGS, check
 
@@ -73,3 +74,49 @@ def test_a_policy_that_is_not_a_fallback_is_a_type_error(policy, memorization_mo
         sentence, spans = parse_annotations(f"[[{word}|PER]] sang.", "inline")
         with pytest.raises(TypeError, match=message):
             process_sentence(sentence, spans, None, memorization_model, policy)
+
+
+def test_a_bad_policy_is_an_error_whatever_the_text(memorization_model):
+    # a KB hit, a sentence without spans and a name without letters reach
+    # no letter run, and still check the policy
+    for line in ("[[India|LOC]] is great.", "Nothing here."):
+        with pytest.raises(TypeError, match="^not a Fallback: 'copy'$"):
+            process_sentence(*parse_annotations(line), load_seed_kb(), memorization_model, "copy")
+    with pytest.raises(TypeError, match="^not a Fallback: 'copy'$"):
+        decode_name(memorization_model, "123", "copy")
+
+
+@pytest.mark.parametrize(
+    "top_k, error, message",
+    [
+        (True, TypeError, "^top_k must be an int, not bool$"),
+        (False, TypeError, "^top_k must be an int, not bool$"),
+        (1.0, TypeError, "^top_k must be an int, not float$"),
+        ("1", TypeError, "^top_k must be an int, not str$"),
+        (0, ValueError, "^top_k must be >= 1$"),
+    ],
+    ids=["True", "False", "1.0", "'1'", "0"],
+)
+def test_top_k_is_an_int_of_at_least_one(top_k, error, message, memorization_model):
+    memo = dict(memorization_model.decode_memo)
+    for word in ("Radhika", "Radhika"):  # the second from the memo, were it kept
+        with pytest.raises(error, match=message):
+            decode_or_fallback(memorization_model, word, Fallback.COPY_SOURCE, top_k)
+    for text in ("Radhika", "123"):
+        with pytest.raises(error, match=message):
+            transliterate(memorization_model, text, Fallback.COPY_SOURCE, top_k)
+    for line in ("[[India|LOC]] is great.", "[[Radhika|PER]] sang."):
+        with pytest.raises(error, match=message):
+            process_sentence(*parse_annotations(line), load_seed_kb(), memorization_model, Fallback.COPY_SOURCE, top_k)
+    assert memorization_model.decode_memo == memo
+
+
+def test_top_k_parses_to_a_plain_int(memorization_model):
+    # the library takes only a plain int, so an int subclass that the CLI
+    # and the estimators accept reaches it as one
+    class Count(int):
+        pass
+
+    assert type(check("top_k", Count(3))) is int
+    with pytest.raises(TypeError, match="^top_k must be an int, not Count$"):
+        decode_or_fallback(memorization_model, "Radhika", Fallback.COPY_SOURCE, Count(3))
