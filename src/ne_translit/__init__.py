@@ -14,7 +14,7 @@ from .alignment import (
     em_train_alignment,
     load_corpus,
 )
-from .decoder import Decoding, Fallback, candidates, decode_name, decode_or_fallback, transliterate, viterbi
+from .decoder import Decoding, Fallback, candidates, decode_name, viterbi
 from .errors import NeTranslitError
 from .estimator import HmmTransliterator, NamedEntityTranslator
 from .evaluation import AccuracyReport, GoldRecord, evaluate, render_report
@@ -57,7 +57,6 @@ __all__ = [
     "align_monotone",
     "candidates",
     "decode_name",
-    "decode_or_fallback",
     "em_train_alignment",
     "estimate",
     "evaluate",
@@ -73,6 +72,5 @@ __all__ = [
     "process_sentence",
     "render_report",
     "save_model",
-    "transliterate",
     "viterbi",
 ]

@@ -20,7 +20,7 @@ from .pipeline import ANNOTATION_FORMATS, parse_annotations, process_sentence
 from .settings import SETTINGS, check
 from .textfile import decoded_lines, read_lines
 
-# Not called here (decode_or_fallback makes the call), but the benchmark's
+# Not called here (decode_name makes the call), but the benchmark's
 # tracer patches this name on this module.
 from .decoder import viterbi  # noqa: F401
 
@@ -120,7 +120,9 @@ def cmd_transliterate(args) -> int:
     trained = model_mod.load_model(args.model)
     with _input_lines(args) as lines:
         for lineno, raw in lines:
-            word = raw.strip()
+            # the name as decoded: its words joined by single spaces, so a tab
+            # inside it cannot add a column
+            word = " ".join(raw.split())
             if not word:
                 continue
             try:

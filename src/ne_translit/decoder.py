@@ -1,5 +1,9 @@
 """Viterbi decoding of English phoneme sequences into Hindi.
 
+decode_name is the decoder's one name-level function: every front door
+decodes a name through it, and it alone keeps the per-model memo and
+applies the fallback policy.  viterbi and candidates work on phoneme keys.
+
 The decoded sequence maximizes the full path product: the start
 transition, one emission and one incoming transition per position, and
 the end transition.  Scores accumulate in log domain as floats, and a tie
@@ -15,6 +19,7 @@ from TransliterationModel.position_score over the decoded path.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
@@ -77,7 +82,7 @@ def viterbi(model: TransliterationModel, keys, top_k: int = 10) -> Decoding:
     throughout.  The scores and the tie-break are those of the general
     case.  Raises UnseenPhonemeError when some position has no
     candidates; the caller decides the fallback policy.
-    Nothing is memoized here: decode_or_fallback keeps the per-model memo.
+    Nothing is memoized here: decode_name keeps the per-model memo.
     """
     if not isinstance(keys, (list, tuple)):
         raise TypeError(f"viterbi takes a list or tuple of keys, not {type(keys).__name__}")
@@ -174,52 +179,6 @@ def check_decode_settings(fallback, top_k) -> None:
         raise ValueError("top_k must be >= 1")
 
 
-def decode_or_fallback(
-    model: TransliterationModel,
-    word: str,
-    fallback: Fallback = Fallback.ERROR,
-    top_k: int = 10,
-) -> tuple[str, Decoding | None]:
-    """Segment a Latin word and decode it: (Hindi output, its Decoding).
-
-    A word the model cannot decode (an unseen phoneme, a letter outside
-    the Latin script such as the é of José, or a best path of probability
-    0) gets the fallback output and None, or under Fallback.ERROR the
-    error; the empty word gives ("", None).  Each word's outcome, its
-    decoding or () for a word that falls back, is memoized on the model by
-    the word as given and top_k, so a repeated word skips both
-    segmentation and Viterbi; the policy is applied on every call, and
-    under Fallback.ERROR a word that falls back is decoded again to raise.
-    The settings are checked first, memo or not (check_decode_settings).
-    """
-    check_decode_settings(fallback, top_k)
-    memo = model.decode_memo
-    memo_key = (word, top_k)
-    found = memo.get(memo_key)
-    if found is None or (not found and fallback is Fallback.ERROR):
-        try:
-            keys = phonology.phonify_latin(word).keys()
-            if not keys:
-                return "", None
-            decoding = viterbi(model, keys, top_k)
-            if decoding.score == NEG_INF:
-                raise ZeroProbabilityError(word)
-            found = "".join(decoding.hindi_sequence), decoding
-        except (ScriptError, UnseenPhonemeError, ZeroProbabilityError):
-            if fallback is Fallback.ERROR:
-                raise
-            found = ()
-        # Each dict call is atomic, so threads sharing the model need no lock:
-        # a race can only decode a word twice (same result) or let the memo
-        # pass MEMO_SIZE by one entry per racing thread.
-        if len(memo) >= MEMO_SIZE:
-            memo.clear()
-        memo[memo_key] = found
-    if found:
-        return found
-    return (word if fallback is Fallback.COPY_SOURCE else UNK_OUTPUT), None
-
-
 def decode_name(
     model: TransliterationModel,
     text: str,
@@ -228,48 +187,73 @@ def decode_name(
 ) -> tuple[str, float | None, list[tuple[str, Decoding | None]]]:
     """Transliterate a name: (output, score, runs).
 
-    The one rule every front door decodes by: the text is split at
+    The one rule every front door decodes by.  The settings are checked
+    first (check_decode_settings), and the text is read in NFC, so
+    equivalent spellings decode alike.  A text that is one run of
+    str.isalpha letters is segmented (phonology.phonify_latin) and decoded
+    (viterbi).  A run the model cannot decode (an unseen phoneme, a letter
+    outside the Latin script such as the é of José, or a best path of
+    probability 0) gets the fallback output, the run itself or UNK_OUTPUT,
+    or under Fallback.ERROR the error.  Any other text is split at
     whitespace and the outputs joined with single spaces; within a word,
-    each run of str.isalpha letters goes through decode_or_fallback and
-    every other character is copied.  score is None when any run fell
-    back, and otherwise the sum of the runs' log scores, added within each
-    word and then across words.  runs lists each letter run in order with
-    its Decoding (None for a run that fell back).  A text with no letters
-    is copied, its words rejoined, with score 0.0.
+    each letter run is decoded by this function and every other character
+    is copied.  score is None when any run fell back, and otherwise the sum
+    of the runs' log scores, added within each word and then across words
+    (0.0 for a text with no letter run).  runs lists each letter run in
+    order with its Decoding (None for a run that fell back).
+
+    Each run's outcome, its (output, Decoding) or () for a run that falls
+    back, is memoized on the model (model.decode_memo) by the run and
+    top_k, so a repeated run skips both segmentation and Viterbi; the
+    policy is applied on every call, and under Fallback.ERROR a run that
+    falls back is decoded again to raise.
     """
-    if text.isalpha():  # one letter run, as most names are: 0.0 + score is score
-        output, decoding = decode_or_fallback(model, text, fallback, top_k)
-        return output, None if decoding is None else decoding.score, [(text, decoding)]
-    check_decode_settings(fallback, top_k)  # a text with no letter run checks too
-    outputs: list[str] = []
-    runs: list[tuple[str, Decoding | None]] = []
-    total = 0.0
-    fell_back = False
-    for word in text.split():
-        out: list[str] = []
-        score = 0.0
-        for is_run, chars in groupby(word, str.isalpha):
-            piece = "".join(chars)
-            if not is_run:
-                out.append(piece)
-                continue
-            output, decoding = decode_or_fallback(model, piece, fallback, top_k)
-            out.append(output)
-            runs.append((piece, decoding))
-            if decoding is None:
-                fell_back = True
-            else:
-                score += decoding.score
-        outputs.append("".join(out))
-        total += score
-    return " ".join(outputs), None if fell_back else total, runs
+    check_decode_settings(fallback, top_k)
+    text = unicodedata.normalize("NFC", text)
+    if not text.isalpha():
+        outputs: list[str] = []
+        runs: list[tuple[str, Decoding | None]] = []
+        total = 0.0
+        fell_back = False
+        for word in text.split():
+            out: list[str] = []
+            score = 0.0
+            for is_run, chars in groupby(word, str.isalpha):
+                piece = "".join(chars)
+                if not is_run:
+                    out.append(piece)
+                    continue
+                output, run_score, (run,) = decode_name(model, piece, fallback, top_k)
+                out.append(output)
+                runs.append(run)
+                if run_score is None:
+                    fell_back = True
+                else:
+                    score += run_score
+            outputs.append("".join(out))
+            total += score
+        return " ".join(outputs), None if fell_back else total, runs
 
-
-def transliterate(
-    model: TransliterationModel,
-    word: str,
-    fallback: Fallback = Fallback.ERROR,
-    top_k: int = 10,
-) -> str:
-    """Latin name in, Hindi string out (see decode_name)."""
-    return decode_name(model, word, fallback, top_k)[0]
+    memo = model.decode_memo
+    memo_key = (text, top_k)
+    found = memo.get(memo_key)
+    if found is None or (not found and fallback is Fallback.ERROR):
+        try:
+            decoding = viterbi(model, phonology.phonify_latin(text).keys(), top_k)
+            if decoding.score == NEG_INF:
+                raise ZeroProbabilityError(text)
+            found = "".join(decoding.hindi_sequence), decoding
+        except (ScriptError, UnseenPhonemeError, ZeroProbabilityError):
+            if fallback is Fallback.ERROR:
+                raise
+            found = ()
+        # Each dict call is atomic, so threads sharing the model need no lock:
+        # a race can only decode a run twice (same result) or let the memo
+        # pass MEMO_SIZE by one entry per racing thread.
+        if len(memo) >= MEMO_SIZE:
+            memo.clear()
+        memo[memo_key] = found
+    if found:
+        output, decoding = found
+        return output, decoding.score, [(text, decoding)]
+    return (text if fallback is Fallback.COPY_SOURCE else UNK_OUTPUT), None, [(text, None)]

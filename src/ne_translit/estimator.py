@@ -17,7 +17,7 @@ from __future__ import annotations
 import inspect
 
 from .alignment import ParallelEntry, align_corpus
-from .decoder import Fallback, transliterate
+from .decoder import Fallback, decode_name
 from .errors import CorpusError, NotFittedError
 from .kb import KnowledgeBase, normalize
 from .model import TransliterationModel, estimate
@@ -89,10 +89,10 @@ class HmmTransliterator(ParamsMixin):
             raise NotFittedError(f"{type(self).__name__} must be fitted before use")
 
     def predict(self, X) -> list[str]:
-        """Hindi string for each English word in X."""
+        """Hindi string for each English name in X (decoder.decode_name)."""
         self._check_fitted()
         policy, top_k = check("fallback", self.fallback), check("top_k", self.top_k)
-        return [transliterate(self.model_, word, policy, top_k) for word in X]
+        return [decode_name(self.model_, word, policy, top_k)[0] for word in X]
 
     def score(self, X, y) -> float:
         """Normalized exact-match accuracy of predict(X) against y."""

@@ -64,7 +64,7 @@ class TransliterationModel:
     derived from `emission`.  The tables never change once built.
     Decoding lazily adds two derived structures on first use:
     `decode_table`, the tables laid out for Viterbi, and `decode_memo`, the
-    word outcomes that `decoder.decode_or_fallback` remembers.  Neither is
+    letter-run outcomes that `decoder.decode_name` remembers.  Neither is
     part of equality or of the saved file, and both stay correct when
     threads share one model (the memo is a plain dict that is cleared, not
     evicted from, when it fills up, so no lock is needed).
@@ -152,8 +152,8 @@ class TransliterationModel:
 
     @cached_property
     def decode_memo(self) -> dict:
-        """(word, top_k) -> (output, Decoding), or () for a word that falls
-        back; filled and bounded by decoder.decode_or_fallback."""
+        """(letter run in NFC, top_k) -> (output, Decoding), or () for a run
+        that falls back; filled and bounded by decoder.decode_name."""
         return {}
 
     def emission_prob(self, h: str, e: str) -> float:

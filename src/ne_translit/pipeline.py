@@ -18,7 +18,7 @@ from .errors import AnnotationError
 from .kb import EntityCategory, KnowledgeBase
 from .model import TransliterationModel
 
-# Not called here (decode_or_fallback makes these calls), but the
+# Not called here (decode_name makes these calls), but the
 # benchmark's tracer patches both names on this module.
 from .decoder import viterbi  # noqa: F401
 from .phonology import phonify_latin  # noqa: F401
@@ -62,7 +62,8 @@ class ProcessedSentence:
 
 def validate_spans(sentence: str, spans) -> None:
     """Enforce span sanity: in bounds, sorted, non-overlapping, surface
-    match, and not blank (a span of whitespace alone names no entity)."""
+    match, not blank (a span of whitespace alone names no entity), and no
+    tab (a --decisions record is tab-separated)."""
     prev_end = 0
     for span in spans:
         if not 0 <= span.start < span.end <= len(sentence):
@@ -75,6 +76,8 @@ def validate_spans(sentence: str, spans) -> None:
             )
         if span.surface.isspace():
             raise AnnotationError(f"blank entity at offset {span.start}")
+        if "\t" in span.surface:
+            raise AnnotationError(f"tab inside the entity at offset {span.start}")
         prev_end = span.end
 
 

@@ -6,12 +6,11 @@ anything else.  Settings are parsed in two places only: the CLI's flags
 and config keys, and the estimators where they use a parameter.  Both
 parse through SETTINGS, so a setting takes the same values in each;
 check() turns a rejection into a ConfigError that names the setting.
-The library functions below them (process_sentence, decode_name,
-decode_or_fallback, transliterate) take typed values and check them with
-decoder.check_decode_settings: a fallback that is not a Fallback member,
-or a top_k that is not a plain int, is a TypeError there, so positive_int
-returns a plain int.  argparse names a parser by its __name__ in a usage
-error.
+The library functions below them (process_sentence and decode_name) take
+typed values and check them on entry with decoder.check_decode_settings:
+a fallback that is not a Fallback member, or a top_k that is not a plain
+int, is a TypeError there, so positive_int returns a plain int.  argparse
+names a parser by its __name__ in a usage error.
 """
 
 from __future__ import annotations

@@ -513,10 +513,12 @@ def reference_parse_inline(line: str):
 
 def reference_transliterate_token(token, model, fallback, top_k):
     """Letter runs found one character at a time with str.isalpha(): the
-    scanner decoder.decode_name must reproduce on a word without whitespace,
-    fallbacks and errors included.  Returns (output, summed log score of the
-    runs that decoded, whether any run fell back).  A run whose best path
-    has probability 0 falls back."""
+    scanner decoder.decode_name must reproduce on an NFC word without
+    whitespace (decode_name reads any text in NFC first), fallbacks and
+    errors included.  Each run is segmented and decoded afresh, with no
+    memo.  Returns (output, summed log score of the runs that decoded,
+    whether any run fell back).  A run whose best path has probability 0
+    falls back."""
     out = []
     score = 0.0
     fell_back = False

@@ -14,7 +14,7 @@ import random
 import time
 from pathlib import Path
 
-from ne_translit.decoder import transliterate, viterbi
+from ne_translit.decoder import decode_name, viterbi
 from ne_translit.estimator import HmmTransliterator
 from ne_translit.evaluation import CategoryScore, GoldRecord, evaluate
 from ne_translit.kb import EntityCategory, KnowledgeBase, load_seed_kb
@@ -144,7 +144,7 @@ def test_criterion_7_memorization_end_to_end(memorization_corpus):
     start = time.perf_counter()
     est = HmmTransliterator(smoothing_k=0.0).fit(memorization_corpus)
     hits = sum(
-        transliterate(est.model_, entry.english) == entry.hindi for entry in memorization_corpus
+        decode_name(est.model_, entry.english)[0] == entry.hindi for entry in memorization_corpus
     )
     assert hits == 50
     assert time.perf_counter() - start < 5.0

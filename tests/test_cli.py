@@ -14,7 +14,7 @@ import ne_translit
 from ne_translit import alignment
 from ne_translit.alignment import align_corpus, build_aligned_corpus, em_train_alignment, load_corpus
 from ne_translit.cli import SETTINGS, main, parse_config
-from ne_translit.decoder import Fallback, candidates, decode_or_fallback, transliterate, viterbi
+from ne_translit.decoder import Fallback, candidates, decode_name, viterbi
 from ne_translit.errors import ConfigError
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
 from ne_translit.model import estimate, load_model, save_model
@@ -357,6 +357,36 @@ def test_predict_prints_what_the_transliterate_command_prints(tmp_path, capsys, 
     assert run_cli(argv, "".join(f"{line}\n" for line in lines), monkeypatch=monkeypatch) == 0
     printed = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
     assert printed == estimator.predict(lines) == ["राधिका", "राधि-का", "राधिका Seema"]
+
+
+def test_a_tab_inside_a_name_adds_no_column(model_file, capsys, monkeypatch):
+    # the first column is the name as decoded, its words joined by single
+    # spaces, so each line has the three documented columns (four with --trace)
+    lines = "Radhika\tRadhika\nRadhika  Radhika\n\tRadhika \t\n"
+    assert run_cli(["transliterate", "--model", str(model_file)], lines, monkeypatch=monkeypatch) == 0
+    rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()]
+    assert [row[:2] for row in rows] == [["Radhika Radhika", "राधिका राधिका"]] * 2 + [["Radhika", "राधिका"]]
+    assert [len(row) for row in rows] == [3, 3, 3]
+    argv = ["transliterate", "--model", str(model_file), "--trace"]
+    assert run_cli(argv, lines, monkeypatch=monkeypatch) == 0
+    assert [len(row.split("\t")) for row in capsys.readouterr().out.splitlines()] == [4, 4, 4]
+
+
+@pytest.mark.parametrize("on_error", ["skip", "passthrough"])
+def test_a_tab_inside_an_entity_is_a_line_error(on_error, model_file, tmp_path, capsys, monkeypatch):
+    # translate rejects the span, so no --decisions record can gain a column
+    decisions = tmp_path / "decisions.tsv"
+    argv = ["translate", "--model", str(model_file), "--decisions", str(decisions), "--on-error", on_error]
+    lines = ["[[Radhika\tRadhika|PER]] sang.", "[[\tRadhika|PER]] sang.", "[[Radhika|PER]] sang."]
+    assert run_cli(argv, "".join(f"{line}\n" for line in lines), monkeypatch=monkeypatch) == 1
+    captured = capsys.readouterr()
+    kept = ["", ""] if on_error == "skip" else lines[:2]
+    assert captured.out.splitlines() == [*kept, "राधिका sang."]
+    assert captured.err == (
+        "ne-translit: error: line 1: tab inside the entity at offset 0\n"
+        "ne-translit: error: line 2: tab inside the entity at offset 0\n"
+    )
+    assert [len(record.split("\t")) for record in decisions.read_text(encoding="utf-8").splitlines()] == [8]
 
 
 def test_trace_prints_each_letter_run_in_order(tmp_path, corpus_file, capsys, monkeypatch):
@@ -930,10 +960,8 @@ def test_smoothing_flag_beats_config_which_beats_default(tmp_path, corpus_file):
 REPEATED_DEFAULTS = [
     (candidates, "top_k", "top_k"),
     (viterbi, "top_k", "top_k"),
-    (decode_or_fallback, "top_k", "top_k"),
-    (decode_or_fallback, "fallback", "fallback"),
-    (transliterate, "top_k", "top_k"),
-    (transliterate, "fallback", "fallback"),
+    (decode_name, "top_k", "top_k"),
+    (decode_name, "fallback", "fallback"),
     (process_sentence, "top_k", "top_k"),
     (process_sentence, "fallback", "fallback"),
     (estimate, "smoothing_k", "smoothing_k"),

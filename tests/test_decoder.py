@@ -15,8 +15,7 @@ from ne_translit.decoder import (
     Fallback,
     UNK_OUTPUT,
     candidates,
-    decode_or_fallback,
-    transliterate,
+    decode_name,
     viterbi,
 )
 from ne_translit.errors import ModelValidationError, ScriptError, UnseenPhonemeError, ZeroProbabilityError
@@ -164,22 +163,23 @@ def test_output_length_equals_input_length(memorization_model, memorization_corp
 
 
 def test_transliterate_memorizes_single_training_word(single_entry_model):
-    assert transliterate(single_entry_model, "Amar") == "अमर"
+    assert decode_name(single_entry_model, "Amar")[0] == "अमर"
 
 
 def test_transliterate_memorizes_toy_corpus_word(memorization_model):
-    assert transliterate(memorization_model, "Radhika") == "राधिका"
+    assert decode_name(memorization_model, "Radhika")[0] == "राधिका"
 
 
 def test_transliterate_fallback_policies(single_entry_model):
     with pytest.raises(UnseenPhonemeError):
-        transliterate(single_entry_model, "Bombay", Fallback.ERROR)
-    assert transliterate(single_entry_model, "Bombay", Fallback.COPY_SOURCE) == "Bombay"
-    assert transliterate(single_entry_model, "Bombay", Fallback.UNK_MARKER) == UNK_OUTPUT
+        decode_name(single_entry_model, "Bombay", Fallback.ERROR)
+    assert decode_name(single_entry_model, "Bombay", Fallback.COPY_SOURCE) == ("Bombay", None, [("Bombay", None)])
+    assert decode_name(single_entry_model, "Bombay", Fallback.UNK_MARKER) == (UNK_OUTPUT, None, [("Bombay", None)])
 
 
 def test_transliterate_empty_word(single_entry_model):
-    assert transliterate(single_entry_model, "") == ""
+    assert decode_name(single_entry_model, "") == ("", 0.0, [])
+    assert not single_entry_model.decode_memo
 
 
 def test_decode_word_is_deterministic(memorization_model):
@@ -191,7 +191,7 @@ def test_decode_word_is_deterministic(memorization_model):
 def test_memorization_round_trip(memorization_model, memorization_corpus):
     hits = 0
     for entry in memorization_corpus:
-        if transliterate(memorization_model, entry.english) == entry.hindi:
+        if decode_name(memorization_model, entry.english)[0] == entry.hindi:
             hits += 1
     assert hits == len(memorization_corpus) == 50
 
@@ -389,13 +389,16 @@ def test_viterbi_looks_up_candidates_once_per_position(monkeypatch):
 def test_memo_returns_equal_decodings(memorization_model, memorization_corpus):
     shared = dataclasses.replace(memorization_model)
     words = [entry.english for entry in memorization_corpus[:10]]
-    first = [decode_or_fallback(shared, word) for word in words]
+    first = [decode_name(shared, word) for word in words]
     assert len(shared.decode_memo) == len(words)
-    again = [decode_or_fallback(shared, word) for word in words]
-    fresh = [decode_or_fallback(dataclasses.replace(memorization_model), word) for word in words]
+    again = [decode_name(shared, word) for word in words]
+    fresh = [decode_name(dataclasses.replace(memorization_model), word) for word in words]
     assert again == first == fresh
-    assert all(a is f for a, f in zip(again, first))  # repeats come from the memo
-    assert [output for output, _ in first] == [transliterate(shared, word) for word in words]
+    for word, (output, score, runs), (_, _, first_runs) in zip(words, again, first):
+        ((run, decoding),) = runs
+        assert decoding is first_runs[0][1]  # repeats come from the memo
+        assert shared.decode_memo[word, 10] == (output, decoding)
+        assert (run, score) == (word, decoding.score)
 
 
 def test_memo_keeps_top_k_apart():
@@ -408,8 +411,8 @@ def test_memo_keeps_top_k_apart():
         smoothing_k=0.0,
     )
     for _ in range(2):
-        assert decode_or_fallback(m, "x", top_k=2)[1].hindi_sequence == ("B",)
-        assert decode_or_fallback(m, "x", top_k=1)[1].hindi_sequence == ("A",)
+        assert decode_name(m, "x", top_k=2)[2][0][1].hindi_sequence == ("B",)
+        assert decode_name(m, "x", top_k=1)[2][0][1].hindi_sequence == ("A",)
     assert set(m.decode_memo) == {("x", 2), ("x", 1)}
 
 
@@ -422,17 +425,19 @@ def test_memo_never_exceeds_its_bound(monkeypatch):
         expected = exhaustive_decode(m, keys, top_k=3)
         if expected[1] == NEG_INF:
             with pytest.raises(ZeroProbabilityError):
-                decode_or_fallback(m, "".join(keys), top_k=3)
+                decode_name(m, "".join(keys), top_k=3)
         else:
-            output, decoding = decode_or_fallback(m, "".join(keys), top_k=3)
+            output, score, ((_, decoding),) = decode_name(m, "".join(keys), top_k=3)
             assert (decoding.hindi_sequence, decoding.score) == expected
+            assert score == decoding.score
             assert output == "".join(expected[0])
             assert 1 <= len(m.decode_memo)
         assert len(m.decode_memo) <= 5
 
 
-# an unseen phoneme, the é of José in NFC and NFD, and a word whose only
-# path has probability 0 (the model never starts a word with र)
+# an unseen phoneme, the é of José in NFC and NFD (read as NFC, so both
+# share one memo entry), and a word whose only path has probability 0 (the
+# model never starts a word with र)
 UNDECODABLE = [
     ("Amarzz", UnseenPhonemeError),
     ("José", ScriptError),
@@ -444,23 +449,28 @@ UNDECODABLE = [
 def test_memo_caches_each_outcome_and_applies_the_policy_per_call(single_entry_model):
     memo = single_entry_model.decode_memo
     for word, error in UNDECODABLE:
+        run = unicodedata.normalize("NFC", word)
+        # only NFD José finds an entry: the one NFC José left
+        assert ((run, 10) in memo) == (run != word)
         with pytest.raises(error) as first:
-            decode_or_fallback(single_entry_model, word)
-        assert (word, 10) not in memo
+            decode_name(single_entry_model, word)
+        assert ((run, 10) in memo) == (run != word)
         for _ in range(2):
-            assert decode_or_fallback(single_entry_model, word, Fallback.COPY_SOURCE) == (word, None)
-            assert decode_or_fallback(single_entry_model, word, Fallback.UNK_MARKER) == (UNK_OUTPUT, None)
-        assert memo[word, 10] == ()
+            assert decode_name(single_entry_model, word, Fallback.COPY_SOURCE) == (run, None, [(run, None)])
+            assert decode_name(single_entry_model, word, Fallback.UNK_MARKER) == (UNK_OUTPUT, None, [(run, None)])
+        assert memo[run, 10] == ()
         with pytest.raises(error) as again:
-            decode_or_fallback(single_entry_model, word)
+            decode_name(single_entry_model, word)
         assert str(again.value) == str(first.value)
-        assert memo[word, 10] == ()
-    assert decode_or_fallback(single_entry_model, "") == ("", None)
-    assert set(memo) == {(word, 10) for word, _ in UNDECODABLE}
-    output, decoding = decode_or_fallback(single_entry_model, "Amar")
-    assert output == "अमर"
+        assert memo[run, 10] == ()
+    assert decode_name(single_entry_model, "") == ("", 0.0, [])
+    assert set(memo) == {(unicodedata.normalize("NFC", word), 10) for word, _ in UNDECODABLE}
+    assert len(memo) == len(UNDECODABLE) - 1
+    output, score, runs = decode_name(single_entry_model, "Amar")
+    ((_, decoding),) = runs
+    assert (output, score) == ("अमर", decoding.score)
     assert memo["Amar", 10] == (output, decoding)
-    assert decode_or_fallback(single_entry_model, "Amar", Fallback.UNK_MARKER) == (output, decoding)
+    assert decode_name(single_entry_model, "Amar", Fallback.UNK_MARKER) == (output, score, runs)
 
 
 def test_a_repeated_word_that_falls_back_is_segmented_and_decoded_once(monkeypatch, single_entry_model):
@@ -480,18 +490,18 @@ def test_a_repeated_word_that_falls_back_is_segmented_and_decoded_once(monkeypat
     words = ["José", "Amarzz", "R"]  # José fails in phonify_latin, before viterbi
     for _ in range(3):
         for word in words:
-            assert decode_or_fallback(single_entry_model, word, Fallback.COPY_SOURCE) == (word, None)
-            assert decode_or_fallback(single_entry_model, word, Fallback.UNK_MARKER) == (UNK_OUTPUT, None)
+            assert decode_name(single_entry_model, word, Fallback.COPY_SOURCE) == (word, None, [(word, None)])
+            assert decode_name(single_entry_model, word, Fallback.UNK_MARKER) == (UNK_OUTPUT, None, [(word, None)])
     assert calls == {"phonify_latin": 3, "viterbi": 2}
     # under error a remembered fallback is decoded again, to raise afresh
     with pytest.raises(UnseenPhonemeError):
-        decode_or_fallback(single_entry_model, "Amarzz")
+        decode_name(single_entry_model, "Amarzz")
     assert calls == {"phonify_latin": 4, "viterbi": 3}
 
 
 def test_decode_state_does_not_keep_the_model_alive(memorization_model):
     m = dataclasses.replace(memorization_model)
-    decode_or_fallback(m, "Radhika")
+    decode_name(m, "Radhika")
     assert m.decode_table and m.decode_memo
     fields = {f.name for f in dataclasses.fields(m)}
     assert set(vars(m)) - fields == {"decode_table", "decode_memo"}
@@ -506,8 +516,8 @@ def test_threads_sharing_a_model_match_serial_decoding(monkeypatch, memorization
     # two words that fall back, so the memo also holds fallback outcomes
     words = [entry.english for entry in memorization_corpus] + ["José", "Xyzzy"]
     copy = Fallback.COPY_SOURCE
-    serial = [decode_or_fallback(dataclasses.replace(memorization_model), word, copy) for word in words]
-    assert serial[-2:] == [("José", None), ("Xyzzy", None)]
+    serial = [decode_name(dataclasses.replace(memorization_model), word, copy) for word in words]
+    assert serial[-2:] == [("José", None, [("José", None)]), ("Xyzzy", None, [("Xyzzy", None)])]
     shared = dataclasses.replace(memorization_model)
 
     def work(seed):
@@ -516,7 +526,7 @@ def test_threads_sharing_a_model_match_serial_decoding(monkeypatch, memorization
         got = [None] * len(words)
         for _ in range(5):
             for i in order:
-                got[i] = decode_or_fallback(shared, words[i], copy)
+                got[i] = decode_name(shared, words[i], copy)
         return got
 
     interval = sys.getswitchinterval()

@@ -6,9 +6,10 @@ line and space separators, emoji, hyphens and digits, go through each front
 door under every fallback policy and every --on-error choice:
 
 - transliterate: the command (in-process `cli.main`), `HmmTransliterator.predict`
-  and `decoder.transliterate`;
+  and `decoder.decode_name`;
 - translate: the command with --decisions, `NamedEntityTranslator.process_line`
-  and `parse_annotations` plus `process_sentence`.
+  and `parse_annotations` plus `process_sentence`;
+- phonify: the command and `phonology.phonify`.
 
 Each must give the same output, decisions, error class and message (the
 command prefixes its message with `line N:`), and the commands one output
@@ -16,13 +17,15 @@ line per input line they handle.
 """
 
 import random
+import unicodedata
 
 import pytest
 
 from ne_translit.cli import main
-from ne_translit.decoder import Fallback, transliterate
+from ne_translit.decoder import Fallback, decode_name
 from ne_translit.errors import (
     AnnotationError,
+    MalformedWordError,
     NeTranslitError,
     ScriptError,
     UnseenPhonemeError,
@@ -31,6 +34,7 @@ from ne_translit.errors import (
 from ne_translit.estimator import HmmTransliterator, NamedEntityTranslator
 from ne_translit.kb import EntityCategory, load_seed_kb
 from ne_translit.model import save_model
+from ne_translit.phonology import PhonemeSequence, phonify
 from ne_translit.pipeline import EntitySpan, Route, parse_annotations, process_sentence
 
 from helpers import make_memorization_corpus
@@ -126,9 +130,10 @@ def test_the_transliterate_front_doors_agree(policy, tmp_path, capsys):
     for lines in batches(101, lambda rng: rng.choice([random_name, random_line])(rng)):
         out, err, code = [], "", 0
         for lineno, line in enumerate(lines, 1):
-            result = outcome(lambda: transliterate(model, line, policy))
+            result = outcome(lambda: decode_name(model, line, policy)[0])
             assert outcome(lambda: predictor.predict([line])[0]) == result
-            word = line.strip()
+            # the name as decoded: its words joined by single spaces
+            word = " ".join(line.split())
             if not word:  # the command skips a blank line
                 continue
             # the name as a translate span decodes to the same output or
@@ -198,3 +203,87 @@ def test_the_translate_front_doors_agree(policy, on_error, tmp_path, capsys):
         assert seen == routes | {ScriptError, UnseenPhonemeError, ZeroProbabilityError}
     else:
         assert seen == routes | {Route.FALLBACK}
+
+
+# Devanagari names and signs for phonify, which takes either script: a
+# dependent sign alone has no base consonant
+HINDI_NAMES = [entry.hindi for entry in CORPUS[:8]]
+HINDI_PIECES = ["ि", "्", "ं", "़"]
+
+
+def random_word(rng) -> str:
+    if rng.random() < 0.5:
+        return rng.choice([random_name, random_line])(rng)
+    parts = [rng.choice(HINDI_NAMES + HINDI_PIECES)]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        parts.append(rng.choice(HINDI_NAMES + HINDI_PIECES + PIECES + NAMES))
+    return rng.choice(EDGES) + "".join(parts) + rng.choice(EDGES)
+
+
+def test_the_phonify_front_doors_agree(tmp_path, capsys):
+    seen = set()
+    for lines in batches(303, random_word):
+        out, err = [], []
+        for lineno, line in enumerate(lines, 1):
+            word = line.strip()
+            if not word:  # the command skips a blank line
+                continue
+            result = outcome(lambda: phonify(word))
+            if is_error(result):
+                # reported, and the lines after it are still handled
+                seen.add(result[0])
+                err.append(f"ne-translit: error: line {lineno}: {result[1]}\n")
+                continue
+            seen.add(type(result))
+            out.append(f"{word}\t{result.bracketed()}\n")
+        code = 1 if err else 0
+        assert run_command(["phonify"], lines, tmp_path, capsys) == (code, "".join(out), "".join(err))
+    assert seen == {PhonemeSequence, ScriptError, MalformedWordError}
+
+
+@pytest.mark.parametrize("policy", list(Fallback), ids=lambda policy: policy.value)
+def test_equivalent_spellings_decode_alike_at_every_front_door(policy, tmp_path, capsys):
+    # Each pair spells one name in NFC and in another form: José with a
+    # combining acute, and Kamala with the Kelvin sign K (U+212A), whose NFC
+    # is K.  Every door reads a name in NFC, so the two spellings give one
+    # output and score, José under the policy and Kamala decoded, and the
+    # model memoizes each run once.
+    pairs = [
+        ("José", unicodedata.normalize("NFD", "José")),
+        ("Kamala", "\u212aamala"),
+        ("Radhika José-Kamala", "Radhika Jose\u0301-\u212aamala"),
+    ]
+    predictor = HmmTransliterator(fallback=policy.value).fit(
+        [("Jose", "जोसे"), ("Radhika", "राधिका"), ("Kamala", "कमला")]
+    )
+    model = predictor.model_
+    model_path = tmp_path / "model.txt"
+    save_model(model, model_path)
+    argv = ["transliterate", "--model", str(model_path), "--fallback", policy.value]
+    for spellings in pairs:
+        assert spellings[0] != spellings[1] and unicodedata.normalize("NFC", spellings[1]) == spellings[0]
+        got = []
+        for name in spellings:
+            result = outcome(lambda: decode_name(model, name, policy)[:2])
+            assert outcome(lambda: predictor.predict([name])[0]) == (result if is_error(result) else result[0])
+            span = EntitySpan(0, len(name), name, EntityCategory.PERSON)
+            processed = outcome(lambda: process_sentence(name, [span], None, model, policy))
+            code, out, err = run_command(argv, [name], tmp_path, capsys)
+            if is_error(result):
+                assert processed == result
+                assert (code, out, err) == (1, "", f"ne-translit: error: line 1: {result[1]}\n")
+            else:
+                (decision,) = processed.decisions
+                assert (decision.output, decision.score) == result
+                score = "-" if result[1] is None else f"{result[1]:.6f}"
+                assert (code, out, err) == (0, f"{name}\t{result[0]}\t{score}\n", "")
+            got.append(result)
+        assert got[0] == got[1]
+    if policy is Fallback.ERROR:
+        assert got[0][0] is ScriptError
+    else:
+        assert got[0][0] == ("राधिका José-कमला" if policy is Fallback.COPY_SOURCE else "राधिका <unk>-कमला")
+    # one entry per run, under its NFC spelling; José's only once it fell
+    # back under a policy that does not raise
+    expected = {("Radhika", 10), ("Kamala", 10)}
+    assert set(model.decode_memo) == expected | (set() if policy is Fallback.ERROR else {("José", 10)})

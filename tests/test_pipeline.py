@@ -195,6 +195,17 @@ def test_a_blank_span_is_rejected(memorization_model):
         parse_annotations("ab \u3000 c\t2,5,LOC", "columnar")
 
 
+@pytest.mark.parametrize(
+    "line, offset",
+    [("[[Radhika\tRadhika|PER]] sang.", 0), ("We met [[\tRadhika|PER]].", 7), ("[[Radhika\t|LOC]]", 0)],
+)
+def test_a_tab_inside_a_span_is_rejected(line, offset, memorization_model):
+    # a --decisions record is tab-separated, so a tab in its surface or
+    # output column would shift every column after it
+    with pytest.raises(AnnotationError, match=f"^tab inside the entity at offset {offset}$"):
+        process_sentence(*parse_annotations(line, "inline"), KnowledgeBase(), memorization_model)
+
+
 def test_fallback_route_on_unseen_phoneme(india_model):
     sentence, spans = parse_annotations("[[Zanzibar|LOC]] calls.", "inline")
     with pytest.raises(UnseenPhonemeError):

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from ne_translit.decoder import Fallback, decode_name, decode_or_fallback, transliterate
+from ne_translit.decoder import Fallback, decode_name
 from ne_translit.errors import ConfigError
 from ne_translit.kb import load_seed_kb
 from ne_translit.pipeline import parse_annotations, process_sentence
@@ -62,14 +62,15 @@ def test_a_policy_that_is_not_a_fallback_is_a_type_error(policy, memorization_mo
     # some policy other than the one it names
     message = f"^not a Fallback: {re.escape(repr(policy))}$"
     # a word that decodes, one with an unseen phoneme and one outside the
-    # Latin script; the second round finds each in the memo
+    # Latin script, alone and as two runs; the second round finds each run
+    # in the memo
     for word, decodes in (("Radhika", True), ("Zzyx", False), ("José", False)):
         for _ in range(2):
             with pytest.raises(TypeError, match=message):
-                decode_or_fallback(memorization_model, word, policy)
+                decode_name(memorization_model, word, policy)
             with pytest.raises(TypeError, match=message):
-                transliterate(memorization_model, word, policy)
-            decoding = decode_or_fallback(memorization_model, word, Fallback.COPY_SOURCE)[1]
+                decode_name(memorization_model, f"{word}-{word}", policy)
+            ((_, decoding),) = decode_name(memorization_model, word, Fallback.COPY_SOURCE)[2]
             assert (decoding is not None) == decodes
         sentence, spans = parse_annotations(f"[[{word}|PER]] sang.", "inline")
         with pytest.raises(TypeError, match=message):
@@ -99,12 +100,10 @@ def test_a_bad_policy_is_an_error_whatever_the_text(memorization_model):
 )
 def test_top_k_is_an_int_of_at_least_one(top_k, error, message, memorization_model):
     memo = dict(memorization_model.decode_memo)
-    for word in ("Radhika", "Radhika"):  # the second from the memo, were it kept
+    # the second Radhika from the memo, were it kept; 123 has no letter run
+    for text in ("Radhika", "Radhika", "Radhika-Radhika", "123"):
         with pytest.raises(error, match=message):
-            decode_or_fallback(memorization_model, word, Fallback.COPY_SOURCE, top_k)
-    for text in ("Radhika", "123"):
-        with pytest.raises(error, match=message):
-            transliterate(memorization_model, text, Fallback.COPY_SOURCE, top_k)
+            decode_name(memorization_model, text, Fallback.COPY_SOURCE, top_k)
     for line in ("[[India|LOC]] is great.", "[[Radhika|PER]] sang."):
         with pytest.raises(error, match=message):
             process_sentence(*parse_annotations(line), load_seed_kb(), memorization_model, Fallback.COPY_SOURCE, top_k)
@@ -119,4 +118,4 @@ def test_top_k_parses_to_a_plain_int(memorization_model):
 
     assert type(check("top_k", Count(3))) is int
     with pytest.raises(TypeError, match="^top_k must be an int, not Count$"):
-        decode_or_fallback(memorization_model, "Radhika", Fallback.COPY_SOURCE, Count(3))
+        decode_name(memorization_model, "Radhika", Fallback.COPY_SOURCE, Count(3))
