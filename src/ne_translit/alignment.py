@@ -156,13 +156,15 @@ def _batched_passes(grid, edge, size):
     underflow.  The backward pass keeps only the row it reads, and takes
     each cell's posterior (scaled forward * match * scaled backward /
     scaled last forward cell) in the step that computes the cell's
-    backward value.  Returns the row sums c_0..c_m (each a list over the
-    batch), the scaled last forward cell of each pair, and one array of
-    posteriors, -1.0 for a cell whose posterior is not above 0.  The
-    array runs from cell (m-1, n-1) back to (0, 0), the batch side by
-    side in each cell, so `post[b - size::-size]` is pair b's in (i, j)
-    order.  log z is log(last) plus the sum of log c_i; a pair whose last
-    cell is 0 reads -1.0 in every cell.
+    backward value.  Row 0's posteriors read row 1's backward values and
+    nothing reads row 0's own, so they are not computed.  Returns the row
+    sums c_0..c_m (each a list over the batch), the scaled last forward
+    cell of each pair, and one array of posteriors, -1.0 for a cell whose
+    posterior is not above 0.  The array runs from cell (m-1, n-1) back
+    to (0, 0), the batch side by side in each cell, so
+    `post[b - size::-size]` is pair b's in (i, j) order.  log z is
+    log(last) plus the sum of log c_i; a pair whose last cell is 0 reads
+    -1.0 in every cell.
     """
     eps = SKIP_PENALTY
 
@@ -200,8 +202,9 @@ def _batched_passes(grid, edge, size):
         row = [v]
         for p, a, b0 in zip(reversed(grid[i]), alpha[i][-2::-1], nxt[1:]):
             post.fromlist([w * q if w > 0.0 else -1.0 for w, q in zip(map(mul, map(mul, a, p), b), k)])
-            v = [(pp * bb + eps * bb0) * r + eps * vv for pp, bb, bb0, r, vv in zip(p, b, b0, inv, v)]
-            row.append(v)
+            if i:  # nothing reads row 0's backward values
+                v = [(pp * bb + eps * bb0) * r + eps * vv for pp, bb, bb0, r, vv in zip(p, b, b0, inv, v)]
+                row.append(v)
             b = b0
         nxt = row
     return sums, lasts, post
@@ -262,14 +265,21 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
     table's default, so a grid cell is a list index.  All distinct pairs
     of one shape (len(e_keys), len(h_keys)) go through one
     `_batched_passes` call per iteration.  The posteriors of every batch
-    are held until the last batch has run, then added into an int-keyed
-    table pair by pair in first-seen order, each pair's cells in (i, j)
-    order, as a pass per pair would add them.  The string-keyed table is
-    built once, at the end.  Every float comes from the same operations
-    in the same order as in a string-keyed EM that stores whole forward
-    and backward tables, with the builtin `sum` for the row sums and the
-    row totals, so the costs are bit-identical to that EM's under every
-    Python version (`sum` is compensated from 3.12 on).
+    are held until the last batch has run; every grid has then read the
+    costs, so the cost rows are zeroed and take the soft counts in place,
+    pair by pair in first-seen order, each pair's cells in (i, j) order,
+    as a pass per pair would add them.  Each coded pair keeps the row
+    objects of its English ids, and the rows are never replaced.  A row is
+    then normalized over its touched cells in the order a dict of dicts
+    would hold them, the order of first touch; that order is computed
+    once from all cells, and again in an iteration where a posterior of 0
+    leaves a cell untouched.  A row with no touched cell gets the default.
+    The string-keyed table is built once, at the end.  Every float comes
+    from the same operations in the same order as in a string-keyed EM
+    that stores whole forward and backward tables, with the builtin `sum`
+    for the row sums and the row totals, so the costs are bit-identical
+    to that EM's under every Python version (`sum` is compensated from
+    3.12 on).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -291,7 +301,8 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
     # first-seen order.  A batch holds the pairs of one shape (m, n): their
     # English ids by row and Hindi ids by column, each a tuple over the
     # batch, then its first forward row and its size.  Each pair then gets
-    # its batch's index and its own slice of that batch's posteriors.
+    # its batch's index, its own slice of that batch's posteriors and the
+    # cost rows of its English ids.
     coded = [(tuple([e_id[e] for e in e_keys]), tuple([h_id[h] for h in h_keys]), count)
              for (e_keys, h_keys), count in pairs.items()]
     shapes: dict[tuple[int, int], list[int]] = defaultdict(list)
@@ -303,31 +314,49 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
         batches.append((list(zip(*(coded[b][0] for b in members))), list(zip(*(coded[b][1] for b in members))),
                         [SKIP_PENALTY**j for j in range(n + 1)], size))
         for lane, b in enumerate(members):
-            coded[b] += (k, slice(lane - size, None, -size))
+            coded[b] += (k, slice(lane - size, None, -size), list(map(row_of, coded[b][0])))
 
+    def first_touched(cells):
+        """Each touched row id with its touched column ids, both in the
+        order of their first touch: the order of a dict of dicts."""
+        order: dict[int, dict[int, None]] = defaultdict(dict)
+        for i, j in cells:
+            order[i][j] = None
+        return [(i, list(js)) for i, js in order.items()]
+
+    every_cell = first_touched(cell for es, hs, *_ in coded for cell in product(es, hs))
+    zero = [0.0] * width
     for _ in range(iterations):
-        soft: dict[int, dict[int, float]] = defaultdict(lambda: defaultdict(float))
         posts = [
             _batched_passes([[list(map(getitem, rows, hs)) for hs in h_cols]
                              for rows in (list(map(row_of, es)) for es in e_rows)], edge, size)[2]
             for e_rows, h_cols, edge, size in batches
         ]
-        # Soft counts in first-seen pair order, each pair's in (i, j) order.
-        for es, hs, count, k, own in coded:
-            for (i, j), w in zip(product(es, hs), posts[k][own]):
-                if w >= 0.0:
-                    soft[i][j] += w * count
-        del posts  # before the next iteration's passes
+        # Every grid has read `cost`, so its rows take the soft counts in
+        # place: pair by pair in first-seen order, each pair's in (i, j) order.
         for row in cost:
-            row[:] = blank
-        for i, counts in soft.items():
-            total = sum(counts.values())
+            row[:] = zero
+        touched = every_cell
+        for _, hs, count, k, own, rows in coded:
+            for (row, j), w in zip(product(rows, hs), posts[k][own]):
+                if w >= 0.0:
+                    row[j] += w * count
+                else:
+                    touched = None
+        if touched is None:  # a posterior of 0 left a cell untouched
+            touched = first_touched(cell for es, hs, _, k, own, _ in coded
+                                    for cell, w in zip(product(es, hs), posts[k][own]) if w >= 0.0)
+            for i in set(range(len(cost))).difference(i for i, _ in touched):
+                cost[i][:] = blank
+        del posts  # before the next iteration's passes
+        for i, js in touched:
             row = cost[i]
-            for j, c in counts.items():
+            counts = list(map(row.__getitem__, js))
+            total = sum(counts)
+            row[:] = blank
+            for j, c in zip(js, counts):
                 row[j] = c / total
-    return AlignmentCostTable(
-        {e_vocab[i]: {h_vocab[j]: cost[i][j] for j in sorted(counts)} for i, counts in soft.items()}
-    )
+    return AlignmentCostTable({e_vocab[i]: {h_vocab[j]: cost[i][j] for j in sorted(js)} for i, js in touched})
 
 
 def build_aligned_corpus(
@@ -366,7 +395,9 @@ def align_corpus(
 ) -> tuple[AlignmentCostTable, list[list[AlignedPair]], list[str]]:
     """EM, then hard alignment: the trained costs, the pair lists of the
     entries that kept a match pair (in input order, ready for estimate),
-    and a record per entry left out.  Raises CorpusError if none is usable."""
+    and a record per entry left out.  Raises CorpusError if none is usable.
+    The corpus is read once, so it may be any iterable."""
+    corpus = list(corpus)
     costs = em_train_alignment(corpus, iterations)
     aligned, skipped = build_aligned_corpus(corpus, costs)
     if not aligned:

@@ -198,21 +198,23 @@ def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:
     Emission P(e|h) = (count(h,e) + k) / (count(h) + k * |E|); transition
     rows are the same with BOS prepended and EOS appended to each entry's
     Hindi sequence, so their width is |H| + 1.  k = 0 gives the raw
-    frequency ratios.
+    frequency ratios.  Each distinct pair list is counted once, times its
+    occurrences; the counts are ints, so this gives the floats and the
+    first-seen row order of counting every occurrence.
     """
     k = smoothing_constant(smoothing_k)
-    entries = [list(pairs) for pairs in aligned_corpus if pairs]
+    entries = Counter(tuple(pairs) for pairs in aligned_corpus if pairs)
     if not entries:
         raise ValueError("aligned corpus has no entries with match pairs")
 
     em_counts: dict[str, Counter] = defaultdict(Counter)
     tr_counts: dict[str, Counter] = defaultdict(Counter)
-    for pairs in entries:
+    for pairs, count in entries.items():
         hs = [p.h for p in pairs]
         for p in pairs:
-            em_counts[p.h][p.e] += 1
+            em_counts[p.h][p.e] += count
         for prev, nxt in zip([BOS] + hs, hs + [EOS]):
-            tr_counts[prev][nxt] += 1
+            tr_counts[prev][nxt] += count
 
     e_size = len({e for row in em_counts.values() for e in row})
     emission, emission_floor = _relative_frequencies(em_counts, e_size, k)

@@ -282,6 +282,39 @@ def count_tables(aligned_corpus):
     return dict(emission), dict(transition)
 
 
+def reference_estimate(aligned_corpus, smoothing_k) -> TransliterationModel:
+    """The model estimate must build, counted one occurrence at a time with
+    plain dicts: rows and targets in first-seen order, each seen target
+    (c + k) / (row total + k * width) and each floor k over the same
+    denominator (0.0 when k is 0)."""
+    emission_counts: dict = {}
+    transition_counts: dict = {}
+    for pairs in aligned_corpus:
+        if not pairs:
+            continue
+        hs = [p.h for p in pairs]
+        for p in pairs:
+            row = emission_counts.setdefault(p.h, {})
+            row[p.e] = row.get(p.e, 0) + 1
+        for prev, nxt in zip([BOS] + hs, hs + [EOS]):
+            row = transition_counts.setdefault(prev, {})
+            row[nxt] = row.get(nxt, 0) + 1
+    k = float(smoothing_k)
+
+    def frequencies(counts, width):
+        rows, floors = {}, {}
+        for source, row in counts.items():
+            denom = sum(row.values()) + k * width
+            rows[source] = {target: (c + k) / denom for target, c in row.items()}
+            floors[source] = k / denom if k else 0.0
+        return rows, floors
+
+    emission, emission_floor = frequencies(
+        emission_counts, len({e for row in emission_counts.values() for e in row}))
+    transition, transition_floor = frequencies(transition_counts, len(emission_counts) + 1)
+    return TransliterationModel(emission, transition, emission_floor, transition_floor, k)
+
+
 # --- exhaustive decoding oracle -------------------------------------------
 
 def exhaustive_decode(model, keys, top_k=10):

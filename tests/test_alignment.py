@@ -238,6 +238,24 @@ def test_em_is_bit_identical_to_the_string_keyed_em_over_interleaved_shapes():
     assert len(_forward_backward(*long_entry.keys, em_train_alignment(corpus, 2))[1]) < 150 * 100
 
 
+def test_em_normalizes_each_row_in_the_order_its_cells_were_first_touched():
+    names, long_entry = _akshara_names_and_long_entry()
+    framed = ParallelEntry("yo" + long_entry.english + "sau", "यो" + long_entry.hindi + "सौ")
+    # the cell (yo, सौ) comes first in `framed`, whose posterior there is 0,
+    # so it is first touched later, by Yosau; a row summed in the order of
+    # all cells would add its counts in another order
+    corpus = (names[:12] + [framed, long_entry]
+              + [ParallelEntry(*pair) for pair in (("Yoje", "योजे"), ("Yobu", "योबु"),
+                                                   ("Yosau", "योसौ"), ("Sauyo", "सौयो"))]
+              + names[6:20])
+    for iterations in (1, 2, 3):
+        got = em_train_alignment(corpus, iterations).probs
+        expected = reference_scaled_em(corpus, iterations).probs
+        assert [(e, list(row.items())) for e, row in got.items()] == \
+            [(e, list(row.items())) for e, row in expected.items()]
+        assert "सौ" in got["yo"]
+
+
 def test_batched_passes_give_each_pair_what_a_batch_of_one_gives():
     rng = random.Random(18)
     m = n = 100
@@ -504,3 +522,8 @@ def test_align_corpus_is_em_then_hard_alignment_without_empty_entries():
     aligned, expected_skipped = build_aligned_corpus(corpus, costs)
     assert usable == [pairs for pairs in aligned if pairs] and len(usable) == 2
     assert skipped == expected_skipped and len(skipped) == 1
+
+
+def test_align_corpus_reads_a_one_shot_iterable_like_a_list():
+    corpus = [ParallelEntry("Rama", "रामा"), ParallelEntry("Sita", "सीता")]
+    assert align_corpus(iter(corpus), 2) == align_corpus(corpus, 2)

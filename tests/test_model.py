@@ -18,7 +18,7 @@ from ne_translit.model import (
     save_model,
 )
 
-from helpers import build_random_model, count_tables, random_aligned_corpus
+from helpers import build_random_model, count_tables, random_aligned_corpus, reference_estimate
 
 
 def test_single_entry_unsmoothed(single_entry_model):
@@ -76,6 +76,25 @@ def test_unsmoothed_estimation_matches_direct_counting():
         for prev, row in transition.items():
             for nxt, p in row.items():
                 assert m.transition_prob(prev, nxt) == p
+
+
+@pytest.mark.parametrize("smoothing_k", [0.0, 0.1, 1.0])
+def test_estimate_counts_repeated_entries_as_each_occurrence_would(smoothing_k, tmp_path):
+    rng = random.Random(23)
+    for trial in range(40):
+        distinct = random_aligned_corpus(rng, max_pairs=40)
+        # duplicates as equal copies, in shuffled order, with empty entries mixed in
+        corpus = [list(rng.choice(distinct)) for _ in range(rng.randint(1, 3 * len(distinct)))] + [[]]
+        rng.shuffle(corpus)
+        got, expected = estimate(corpus, smoothing_k), reference_estimate(corpus, smoothing_k)
+        for table in ("emission", "transition"):
+            assert [(source, list(row.items())) for source, row in getattr(got, table).items()] == \
+                [(source, list(row.items())) for source, row in getattr(expected, table).items()], trial
+            assert list(getattr(got, f"{table}_floor").items()) == \
+                list(getattr(expected, f"{table}_floor").items()), trial
+        save_model(got, tmp_path / "got.model")
+        save_model(expected, tmp_path / "expected.model")
+        assert (tmp_path / "got.model").read_bytes() == (tmp_path / "expected.model").read_bytes(), trial
 
 
 def test_rows_normalize_after_estimation():
