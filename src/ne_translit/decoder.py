@@ -76,11 +76,15 @@ def viterbi(model: TransliterationModel, keys, top_k: int = 10) -> Decoding:
     phonify_latin(word).keys(); anything else is a TypeError.  Reads the
     model's decode_table: one candidates() slice of (h id, log emission)
     per position and the dense log-transition rows, so no logarithm is
-    taken per decode.  While the lattice holds one state, a position with
-    one candidate costs one addition, with nothing ranked or sorted; so a
-    one-to-one model, or any model at top_k=1, decodes at that cost
-    throughout.  The scores and the tie-break are those of the general
-    case.  Raises UnseenPhonemeError when some position has no
+    taken per decode.  Each state of a several-state column costs one scan
+    of the previous column's states, keeping the first maximum of
+    (score + transition) + emission, and a sorted column of several states
+    carries its transition rows, so it serves as the next position's
+    predecessors as it stands.  While the lattice holds one state, a
+    position with one candidate costs one addition, with nothing ranked or
+    sorted; so a one-to-one model, or any model at top_k=1, decodes at
+    that cost throughout.  The scores and the tie-break are those of the
+    general case.  Raises UnseenPhonemeError when some position has no
     candidates; the caller decides the fallback policy.
     Nothing is memoized here: decode_name keeps the per-model memo.
     """
@@ -91,63 +95,71 @@ def viterbi(model: TransliterationModel, keys, top_k: int = 10) -> Decoding:
 
     # Back-pointer Viterbi over decode_table's int symbol ids (code-point
     # order).  A column of several states keeps one entry (predecessor
-    # index, h id, score) per state, sorted so that the states' best
-    # prefixes are in code-point order: a prefix is its predecessor's prefix
-    # plus h, so that order is (predecessor index, h id).  Scanning
-    # predecessors in that order and keeping the first maximum then gives
-    # ties to the code-point-smallest prefix without building any prefix
-    # tuple.  While the lattice holds one state, prevs is None, that state
-    # is the bare pair (score, row), and its column is stored as
-    # (predecessor index, h id): a one-candidate column reached from it is
-    # one addition, with nothing to rank, sort or rebuild.
+    # index, h id, score, transition row) per state, sorted so that the
+    # states' best prefixes are in code-point order: a prefix is its
+    # predecessor's prefix plus h, so that order is (predecessor index, h
+    # id), and the sorted column is also the next position's predecessors.
+    # Each candidate scans its predecessors once in that order and keeps
+    # the first maximum (a strict >, starting from -inf at index 0), which
+    # gives ties to the code-point-smallest prefix without building any
+    # prefix tuple.  While the lattice holds one state, states is None,
+    # that state is the bare pair (score, row), and its column is stored
+    # as (predecessor index, h id): a one-candidate column reached from it
+    # is one addition, with nothing to rank, sort or rebuild.  A
+    # one-candidate column after several states runs the same scan, and
+    # its one entry collapses back to that single state.
     table = model.decode_table
     rows = table.rows
     boundary = len(rows) - 1  # BOS as a source, EOS as a target
     score, row = 0.0, rows[boundary]  # the single state
-    prevs = None  # or (score, transition row) per state, when several
+    states = None  # or the last column, when it holds several states
     columns = []
     for pos, e in enumerate(keys):
         cs = candidates(model, e, top_k)
         if not cs:
             raise UnseenPhonemeError(e, pos)
-        if len(cs) == 1:  # one candidate: the lattice holds one state
-            ((h, le),) = cs
-            if prevs is None:
-                back, score = 0, (score + row[h]) + le
-            else:
-                scores = [(psc + prow[h]) + le for psc, prow in prevs]
-                score = max(scores)
-                back = scores.index(score)
-                prevs = None
-            columns.append((back, h))
-            row = rows[h]
-            continue
-        if prevs is None:  # a single predecessor is every state's best
-            ranked = [(0, h, (score + row[h]) + le) for h, le in cs]
+        if states is None:  # a single predecessor is every state's best
+            if len(cs) == 1:
+                ((h, le),) = cs
+                score = (score + row[h]) + le
+                row = rows[h]
+                columns.append((0, h))
+                continue
+            ranked = [(0, h, (score + row[h]) + le, rows[h]) for h, le in cs]
         else:
             ranked = []
             for h, le in cs:
-                scores = [(psc + prow[h]) + le for psc, prow in prevs]
-                best = max(scores)
-                ranked.append((scores.index(best), h, best))
-        ranked.sort()  # the h are distinct, so scores are never compared
+                best, back = NEG_INF, 0
+                for i, (_, _, psc, prow) in enumerate(states):
+                    s = (psc + prow[h]) + le
+                    if s > best:
+                        best, back = s, i
+                ranked.append((back, h, best, rows[h]))
+            if len(ranked) == 1:  # the lattice returns to one state
+                ((back, h, score, row),) = ranked
+                columns.append((back, h))
+                states = None
+                continue
+        ranked.sort()  # the h are distinct, so no score or row is compared
         columns.append(ranked)
-        prevs = [(sc, rows[h]) for _, h, sc in ranked]
+        states = ranked
 
-    if prevs is None:
+    if states is None:
         best_score, last = score + row[boundary], 0
     else:
-        ends = [sc + prow[boundary] for sc, prow in prevs]
-        best_score = max(ends)
-        last = ends.index(best_score)
+        best_score, last = NEG_INF, 0
+        for i, (_, _, psc, prow) in enumerate(states):
+            s = psc + prow[boundary]
+            if s > best_score:
+                best_score, last = s, i
     symbols = table.symbols
     # a one-state column is a tuple (predecessor index, h id), a column of
-    # several states a list of (predecessor index, h id, score)
+    # several states a list of (predecessor index, h id, score, row)
     if best_score == NEG_INF:
         # every path has a zero-probability transition, so all sequences tie;
         # the lexicographic tie-break reduces to the smallest candidate per slot
         path = [
-            symbols[column[1] if type(column) is tuple else min(h for _, h, _ in column)]
+            symbols[column[1] if type(column) is tuple else min(h for _, h, _, _ in column)]
             for column in columns
         ]
     else:
@@ -156,7 +168,7 @@ def viterbi(model: TransliterationModel, keys, top_k: int = 10) -> Decoding:
             if type(column) is tuple:
                 last, h = column
             else:
-                last, h, _ = column[last]
+                last, h, _, _ = column[last]
             path.append(symbols[h])
         path.reverse()
 

@@ -343,6 +343,73 @@ def exhaustive_decode(model, keys, top_k=10):
     return best_seq, best_score
 
 
+def reference_viterbi(model, keys, top_k=10):
+    """(hindi_sequence, score, columns) from a frozen copy of an earlier
+    decoder kernel: each candidate's predecessor scores built as a list and
+    reduced by max() and index(), and a column's (score, row) predecessors
+    rebuilt after every several-state column.  columns is the whole
+    lattice: per position, (back-pointer, h id) for a one-state column or
+    a sorted list of (back-pointer, h id, score), so every back-pointer can
+    be compared, not only those on the best path.  The decoder must match
+    it float for float, ties that rounding splits at a prefix included,
+    which exhaustive_decode cannot judge."""
+    table = model.decode_table
+    rows = table.rows
+    boundary = len(rows) - 1
+    score, row = 0.0, rows[boundary]
+    prevs = None
+    columns = []
+    for e in keys:
+        cs = table.columns.get(e, ())[:top_k]
+        assert cs, "the reference needs a candidate at every position"
+        if len(cs) == 1:
+            ((h, le),) = cs
+            if prevs is None:
+                back, score = 0, (score + row[h]) + le
+            else:
+                scores = [(psc + prow[h]) + le for psc, prow in prevs]
+                score = max(scores)
+                back = scores.index(score)
+                prevs = None
+            columns.append((back, h))
+            row = rows[h]
+            continue
+        if prevs is None:
+            ranked = [(0, h, (score + row[h]) + le) for h, le in cs]
+        else:
+            ranked = []
+            for h, le in cs:
+                scores = [(psc + prow[h]) + le for psc, prow in prevs]
+                best = max(scores)
+                ranked.append((scores.index(best), h, best))
+        ranked.sort()
+        columns.append(ranked)
+        prevs = [(sc, rows[h]) for _, h, sc in ranked]
+
+    if prevs is None:
+        best_score, last = score + row[boundary], 0
+    else:
+        ends = [sc + prow[boundary] for sc, prow in prevs]
+        best_score = max(ends)
+        last = ends.index(best_score)
+    symbols = table.symbols
+    if best_score == NEG_INF:
+        path = [
+            symbols[column[1] if type(column) is tuple else min(h for _, h, _ in column)]
+            for column in columns
+        ]
+    else:
+        path = []
+        for column in reversed(columns):
+            if type(column) is tuple:
+                last, h = column
+            else:
+                last, h, _ = column[last]
+            path.append(symbols[h])
+        path.reverse()
+    return tuple(path), best_score, columns
+
+
 def trace_items(model, seq, keys):
     """position_score over (BOS, *seq, EOS), each formatted as
     `transliterate --trace` prints it."""

@@ -23,7 +23,7 @@ from ne_translit.model import BOS, EOS, TransliterationModel, estimate
 from ne_translit.alignment import AlignedPair
 from ne_translit.phonology import phonify_latin
 
-from helpers import NEG_INF, build_random_model, exhaustive_decode, trace_items
+from helpers import NEG_INF, build_random_model, exhaustive_decode, reference_viterbi, trace_items
 
 
 def test_candidates_single_entry(single_entry_model):
@@ -367,6 +367,59 @@ def test_a_tie_that_rounding_splits_at_a_prefix_is_not_broken_by_code_point():
     decoding = viterbi(m, keys, top_k=2)
     assert (decoding.hindi_sequence, decoding.score) == (("P", "Q", "Q", "P"), -8.350619991590422)
     assert exhaustive_decode(m, keys, top_k=2) == (("P", "P", "Q", "P"), -8.350619991590422)
+
+
+def viterbi_and_its_lattice(m, keys, top_k):
+    """viterbi's Decoding and its columns local as the call returns, each
+    several-state entry cut to (back-pointer, h id, score)."""
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is viterbi.__code__:
+            seen.append(frame.f_locals["columns"])
+
+    sys.setprofile(profile)
+    try:
+        decoding = viterbi(m, keys, top_k=top_k)
+    finally:
+        sys.setprofile(None)
+    (columns,) = seen
+    return decoding, [c if type(c) is tuple else [state[:3] for state in c] for c in columns]
+
+
+def assert_viterbi_matches_the_reference(m, keys, top_k):
+    # the output, and every back-pointer and score of the lattice: a state
+    # whose predecessors all score -inf is never on a returned path, so only
+    # the lattice shows its back-pointer
+    decoding, columns = viterbi_and_its_lattice(m, keys, top_k)
+    assert (decoding.hindi_sequence, decoding.score, columns) == reference_viterbi(m, keys, top_k), (keys, top_k)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "discrete", "uniform"])
+def test_viterbi_is_bit_identical_to_the_reference_kernel_on_random_models(kind):
+    # every float and back-pointer as the reference computes them, ties that
+    # rounding splits at a prefix included (the discrete and uniform models
+    # make them common), at every top_k and length up to 8
+    rng = random.Random(f"reference-{kind}")
+    for trial in range(200):
+        n_h, n_e = rng.randint(1, 8), rng.randint(1, 6)
+        if kind == "uniform":
+            m = build_uniform_model(rng, n_h, n_e, full=trial % 2 == 0)
+        else:
+            m = build_random_model(rng, n_h=n_h, n_e=n_e, discrete=kind == "discrete")
+        e_vocab = sorted(m.e_vocab)
+        for length in range(1, 9):
+            keys = [rng.choice(e_vocab) for _ in range(length)]
+            for top_k in range(1, 9):
+                assert_viterbi_matches_the_reference(m, keys, top_k)
+
+
+@pytest.mark.parametrize("transition", [MIXED_TRANSITION, NO_END_TRANSITION], ids=["scored", "no-end"])
+def test_viterbi_is_bit_identical_to_the_reference_kernel_on_mixed_columns(transition):
+    m = mixed_model(transition)
+    for keys in MIXED_WORDS:
+        for top_k in (1, 2, 3):
+            assert_viterbi_matches_the_reference(m, keys, top_k)
 
 
 def test_viterbi_looks_up_candidates_once_per_position(monkeypatch):
