@@ -135,15 +135,14 @@ def cmd_transliterate(args) -> int:
                 continue
             line = f"{word}\t{hindi}\t{score:.6f}"
             if args.trace:
-                # each position's composite score, run by run, from a second
-                # segmentation of the run (decode_name keeps only the path)
+                # each position's composite score, run by run, over the path
+                # and the keys that each run's Decoding carries
                 items = []
-                for run, decoding in runs:
-                    path = (BOS, *decoding.hindi_sequence, EOS)
-                    keys = phonology.phonify_latin(run).keys()
+                for _, (hindi_sequence, _, english) in runs:
+                    path = (BOS, *hindi_sequence, EOS)
                     items += (
                         f"{h}:{trained.position_score(path[i], h, path[i + 2], e):.6g}"
-                        for i, (h, e) in enumerate(zip(decoding.hindi_sequence, keys))
+                        for i, (h, e) in enumerate(zip(hindi_sequence, english))
                     )
                 line += "\t" + " ".join(items)
             print(line)

@@ -14,15 +14,15 @@ the code-point-smallest best sequence only among rivals that tie at every
 prefix: two paths whose prefix sums round apart but whose totals round to
 the same float are not compared by code point.  The
 per-position composite scores that `transliterate --trace` prints come
-from TransliterationModel.position_score over the decoded path.
+from TransliterationModel.position_score over a Decoding's path and keys.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
+from typing import NamedTuple
 
 from . import phonology
 from .errors import ScriptError, UnseenPhonemeError, ZeroProbabilityError
@@ -47,13 +47,13 @@ NEG_INF = float("-inf")
 MEMO_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class Decoding:
-    """One decoded word: Hindi phonemes (one per English phoneme) and the
-    total log score of the path."""
+class Decoding(NamedTuple):
+    """One decoded word: Hindi phonemes, the total log score of the path,
+    and the English key each Hindi phoneme emitted (one per phoneme)."""
 
     hindi_sequence: tuple[str, ...]
     score: float
+    english: tuple[str, ...]
 
 
 def candidates(model: TransliterationModel, e: str, top_k: int = 10) -> tuple[tuple[int, float], ...]:
@@ -84,9 +84,9 @@ def viterbi(model: TransliterationModel, keys, top_k: int = 10) -> Decoding:
     position with one candidate costs one addition, with nothing ranked or
     sorted; so a one-to-one model, or any model at top_k=1, decodes at
     that cost throughout.  The scores and the tie-break are those of the
-    general case.  Raises UnseenPhonemeError when some position has no
-    candidates; the caller decides the fallback policy.
-    Nothing is memoized here: decode_name keeps the per-model memo.
+    general case.  Returns the keys as the Decoding's english.  Raises
+    UnseenPhonemeError when some position has no candidates; the caller
+    decides the fallback policy.  decode_name keeps the per-model memo.
     """
     if not isinstance(keys, (list, tuple)):
         raise TypeError(f"viterbi takes a list or tuple of keys, not {type(keys).__name__}")
@@ -172,7 +172,7 @@ def viterbi(model: TransliterationModel, keys, top_k: int = 10) -> Decoding:
             path.append(symbols[h])
         path.reverse()
 
-    return Decoding(tuple(path), best_score)
+    return Decoding(tuple(path), best_score, tuple(keys))
 
 
 def check_decode_settings(fallback, top_k) -> None:
@@ -212,7 +212,7 @@ def decode_name(
     is copied.  score is None when any run fell back, and otherwise the sum
     of the runs' log scores, added within each word and then across words
     (0.0 for a text with no letter run).  runs lists each letter run in
-    order with its Decoding (None for a run that fell back).
+    order with its Decoding, keys included (None for a run that fell back).
 
     Each run's outcome, its (output, Decoding) or () for a run that falls
     back, is memoized on the model (model.decode_memo) by the run and

@@ -45,6 +45,14 @@ class ParamsMixin:
         return self
 
 
+def _not_a_str(name: str, value, items: str):
+    """value, an iterable of items; a bare str would be read one character
+    at a time, so it is a TypeError that names the argument."""
+    if isinstance(value, str):
+        raise TypeError(f"{name} must be an iterable of {items}, not a str")
+    return value
+
+
 def _coerce_entry(index, item) -> ParallelEntry:
     """Item `index` of fit's X: a ParallelEntry or an (english, hindi) pair."""
     if isinstance(item, ParallelEntry):
@@ -73,11 +81,11 @@ class HmmTransliterator(ParamsMixin):
 
     def fit(self, X, y=None):
         """X: parallel entries, as ParallelEntry or (english, hindi) pairs.
-        Raises CorpusError for an item that is neither, or if no entry is
-        usable."""
+        Raises TypeError for a str, CorpusError for an item that is neither,
+        or if no entry is usable."""
         iterations = check("em_iterations", self.em_iterations)
         k = check("smoothing_k", self.smoothing_k)
-        entries = [_coerce_entry(index, item) for index, item in enumerate(X)]
+        entries = [_coerce_entry(index, item) for index, item in enumerate(_not_a_str("X", X, "parallel entries"))]
         self.alignment_, usable, skipped = align_corpus(entries, iterations)
         self.model_: TransliterationModel = estimate(usable, k)
         self.skipped_ = tuple(skipped)
@@ -92,11 +100,11 @@ class HmmTransliterator(ParamsMixin):
         """Hindi string for each English name in X (decoder.decode_name)."""
         self._check_fitted()
         policy, top_k = check("fallback", self.fallback), check("top_k", self.top_k)
-        return [decode_name(self.model_, word, policy, top_k)[0] for word in X]
+        return [decode_name(self.model_, word, policy, top_k)[0] for word in _not_a_str("X", X, "names")]
 
     def score(self, X, y) -> float:
         """Normalized exact-match accuracy of predict(X) against y."""
-        y = list(y)
+        y = list(_not_a_str("y", y, "Hindi names"))
         predictions = self.predict(X)
         if len(predictions) != len(y):
             raise ValueError("X and y have different lengths")
@@ -158,4 +166,4 @@ class NamedEntityTranslator(ParamsMixin):
 
     def transform(self, X) -> list[str]:
         """Substituted sentence for each annotated line in X."""
-        return [processed.substituted for processed in self._process(X)]
+        return [processed.substituted for processed in self._process(_not_a_str("X", X, "annotated lines"))]

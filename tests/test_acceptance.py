@@ -92,6 +92,7 @@ def test_criterion_4_viterbi_matches_exhaustive_search():
         oracle_seq, oracle_score = exhaustive_decode(model, keys, top_k=5)
         assert decoding.hindi_sequence == oracle_seq
         assert decoding.score == oracle_score
+        assert decoding.english == tuple(keys)
     assert time.perf_counter() - start < 10.0
 
 

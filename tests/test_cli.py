@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ne_translit
-from ne_translit import alignment
+from ne_translit import alignment, phonology
 from ne_translit.alignment import align_corpus, build_aligned_corpus, em_train_alignment, load_corpus
 from ne_translit.cli import SETTINGS, main, parse_config
 from ne_translit.decoder import Fallback, candidates, decode_name, viterbi
@@ -406,6 +406,28 @@ def test_trace_prints_each_letter_run_in_order(tmp_path, corpus_file, capsys, mo
     # the runs' scores are added within each word, then across words
     assert score == f"{(0.0 + scores[0] + scores[1]) + (0.0 + scores[2]):.6f}"
     assert items.split(" ") == expected_items
+
+
+def test_trace_segments_each_run_once_per_memo_miss(tmp_path, corpus_file, capsys, monkeypatch):
+    # --trace reads each run's keys from its Decoding, so a run is segmented
+    # once, when decode_name first decodes it, and never again: not for its
+    # trace, not for a repeated name or run, not for a run that fell back
+    model = tmp_path / "model.txt"
+    assert main(["--quiet", "train", str(corpus_file), str(model)]) == 0
+    segmented = []
+
+    def counted(word, _phonify=phonology.phonify_latin):
+        segmented.append(word)
+        return _phonify(word)
+
+    monkeypatch.setattr(phonology, "phonify_latin", counted)
+    lines = "Radhika\nRadhi-ka\nRadhika\nXylophone\nka Radhi\nXylophone\n"
+    argv = ["transliterate", "--model", str(model), "--trace", "--fallback", "copy"]
+    assert run_cli(argv, lines, monkeypatch=monkeypatch) == 0
+    rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()]
+    assert [len(row) for row in rows] == [4, 4, 4, 3, 4, 3]
+    assert rows[3] == ["Xylophone", "Xylophone", "-"]
+    assert segmented == ["Radhika", "Radhi", "ka", "Xylophone"]
 
 
 def test_a_word_with_no_letters_is_copied_with_score_zero(model_file, tmp_path, capsys, monkeypatch):

@@ -75,9 +75,20 @@ def expected_trace(model, seq, score, keys):
     return None if score == NEG_INF else trace_items(model, seq, keys)
 
 
+def decode_checked(m, keys, top_k):
+    """viterbi(m, keys, top_k), checked to carry the keys as its english and
+    to decode them alike as a list and as a tuple."""
+    decoding = viterbi(m, list(keys), top_k=top_k)
+    assert decoding.english == tuple(keys)
+    assert viterbi(m, tuple(keys), top_k=top_k) == decoding
+    return decoding
+
+
 def test_viterbi_single_path(single_entry_model, monkeypatch, capsys):
     decoding = viterbi(single_entry_model, phonify_latin("Amar").keys())
-    assert decoding.hindi_sequence == ("अ", "म", "र")
+    seq, score, english = decoding  # the public field order
+    assert (seq, english) == (("अ", "म", "र"), ("a", "ma", "r"))
+    assert score == decoding.score
     assert cli_trace(monkeypatch, capsys, single_entry_model, "Amar") == ["अ:1", "म:1", "र:1"]
 
 
@@ -86,7 +97,7 @@ def test_viterbi_length_one_is_plain_argmax():
     for _ in range(30):
         m = build_random_model(rng)
         e = rng.choice(sorted(m.e_vocab))
-        decoding = viterbi(m, [e], top_k=5)
+        decoding = decode_checked(m, [e], top_k=5)
         seq, score = exhaustive_decode(m, [e], top_k=5)
         assert decoding.hindi_sequence == seq
         assert decoding.score == score
@@ -98,7 +109,7 @@ def test_viterbi_matches_exhaustive_search(monkeypatch, capsys):
         m = latin_random_model(rng, discrete=trial % 2 == 1)
         length = rng.randint(1, 6)
         keys = [rng.choice(sorted(m.e_vocab)) for _ in range(length)]
-        decoding = viterbi(m, keys, top_k=5)
+        decoding = decode_checked(m, keys, top_k=5)
         seq, score = exhaustive_decode(m, keys, top_k=5)
         assert decoding.hindi_sequence == seq
         assert decoding.score == score
@@ -251,7 +262,7 @@ def test_viterbi_matches_exhaustive_search_on_all_tie_models():
         for length in range(1, 8):
             keys = [rng.choice(sorted(m.e_vocab)) for _ in range(length)]
             top_k = rng.randint(1, 3)
-            decoding = viterbi(m, keys, top_k=top_k)
+            decoding = decode_checked(m, keys, top_k=top_k)
             seq, score = exhaustive_decode(m, keys, top_k=top_k)
             assert decoding.hindi_sequence == seq
             assert decoding.score == score
@@ -278,7 +289,7 @@ def test_viterbi_at_top_k_1_matches_exhaustive_search(monkeypatch, capsys):
     for trial in range(200):
         m = latin_random_model(rng, discrete=trial % 2 == 1)
         keys = [rng.choice(SYLLABLES) for _ in range(rng.randint(1, 6))]
-        decoding = viterbi(m, keys, top_k=1)
+        decoding = decode_checked(m, keys, top_k=1)
         seq, score = exhaustive_decode(m, keys, top_k=1)
         assert decoding.hindi_sequence == seq
         assert decoding.score == score
@@ -329,7 +340,7 @@ def test_viterbi_mixing_one_state_and_several_state_columns_matches_exhaustive_s
 ):
     m = mixed_model(transition)
     for keys in MIXED_WORDS:
-        decoding = viterbi(m, keys, top_k=top_k)
+        decoding = decode_checked(m, keys, top_k=top_k)
         seq, score = exhaustive_decode(m, keys, top_k=top_k)
         assert decoding.hindi_sequence == seq, keys
         assert decoding.score == score, keys
@@ -393,6 +404,8 @@ def assert_viterbi_matches_the_reference(m, keys, top_k):
     # the lattice shows its back-pointer
     decoding, columns = viterbi_and_its_lattice(m, keys, top_k)
     assert (decoding.hindi_sequence, decoding.score, columns) == reference_viterbi(m, keys, top_k), (keys, top_k)
+    assert decoding.english == tuple(keys)
+    assert viterbi(m, tuple(keys), top_k=top_k) == decoding
 
 
 @pytest.mark.parametrize("kind", ["continuous", "discrete", "uniform"])
@@ -452,6 +465,7 @@ def test_memo_returns_equal_decodings(memorization_model, memorization_corpus):
         assert decoding is first_runs[0][1]  # repeats come from the memo
         assert shared.decode_memo[word, 10] == (output, decoding)
         assert (run, score) == (word, decoding.score)
+        assert decoding.english == tuple(phonify_latin(word).keys())  # kept with the path
 
 
 def test_memo_keeps_top_k_apart():
@@ -481,7 +495,7 @@ def test_memo_never_exceeds_its_bound(monkeypatch):
                 decode_name(m, "".join(keys), top_k=3)
         else:
             output, score, ((_, decoding),) = decode_name(m, "".join(keys), top_k=3)
-            assert (decoding.hindi_sequence, decoding.score) == expected
+            assert decoding == (*expected, tuple(keys))
             assert score == decoding.score
             assert output == "".join(expected[0])
             assert 1 <= len(m.decode_memo)

@@ -106,6 +106,29 @@ def test_predict_falls_back_on_non_latin_letters(memorization_corpus):
         est.predict(["José"])
 
 
+@pytest.mark.parametrize(
+    "method, args, message",
+    [
+        ("fit", ("Radhika\tराधिका",), "X must be an iterable of parallel entries, not a str"),
+        ("predict", ("Radhika",), "X must be an iterable of names, not a str"),
+        ("score", ("Ra", ["रा"]), "X must be an iterable of names, not a str"),
+        ("score", (["Ra"], "रा"), "y must be an iterable of Hindi names, not a str"),
+        ("score", ("Ra", "रा"), "y must be an iterable of Hindi names, not a str"),
+        ("transform", ("[[Amar|PER]] x",), "X must be an iterable of annotated lines, not a str"),
+    ],
+    ids=["fit", "predict", "score-X", "score-y", "score-both", "transform"],
+)
+def test_an_estimator_rejects_a_bare_str(method, args, message, memorization_corpus):
+    # iterated, a str is one item per character: predict("Radhika") would
+    # decode seven one-letter names, and transform a line would give one
+    # "sentence" per character (process_line takes one line by design)
+    est = HmmTransliterator(smoothing_k=0.0).fit(memorization_corpus)
+    target = NamedEntityTranslator(model=est) if method == "transform" else est
+    with pytest.raises(TypeError) as excinfo:
+        getattr(target, method)(*args)
+    assert str(excinfo.value) == message
+
+
 def test_transformer_substitutes_sentences(memorization_corpus):
     est = HmmTransliterator(smoothing_k=0.0).fit(memorization_corpus)
     translator = NamedEntityTranslator(model=est, kb=load_seed_kb())
