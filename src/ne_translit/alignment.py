@@ -268,8 +268,9 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
     are held until the last batch has run; every grid has then read the
     costs, so the cost rows are zeroed and take the soft counts in place,
     pair by pair in first-seen order, each pair's cells in (i, j) order,
-    as a pass per pair would add them.  Each coded pair keeps the row
-    objects of its English ids, and the rows are never replaced.  A row is
+    as a pass per pair would add them.  Each batch and each coded pair
+    keep the row objects of their English ids, listed once when they are
+    built, and the rows are never replaced.  A row is
     then normalized over its touched cells in the order a dict of dicts
     would hold them, the order of first touch; that order is computed
     once from all cells, and again in an iteration where a posterior of 0
@@ -292,17 +293,17 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
     width = len(h_vocab)
     h_id = {h: j for j, h in enumerate(h_vocab)}
     e_id = {e: i for i, e in enumerate(e_vocab)}
-    # Dense cost rows, one per English phoneme, refilled in place (`row_of`).
+    # Dense cost rows, one per English phoneme, refilled in place.
     u = 1.0 / width
     cost = [[u] * width for _ in e_vocab]
     blank = [AlignmentCostTable.default] * width
     row_of = cost.__getitem__
     # Each distinct pair as (English ids, Hindi ids, multiplicity), in
-    # first-seen order.  A batch holds the pairs of one shape (m, n): their
-    # English ids by row and Hindi ids by column, each a tuple over the
-    # batch, then its first forward row and its size.  Each pair then gets
-    # its batch's index, its own slice of that batch's posteriors and the
-    # cost rows of its English ids.
+    # first-seen order.  A batch holds the pairs of one shape (m, n): the
+    # cost rows of their English ids by row and their Hindi ids by column,
+    # each over the batch, then its first forward row and its size.  Each
+    # pair then gets its batch's index, its own slice of that batch's
+    # posteriors and the cost rows of its English ids.
     coded = [(tuple([e_id[e] for e in e_keys]), tuple([h_id[h] for h in h_keys]), count)
              for (e_keys, h_keys), count in pairs.items()]
     shapes: dict[tuple[int, int], list[int]] = defaultdict(list)
@@ -311,8 +312,8 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
     batches = []
     for k, ((_, n), members) in enumerate(shapes.items()):
         size = len(members)
-        batches.append((list(zip(*(coded[b][0] for b in members))), list(zip(*(coded[b][1] for b in members))),
-                        [SKIP_PENALTY**j for j in range(n + 1)], size))
+        batches.append(([list(map(row_of, es)) for es in zip(*(coded[b][0] for b in members))],
+                        list(zip(*(coded[b][1] for b in members))), [SKIP_PENALTY**j for j in range(n + 1)], size))
         for lane, b in enumerate(members):
             coded[b] += (k, slice(lane - size, None, -size), list(map(row_of, coded[b][0])))
 
@@ -328,8 +329,7 @@ def em_train_alignment(corpus, iterations: int = 10) -> AlignmentCostTable:
     zero = [0.0] * width
     for _ in range(iterations):
         posts = [
-            _batched_passes([[list(map(getitem, rows, hs)) for hs in h_cols]
-                             for rows in (list(map(row_of, es)) for es in e_rows)], edge, size)[2]
+            _batched_passes([[list(map(getitem, rows, hs)) for hs in h_cols] for rows in e_rows], edge, size)[2]
             for e_rows, h_cols, edge, size in batches
         ]
         # Every grid has read `cost`, so its rows take the soft counts in
@@ -403,15 +403,6 @@ def align_corpus(
     if not aligned:
         raise CorpusError(_NO_USABLE_ENTRIES)
     return costs, aligned, skipped
-
-
-def aligned_pair_counts(aligned_corpus) -> Counter:
-    """Counts of match pairs, for the inspection dump."""
-    counts: Counter = Counter()
-    for pairs in aligned_corpus:
-        for p in pairs:
-            counts[(p.e, p.h)] += 1
-    return counts
 
 
 def load_corpus(path) -> tuple[list[ParallelEntry], list[str]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from collections import Counter
 
 from . import alignment, evaluation, kb as kb_mod, model as model_mod, phonology
 from .decoder import Fallback, decode_name
@@ -57,9 +58,9 @@ def _input_lines(args):
         yield decoded_lines(stream, NeTranslitError, path or "standard input")
 
 
-def _info(args, message):
+def _info(args, message, file=None):
     if not args.quiet:
-        print(message)
+        print(message, file=file)
 
 
 def cmd_phonify(args) -> int:
@@ -85,18 +86,16 @@ def _align_corpus(args) -> tuple[list, int]:
     out; returns the aligned entries and how many were left out."""
     entries, warnings = alignment.load_corpus(args.corpus)
     for warning in warnings:
-        if not args.quiet:
-            print(f"{PROG}: warning: {args.corpus}: {warning}", file=sys.stderr)
+        _info(args, f"{PROG}: warning: {args.corpus}: {warning}", file=sys.stderr)
     _, usable, skipped = alignment.align_corpus(entries, args.em_iterations)
     for record in skipped:
-        if not args.quiet:
-            print(f"{PROG}: warning: skipped {record}", file=sys.stderr)
+        _info(args, f"{PROG}: warning: skipped {record}", file=sys.stderr)
     return usable, len(skipped) + len(warnings)
 
 
 def cmd_align_dump(args) -> int:
     usable, _ = _align_corpus(args)
-    counts = alignment.aligned_pair_counts(usable)
+    counts = Counter(pair for pairs in usable for pair in pairs)
     for (e, h), count in sorted(counts.items()):
         print(f"{e}\t{h}\t{count}")
     return 0

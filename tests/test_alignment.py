@@ -15,7 +15,6 @@ from ne_translit.alignment import (
     _forward_backward,
     align_corpus,
     align_monotone,
-    aligned_pair_counts,
     build_aligned_corpus,
     corpus_log_likelihood,
     em_train_alignment,
@@ -409,15 +408,6 @@ def test_multi_token_entries_align():
     aligned, skipped = build_aligned_corpus(corpus, table)
     assert not skipped
     assert [p.e for p in aligned[0]] == ["ra", "ma", "ka", "ma"]
-
-
-def test_aligned_pair_counts_dump_shape():
-    corpus = [ParallelEntry("Rama", "रामा"), ParallelEntry("Mara", "मारा")]
-    table = em_train_alignment(corpus, iterations=5)
-    aligned, _ = build_aligned_corpus(corpus, table)
-    counts = aligned_pair_counts(aligned)
-    assert counts[("ra", "रा")] == 2
-    assert counts[("ma", "मा")] == 2
 
 
 def test_em_rejects_empty_and_bad_iterations():

@@ -898,6 +898,13 @@ def test_align_dump_counts(corpus_file, capsys):
     assert lines == sorted(lines)
 
 
+def test_align_dump_prints_each_match_pair_with_its_count(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("Rama\tरामा\nMara\tमारा\n", encoding="utf-8")
+    assert main(["align-dump", str(corpus), "--em-iterations", "5"]) == 0
+    assert capsys.readouterr() == ("ma\tमा\t2\nra\tरा\t2\n", "")
+
+
 # a value each setting's parser rejects, and a command that takes the setting
 BAD_SETTINGS = [
     ("smoothing_k", "abc", "train"),
