@@ -27,6 +27,11 @@ from .textfile import read_lines
 # Probability charged for every skip move; not re-estimated by EM.
 SKIP_PENALTY = 1e-4
 
+# Most keys a side of a training entry may have.  EM's cost grows with
+# m x n, so a longer entry (a concatenated record, say) would stall
+# training; it is left out with a record instead.
+MAX_ENTRY_KEYS = 160
+
 _NO_USABLE_ENTRIES = "no usable entries in the corpus"
 
 
@@ -46,11 +51,15 @@ class ParallelEntry:
         """Both sides phonified token by token into model keys, as
         (e_keys, h_keys); computed on first use and kept, so EM and the
         hard alignment phonify an entry once.  Raises the phonifier's
-        error, or CorpusError for a side with no phonemes."""
+        error, or CorpusError for a side with no phonemes or with more
+        than MAX_ENTRY_KEYS."""
         e_keys = tuple(key for token in self.english.split() for key in phonify_latin(token).keys())
         h_keys = tuple(key for token in self.hindi.split() for key in phonify_devanagari(token).keys())
         if not e_keys or not h_keys:
             raise CorpusError("no phonemes on one side")
+        if max(len(e_keys), len(h_keys)) > MAX_ENTRY_KEYS:
+            raise CorpusError(f"too long: {len(e_keys)} English and {len(h_keys)} Hindi phonemes, "
+                              f"limit {MAX_ENTRY_KEYS}")
         return e_keys, h_keys
 
 

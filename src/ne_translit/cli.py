@@ -52,9 +52,14 @@ def _add_setting(parser, key, **kwargs):
 def _input_lines(args):
     """(line number, line) for each line of the --in file or of stdin
     (left open on exit), decoded one line at a time (see
-    textfile.decoded_lines), as a context manager."""
+    textfile.decoded_lines), as a context manager.  An --in file that
+    cannot be opened raises NeTranslitError("cannot read <path>: <reason>")."""
     path = getattr(args, "infile", None)
-    with open(path, "rb") if path else contextlib.nullcontext(sys.stdin.buffer) as stream:
+    try:
+        source = open(path, "rb") if path else contextlib.nullcontext(sys.stdin.buffer)
+    except OSError as exc:
+        raise NeTranslitError(f"cannot read {path}: {exc}") from exc
+    with source as stream:
         yield decoded_lines(stream, NeTranslitError, path or "standard input")
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from ne_translit import alignment
 from ne_translit.alignment import (
+    MAX_ENTRY_KEYS,
     SKIP_PENALTY,
     AlignedPair,
     AlignmentCostTable,
@@ -255,6 +256,24 @@ def test_em_normalizes_each_row_in_the_order_its_cells_were_first_touched():
         assert "सौ" in got["yo"]
 
 
+def test_em_is_bit_identical_to_the_string_keyed_em_where_an_entry_underflows():
+    names, long_entry = _akshara_names_and_long_entry()
+    # one English phoneme against 100 Hindi ones: every path skips at least
+    # 99 of them, so the scaled last forward cell underflows to 0, every
+    # posterior of the entry reads -1.0, and `yo`, seen nowhere else, is
+    # left a row with no touched cell
+    entry = ParallelEntry("Yo", long_entry.hindi)
+    assert tuple(map(len, entry.keys)) == (1, 100)
+    corpus = names[:20] + [entry] + names[20:30]
+    got = em_train_alignment(corpus, 3)
+    expected = reference_scaled_em(corpus, 3).probs
+    assert [(e, list(row.items())) for e, row in got.probs.items()] == \
+        [(e, list(row.items())) for e, row in expected.items()]
+    assert "yo" not in got.probs
+    assert _forward_backward(*entry.keys, got) == (-math.inf, [])
+    assert corpus_log_likelihood([entry], got) == -math.inf
+
+
 def test_batched_passes_give_each_pair_what_a_batch_of_one_gives():
     rng = random.Random(18)
     m = n = 100
@@ -439,6 +458,56 @@ def test_every_entry_is_aligned_or_recorded_in_input_order():
     assert [[p.e for p in pairs] for pairs in aligned] == [["ra", "ma"], ["ma", "ra"], ["ra", "ma"]]
     assert [record.split(":")[0] for record in skipped] == ["x9y\tरा", " \tरा", "x9y\tरा", " \tरा"]
     assert skipped[1] == " \tरा: no phonemes on one side"
+
+
+def _entry_of_max_keys():
+    """An entry of MAX_ENTRY_KEYS keys a side, one akshara a key."""
+    consonants = ["क", "ख", "ग", "घ", "च", "ज", "त", "द", "न", "प", "ब", "म", "र", "ल", "व", "स"]
+    latin = ["k", "kh", "g", "gh", "ch", "j", "t", "d", "n", "p", "b", "m", "r", "l", "v", "s"]
+    units = [(consonants[t % 16] + ("ि" if t % 3 else ""), latin[t % 16] + ("i" if t % 3 else "a"))
+             for t in range(MAX_ENTRY_KEYS)]
+    return ParallelEntry("".join(lat for _, lat in units), "".join(dev for dev, _ in units))
+
+
+def test_an_entry_of_max_entry_keys_a_side_still_trains():
+    # the EM bit-identity tests above train entries of 153 x 102 keys
+    assert MAX_ENTRY_KEYS >= 153
+    entry = _entry_of_max_keys()
+    assert tuple(map(len, entry.keys)) == (MAX_ENTRY_KEYS, MAX_ENTRY_KEYS)
+    _, usable, skipped = align_corpus([entry, ParallelEntry("Rama", "रामा")], 1)
+    assert skipped == [] and len(usable) == 2
+    assert len(usable[0]) == MAX_ENTRY_KEYS
+
+
+@pytest.mark.parametrize("english, hindi, e_count, h_count", [
+    ("ka" * (MAX_ENTRY_KEYS + 1), "क", MAX_ENTRY_KEYS + 1, 1),
+    ("Ka", "क" * (MAX_ENTRY_KEYS + 1), 1, MAX_ENTRY_KEYS + 1),
+    ("ka" * 10_000, "का" * 10_000, 10_000, 10_000),  # 20,000 letters a side
+])
+def test_an_entry_with_more_than_max_entry_keys_a_side_is_too_long(english, hindi, e_count, h_count):
+    with pytest.raises(CorpusError) as excinfo:
+        ParallelEntry(english, hindi).keys
+    assert str(excinfo.value) == (
+        f"too long: {e_count} English and {h_count} Hindi phonemes, limit {MAX_ENTRY_KEYS}"
+    )
+
+
+def test_a_too_long_entry_is_left_out_of_em_and_the_hard_alignment(monkeypatch):
+    shapes = []
+
+    def counted(grid, edge, size, _passes=alignment._batched_passes):
+        shapes.append((len(grid), len(edge) - 1))
+        return _passes(grid, edge, size)
+
+    monkeypatch.setattr(alignment, "_batched_passes", counted)
+    rama, mara = ParallelEntry("Rama", "रामा"), ParallelEntry("Mara", "मारा")
+    long_entry = ParallelEntry("ka" * 10_000, "का" * 10_000)
+    costs, usable, skipped = align_corpus([rama, long_entry, mara, long_entry], 3)
+    record = f"{'ka' * 10_000}\t{'का' * 10_000}: too long: 10000 English and 10000 Hindi phonemes, limit 160"
+    assert skipped == [record, record]
+    # only the one (2, 2) batch of Rama and Mara ran, once per iteration
+    assert shapes == [(2, 2)] * 3
+    assert (costs, usable, []) == align_corpus([rama, mara], 3)
 
 
 def test_entry_keys_are_phonified_once_and_kept():

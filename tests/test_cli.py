@@ -309,6 +309,22 @@ def test_train_empty_corpus_fails(tmp_path, capsys):
     assert not model.exists()
 
 
+def test_train_warns_about_a_too_long_entry_and_trains_on_the_rest(tmp_path, capsys):
+    long_line = f"{'ka' * 10_000}\t{'का' * 10_000}"  # 20,000 letters a side
+    corpus, model = tmp_path / "corpus.tsv", tmp_path / "model.txt"
+    corpus.write_text(f"Rama\tरामा\n{long_line}\nMara\tमारा\n", encoding="utf-8")
+    assert main(["train", str(corpus), str(model), "--em-iterations", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"ne-translit: warning: skipped {long_line}: too long: 10000 English and 10000 Hindi phonemes, limit 160\n"
+    )
+    assert captured.out.startswith("trained on 2 entries (1 skipped)\n")
+    short_corpus, short_model = tmp_path / "short.tsv", tmp_path / "short.txt"
+    short_corpus.write_text("Rama\tरामा\nMara\tमारा\n", encoding="utf-8")
+    assert main(["--quiet", "train", str(short_corpus), str(short_model), "--em-iterations", "3"]) == 0
+    assert model.read_bytes() == short_model.read_bytes()
+
+
 def test_train_warns_about_malformed_lines(tmp_path, capsys):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("Radhika\tराधिका\nbroken line\n", encoding="utf-8")
@@ -554,6 +570,20 @@ def test_translate_with_a_missing_input_leaves_no_decisions_file(tmp_path, model
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert not decisions.exists()
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["phonify", "transliterate", "translate"])
+def test_an_in_file_that_cannot_be_opened_is_a_one_line_error(command, model_file, tmp_path, capsys):
+    argv = [command] if command == "phonify" else [command, "--model", str(model_file)]
+    missing = tmp_path / "missing.txt"
+    assert main(argv + ["--in", str(missing)]) == 1
+    assert capsys.readouterr() == (
+        "", f"ne-translit: error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    assert main(argv + ["--in", str(tmp_path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"ne-translit: error: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["phonify", "transliterate", "translate"])

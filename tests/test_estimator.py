@@ -67,6 +67,15 @@ def test_fit_on_an_unusable_corpus_raises_corpus_error():
     assert not hasattr(est, "model_")
 
 
+def test_fit_lists_a_too_long_entry_in_skipped():
+    long_pair = ("ka" * 10_000, "का" * 10_000)  # 20,000 letters a side
+    est = HmmTransliterator(em_iterations=3).fit([("Rama", "रामा"), long_pair, ("Mara", "मारा")])
+    assert est.skipped_ == (
+        f"{long_pair[0]}\t{long_pair[1]}: too long: 10000 English and 10000 Hindi phonemes, limit 160",
+    )
+    assert est.n_entries_ == 2
+
+
 def test_fit_takes_english_hindi_pairs_only():
     # a corpus category is not part of a training entry, and an item that
     # is no pair of non-empty strings is named before EM runs

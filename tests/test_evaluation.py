@@ -50,6 +50,13 @@ def test_accuracy_truncates_rather_than_rounds():
     assert CategoryScore(29283, 29143).accuracy_text == "0.99521"
 
 
+@pytest.mark.parametrize("total, correct", [(2, 3), (2, -1)])
+def test_category_score_rejects_bad_counts(total, correct):
+    with pytest.raises(ValueError) as excinfo:
+        CategoryScore(total, correct)
+    assert str(excinfo.value) == f"bad counts: {correct}/{total}"
+
+
 @pytest.mark.parametrize("name", ["accuracy", "accuracy_text"])
 def test_accuracy_over_zero_records_is_an_evaluation_error(name):
     with pytest.raises(EvaluationError) as excinfo:

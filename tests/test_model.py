@@ -217,6 +217,18 @@ def test_a_model_without_a_transition_row_cannot_be_built():
     assert str(excinfo.value) == "transition rows must cover the Hindi vocabulary plus BOS"
 
 
+def test_a_model_with_an_empty_row_cannot_be_built():
+    with pytest.raises(ModelValidationError) as excinfo:
+        TransliterationModel(
+            emission={"अ": {}},
+            transition={BOS: {"अ": 1.0}, "अ": {EOS: 1.0}},
+            emission_floor={"अ": 0.0},
+            transition_floor={BOS: 0.0, "अ": 0.0},
+            smoothing_k=0.0,
+        )
+    assert str(excinfo.value) == "empty emission row for 'अ'"
+
+
 def test_a_model_without_a_hindi_phoneme_cannot_be_built():
     # its one transition row is valid, but the model can decode nothing
     with pytest.raises(ModelValidationError) as excinfo:

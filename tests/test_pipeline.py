@@ -102,6 +102,18 @@ def test_parse_columnar_rejects_malformed(line):
         parse_annotations(line, "columnar")
 
 
+def test_parse_columnar_names_a_record_with_a_bad_category():
+    with pytest.raises(AnnotationError) as excinfo:
+        parse_annotations("some text\t0,4,XYZ", "columnar")
+    assert str(excinfo.value) == "bad span record '0,4,XYZ': unknown entity category 'XYZ'"
+
+
+def test_parse_annotations_names_an_unknown_format():
+    with pytest.raises(ValueError) as excinfo:
+        parse_annotations("[[India|LOC]]", "xml")
+    assert str(excinfo.value) == "unknown annotation format 'xml'"
+
+
 def test_kb_hit_route(india_model):
     kb = load_seed_kb()
     sentence, spans = parse_annotations(INDIA_LINE, "inline")
