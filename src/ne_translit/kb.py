@@ -23,6 +23,10 @@ class EntityCategory(Enum):
     LOCATION = "LOC"
     ORGANIZATION = "ORG"
 
+    # Members are singletons compared by identity, so identity is their
+    # hash: Enum's own __hash__ is Python code, run on every dict probe.
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, text: str) -> "EntityCategory":
         """Accept either the short code (PER) or the full name (PERSON)."""
@@ -48,18 +52,22 @@ def normalize(text: str) -> str:
 
 
 class KnowledgeBase:
-    """Immutable-by-convention lookup of (category, normalized name).
+    """Immutable-by-convention lookup of (category, normalized name): one
+    dict of normalized names per category, so a probe builds no key.
 
-    has_persons tells whether a PER row has been stored, and so whether
-    person names consult this KB.
+    has_persons tells whether a PER row is stored, and so whether person
+    names consult this KB.
     """
 
     def __init__(self, rows=()):
         """rows: (english, hindi, category) triples, each stored by add."""
-        self._table: dict[tuple[EntityCategory, str], str] = {}
-        self.has_persons = False
+        self._tables: dict[EntityCategory, dict[str, str]] = {category: {} for category in EntityCategory}
         for english, hindi, category in rows:
             self.add(english, hindi, category)
+
+    @property
+    def has_persons(self) -> bool:
+        return bool(self._tables[_PERSON])
 
     def add(self, english: str, hindi: str, category: EntityCategory) -> None:
         """Store hindi, stripped, under the normal form of english.  A
@@ -67,32 +75,37 @@ class KnowledgeBase:
         name or translation, or a key that is not a fixed point of
         normalize, raises ValueError; a second row with one key in one
         category raises KnowledgeBaseError."""
-        if not isinstance(category, EntityCategory):
-            raise TypeError(f"not an EntityCategory: {category!r}")
+        try:
+            table = self._tables[category]
+        except (KeyError, TypeError):
+            raise TypeError(f"not an EntityCategory: {category!r}") from None
         key, hindi = normalize(english), hindi.strip()
         if not key or not hindi:
             raise ValueError("empty entity or translation")
         if key != normalize(key):
             raise ValueError(f"key {key!r} is not in normal form")
-        if (category, key) in self._table:
+        if key in table:
             raise KnowledgeBaseError(f"duplicate entry for {key!r} ({category.value})")
-        self._table[category, key] = hindi
-        if category is _PERSON:
-            self.has_persons = True
+        table[key] = hindi
 
     def lookup(self, entity: str, category: EntityCategory) -> str | None:
-        """Exact match only; None means fall through to transliteration."""
-        return self._table.get((category, normalize(entity)))
+        """Exact match only; None means fall through to transliteration.  A
+        category that is not an EntityCategory raises TypeError."""
+        try:
+            table = self._tables[category]
+        except (KeyError, TypeError):
+            raise TypeError(f"not an EntityCategory: {category!r}") from None
+        return table.get(normalize(entity))
 
     def entries(self) -> list[tuple[str, str, EntityCategory]]:
         """(normalized name, hindi, category) rows, by category code, then name."""
         return sorted(
-            ((key, hindi, category) for (category, key), hindi in self._table.items()),
+            ((key, hindi, category) for category, table in self._tables.items() for key, hindi in table.items()),
             key=lambda row: (row[2].value, row[0]),
         )
 
     def __len__(self) -> int:
-        return len(self._table)
+        return sum(map(len, self._tables.values()))
 
 
 def load_kb(path) -> KnowledgeBase:
@@ -103,14 +116,19 @@ def load_kb(path) -> KnowledgeBase:
     """
     path = Path(path)
     kb = KnowledgeBase()
-    # looked up once: each attribute lookup on an Enum class costs about 0.1 µs
-    parse = EntityCategory.parse
+    add = kb.add
+    # each distinct label text, as written, is parsed once per load
+    categories: dict[str, EntityCategory] = {}
     for lineno, line in read_lines(path, KnowledgeBaseError, "knowledge base"):
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise KnowledgeBaseError(f"{path}: line {lineno}: expected english<TAB>hindi<TAB>category")
         try:
-            kb.add(cols[0], cols[1], parse(cols[2].strip()))
+            english, hindi, label = line.split("\t")
+        except ValueError:
+            raise KnowledgeBaseError(f"{path}: line {lineno}: expected english<TAB>hindi<TAB>category") from None
+        try:
+            category = categories.get(label)
+            if category is None:
+                category = categories[label] = EntityCategory.parse(label.strip())
+            add(english, hindi, category)
         except (ValueError, KnowledgeBaseError) as exc:
             raise KnowledgeBaseError(f"{path}: line {lineno}: {exc}") from exc
     return kb

@@ -10,8 +10,8 @@ ready for a downstream MT system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .decoder import Fallback, check_decode_settings, decode_name
 from .errors import AnnotationError
@@ -30,8 +30,7 @@ class Route(Enum):
     FALLBACK = "FALLBACK"
 
 
-@dataclass(frozen=True)
-class EntitySpan:
+class EntitySpan(NamedTuple):
     """A typed entity occurrence: [start, end) offsets into the sentence."""
 
     start: int
@@ -40,32 +39,49 @@ class EntitySpan:
     category: EntityCategory
 
 
-@dataclass(frozen=True)
-class EntityDecision:
+class _DecisionFields(NamedTuple):
     span: EntitySpan
     route: Route
     output: str
     score: float | None = None
 
-    def __post_init__(self):
-        if self.route is Route.TRANSLITERATED and self.score is None:
-            raise ValueError("transliterated decisions must carry a score")
-        if self.route is not Route.TRANSLITERATED and self.score is not None:
+
+
+class EntityDecision(_DecisionFields):
+    """The route, output and score of one span.  Only a TRANSLITERATED
+    decision carries a score, and it must; the check runs on every path
+    that builds one: the constructor, _make and _replace."""
+
+    __slots__ = ()
+
+    def __new__(cls, span: EntitySpan, route: Route, output: str, score: float | None = None):
+        if score is None:
+            if route is _TRANSLITERATED:
+                raise ValueError("transliterated decisions must carry a score")
+        elif route is not _TRANSLITERATED:
             raise ValueError("only transliterated decisions carry a score")
+        return tuple.__new__(cls, (span, route, output, score))
+
+    @classmethod
+    def _make(cls, iterable) -> EntityDecision:
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ProcessedSentence:
+class ProcessedSentence(NamedTuple):
     substituted: str
     decisions: tuple[EntityDecision, ...]
 
 
 def validate_spans(sentence: str, spans) -> None:
-    """Enforce span sanity: in bounds, sorted, non-overlapping, surface
-    match, not blank (a span of whitespace alone names no entity), and no
-    tab (a --decisions record is tab-separated)."""
+    """Enforce span sanity: an EntityCategory (TypeError otherwise), in
+    bounds, sorted, non-overlapping, surface match, not blank (a span of
+    whitespace alone names no entity), and no tab (a --decisions record is
+    tab-separated)."""
     prev_end = 0
     for span in spans:
+        if not isinstance(span.category, EntityCategory):
+            raise TypeError(f"not an EntityCategory: {span.category!r}")
         if not 0 <= span.start < span.end <= len(sentence):
             raise AnnotationError(f"span ({span.start}, {span.end}) out of bounds")
         if span.start < prev_end:
@@ -84,6 +100,7 @@ def validate_spans(sentence: str, spans) -> None:
 # bound once: an Enum class attribute lookup costs about 0.1 µs
 _parse_category = EntityCategory.parse
 _PERSON = EntityCategory.PERSON
+_TRANSLITERATED = Route.TRANSLITERATED
 
 
 def parse_inline(line: str) -> tuple[str, list[EntitySpan]]:

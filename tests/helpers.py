@@ -20,6 +20,7 @@ from ne_translit.alignment import (
 )
 from ne_translit.errors import (
     AnnotationError,
+    KnowledgeBaseError,
     MalformedWordError,
     NeTranslitError,
     ScriptError,
@@ -27,7 +28,7 @@ from ne_translit.errors import (
     ZeroProbabilityError,
 )
 from ne_translit.decoder import UNK_OUTPUT, Fallback, viterbi
-from ne_translit.kb import EntityCategory
+from ne_translit.kb import EntityCategory, normalize
 from ne_translit.model import BOS, EOS, TransliterationModel
 from ne_translit.phonology import (
     DEV_CONSONANTS,
@@ -41,6 +42,7 @@ from ne_translit.phonology import (
     phonify_latin,
 )
 from ne_translit.pipeline import EntitySpan
+from ne_translit.textfile import read_lines
 
 NEG_INF = float("-inf")
 
@@ -607,6 +609,59 @@ def reference_parse_inline(line: str):
             pos += 1
             i += 1
     return "".join(out), spans
+
+
+# --- knowledge base reference ----------------------------------------------
+
+class ReferenceKnowledgeBase:
+    """The knowledge base as one table keyed by (category, normalized
+    name), with has_persons set when add stores a PER row: the behaviour
+    kb.KnowledgeBase must reproduce, error messages included."""
+
+    def __init__(self):
+        self.table = {}
+        self.has_persons = False
+
+    def add(self, english, hindi, category):
+        if not isinstance(category, EntityCategory):
+            raise TypeError(f"not an EntityCategory: {category!r}")
+        key, hindi = normalize(english), hindi.strip()
+        if not key or not hindi:
+            raise ValueError("empty entity or translation")
+        if key != normalize(key):
+            raise ValueError(f"key {key!r} is not in normal form")
+        if (category, key) in self.table:
+            raise KnowledgeBaseError(f"duplicate entry for {key!r} ({category.value})")
+        self.table[category, key] = hindi
+        if category is EntityCategory.PERSON:
+            self.has_persons = True
+
+    def lookup(self, entity, category):
+        return self.table.get((category, normalize(entity)))
+
+    def entries(self):
+        return sorted(
+            ((key, hindi, category) for (category, key), hindi in self.table.items()),
+            key=lambda row: (row[2].value, row[0]),
+        )
+
+    def __len__(self):
+        return len(self.table)
+
+
+def reference_load_kb(path):
+    """kb.load_kb over ReferenceKnowledgeBase: each row's columns counted,
+    then its category label parsed, row by row."""
+    kb = ReferenceKnowledgeBase()
+    for lineno, line in read_lines(path, KnowledgeBaseError, "knowledge base"):
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise KnowledgeBaseError(f"{path}: line {lineno}: expected english<TAB>hindi<TAB>category")
+        try:
+            kb.add(cols[0], cols[1], EntityCategory.parse(cols[2].strip()))
+        except (ValueError, KnowledgeBaseError) as exc:
+            raise KnowledgeBaseError(f"{path}: line {lineno}: {exc}") from exc
+    return kb
 
 
 # --- letter-run scanning reference ------------------------------------------

@@ -15,6 +15,8 @@ from ne_translit.kb import (
     normalize,
 )
 
+from helpers import ReferenceKnowledgeBase, reference_load_kb
+
 
 def test_normalize_examples():
     assert normalize("  Indian   Institute of Technology ") == "indian institute of technology"
@@ -166,7 +168,7 @@ def test_a_stored_person_row_turns_on_person_lookup():
     assert KnowledgeBase([("Gandhi", "गांधी", EntityCategory.PERSON)]).has_persons is True
 
 
-@pytest.mark.parametrize("category", ["LOC", "LOCATION", None, 1])
+@pytest.mark.parametrize("category", ["LOC", "LOCATION", None, 1, ["LOC"]])
 def test_add_rejects_a_category_that_is_not_an_entity_category(category):
     kb = KnowledgeBase()
     with pytest.raises(TypeError) as excinfo:
@@ -352,3 +354,140 @@ def test_add_rejects_a_duplicate_key_in_one_category():
         kb.add("Delhi ", "दिल्ली शहर", EntityCategory.LOCATION)
     assert str(excinfo.value) == "duplicate entry for 'delhi' (LOC)"
     assert kb.lookup("Delhi", EntityCategory.LOCATION) == "दिल्ली"
+
+
+@pytest.mark.parametrize("category", ["LOC", "LOCATION", None, 1, ["LOC"]])
+def test_lookup_rejects_a_category_that_is_not_an_entity_category(category):
+    # a label is not a category: a silent miss would send India to
+    # transliteration instead of its KB row
+    kb = load_seed_kb()
+    with pytest.raises(TypeError) as excinfo:
+        kb.lookup("India", category)
+    assert str(excinfo.value) == f"not an EntityCategory: {category!r}"
+
+
+def test_every_form_of_a_category_label_loads_as_its_category(tmp_path):
+    # load_kb parses each distinct label text once, so each form is its own
+    # entry in that cache and must still give the one category
+    path = _write_kb(
+        tmp_path,
+        ["Delhi Metro\tदिल्ली मेट्रो\tORG", "Indian Railways\tभारतीय रेल\t org", "Finance Ministry\tवित्त मंत्रालय\tOrganization"],
+    )
+    kb = load_kb(path)
+    org = EntityCategory.ORGANIZATION
+    assert [category for _, _, category in kb.entries()] == [org, org, org]
+    assert kb.lookup("indian railways", org) == "भारतीय रेल"
+    assert kb.lookup("Finance Ministry", EntityCategory.LOCATION) is None
+
+
+def test_lookup_runs_no_python_frame_but_its_own_and_normalize():
+    # the probe hashes a str in one category's dict, in C; an Enum member
+    # hashed in a key would run Enum.__hash__, a Python frame
+    kb = load_seed_kb()
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        hit = kb.lookup("Finance  MINISTRY", EntityCategory.ORGANIZATION)
+        miss = kb.lookup("Atlantis", EntityCategory.LOCATION)
+    finally:
+        sys.setprofile(None)
+    assert (hit, miss) == ("वित्त मंत्रालय", None)
+    assert frames == ["lookup", "normalize", "lookup", "normalize"]
+
+
+# Names for the differential test: two that share a key under casefold
+# (Straße, STRASSE), one in NFD, one with a run of inner spaces, and plain
+# numbered names so that not every file hits a duplicate.
+KB_NAMES = ["Delhi", "New  Delhi", "Stra\u00dfe", "STRASSE", "Zu\u0308rich", "Gandhi"] + [
+    f"Name {i}" for i in range(12)
+]
+KB_LABELS = ["PER", "LOC", "ORG", " org", "Organization", "location ", "Person", "loc", "LoC"]
+
+
+def _name_variant(rng, name):
+    """name in another case, with other whitespace inside and around it."""
+    name = rng.choice([name, name.upper(), name.lower(), name.swapcase()])
+    inner = rng.choice([" ", "  ", "\u00a0", "\u3000"])
+    return rng.choice(["", " ", "\u2003"]) + inner.join(name.split(" ")) + rng.choice(["", " ", "\u00a0"])
+
+
+def _random_kb_row(rng):
+    """One KB file line: mostly a good row, now and then a bad one."""
+    english = _name_variant(rng, rng.choice(KB_NAMES))
+    hindi = rng.choice(["दिल्ली", " नई दिल्ली ", "गांधी"])
+    label = rng.choice(KB_LABELS)
+    fault = rng.randrange(40)
+    if fault == 0:
+        label = rng.choice(["CITY", "PE R", ""])
+    elif fault == 1:
+        hindi = rng.choice(["", " \u3000"])
+    elif fault == 2:
+        return f"{english}\t{hindi}"
+    elif fault == 3:
+        return f"{english}\t{hindi}\t{label}\textra"
+    elif fault == 4:
+        english = "\u3000"
+    return rng.choice(["", "# a comment\n", "\n"]) + f"{english}\t{hindi}\t{label}"
+
+
+def _assert_same_kb(kb, reference):
+    assert kb.entries() == reference.entries()
+    assert len(kb) == len(reference)
+    assert kb.has_persons is reference.has_persons
+    for name in KB_NAMES + ["Atlantis", "delhi", "strasse", "zürich", "name 3", ""]:
+        for category in EntityCategory:
+            assert kb.lookup(name, category) == reference.lookup(name, category), (name, category)
+
+
+def test_load_kb_agrees_with_the_category_and_key_table_on_random_files(tmp_path):
+    rng = random.Random(33)
+    path = tmp_path / "kb.tsv"
+    loaded = failed = persons = 0
+    for _ in range(400):
+        rows = [_random_kb_row(rng) for _ in range(rng.randint(0, 10))]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        try:
+            reference = reference_load_kb(path)
+        except KnowledgeBaseError as exc:
+            with pytest.raises(KnowledgeBaseError) as got:
+                load_kb(path)
+            assert str(got.value) == str(exc), rows
+            failed += 1
+            continue
+        kb = load_kb(path)
+        _assert_same_kb(kb, reference)
+        loaded += 1
+        persons += kb.has_persons
+    # both outcomes, and KBs with and without a PER row, well exercised
+    assert loaded > 100 and failed > 100 and 20 < persons < loaded - 20
+
+
+def test_add_agrees_with_the_category_and_key_table_on_random_rows():
+    rng = random.Random(34)
+    categories = list(EntityCategory) * 8 + ["LOC", None]
+    outcomes = set()
+    for _ in range(300):
+        kb, reference = KnowledgeBase(), ReferenceKnowledgeBase()
+        for _ in range(rng.randint(0, 12)):
+            row = (
+                _name_variant(rng, rng.choice(KB_NAMES)),
+                rng.choice(["दिल्ली", " गांधी", "\u3000"]),
+                rng.choice(categories),
+            )
+            try:
+                reference.add(*row)
+            except (TypeError, ValueError, KnowledgeBaseError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    kb.add(*row)
+                assert str(got.value) == str(exc), row
+                outcomes.add(type(exc))
+            else:
+                kb.add(*row)
+                outcomes.add(None)
+        _assert_same_kb(kb, reference)
+    assert outcomes == {None, TypeError, ValueError, KnowledgeBaseError}

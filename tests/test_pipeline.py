@@ -9,10 +9,12 @@ from ne_translit.kb import EntityCategory, KnowledgeBase, load_seed_kb
 from ne_translit.pipeline import (
     EntityDecision,
     EntitySpan,
+    ProcessedSentence,
     Route,
     parse_annotations,
     parse_inline,
     process_sentence,
+    validate_spans,
 )
 
 from helpers import CV_UNITS, reference_parse_inline, reference_transliterate_token
@@ -321,6 +323,77 @@ def test_decision_score_invariants():
         EntityDecision(span, Route.KB_HIT, "x", score=1.0)
     with pytest.raises(ValueError):
         EntityDecision(span, Route.TRANSLITERATED, "x", score=None)
+
+
+@pytest.mark.parametrize("kb", [load_seed_kb(), None], ids=["seed-kb", "no-kb"])
+def test_a_span_whose_category_is_not_an_entity_category_is_rejected(kb, india_model):
+    # a label is not a category: with a KB, India would miss and print its
+    # transliteration; without one, only validate_spans looks at the span
+    spans = [EntitySpan(0, 5, "India", "LOC")]
+    with pytest.raises(TypeError) as excinfo:
+        process_sentence("India is big", spans, kb, india_model, Fallback.COPY_SOURCE)
+    assert str(excinfo.value) == "not an EntityCategory: 'LOC'"
+    with pytest.raises(TypeError) as excinfo:
+        validate_spans("India is big", spans)
+    assert str(excinfo.value) == "not an EntityCategory: 'LOC'"
+
+
+SPAN = EntitySpan(0, 5, "India", EntityCategory.LOCATION)
+DECISION = EntityDecision(SPAN, Route.TRANSLITERATED, "इंडिया", -1.5)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, values, other",
+    [
+        (EntitySpan, ("start", "end", "surface", "category"), tuple(SPAN), (0, 5, "India", EntityCategory.ORGANIZATION)),
+        (EntityDecision, ("span", "route", "output", "score"), tuple(DECISION), (SPAN, Route.TRANSLITERATED, "इंडिया", -2.5)),
+        (ProcessedSentence, ("substituted", "decisions"), ("इंडिया is big", (DECISION,)), ("इंडिया is big", ())),
+    ],
+    ids=["EntitySpan", "EntityDecision", "ProcessedSentence"],
+)
+def test_a_record_has_its_fields_in_order_is_frozen_and_compares_by_value(cls, fields, values, other):
+    record = cls(*values)
+    assert cls._fields == fields
+    assert tuple(record) == values
+    assert tuple(getattr(record, name) for name in fields) == values
+    assert cls(**dict(zip(fields, values))) == record
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None  # no instance dict either
+    twin = cls(*values)
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record) and len({record, twin}) == 1
+    assert cls(*other) != record
+
+
+@pytest.mark.parametrize(
+    "route, score, message",
+    [
+        (Route.KB_HIT, 1.0, "only transliterated decisions carry a score"),
+        (Route.FALLBACK, 0.0, "only transliterated decisions carry a score"),
+        (Route.TRANSLITERATED, None, "transliterated decisions must carry a score"),
+    ],
+    ids=["KB_HIT", "FALLBACK", "TRANSLITERATED"],
+)
+def test_the_score_invariant_holds_on_every_path_that_builds_a_decision(route, score, message):
+    # a named tuple's _make, which _replace calls, builds the tuple without
+    # __new__, so EntityDecision checks there too
+    valid = EntityDecision(SPAN, route, "x", -1.0 if score is None else None)
+    built = {
+        "constructor": lambda: EntityDecision(SPAN, route, "x", score),
+        "_make": lambda: EntityDecision._make((SPAN, route, "x", score)),
+        "_replace": lambda: valid._replace(score=score),
+    }
+    for how, build in built.items():
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message, how
+    # and a valid decision comes back from each as an EntityDecision
+    for decision in (EntityDecision._make(valid), valid._replace(output="y")):
+        assert type(decision) is EntityDecision
+    assert valid._replace(output="y") == (SPAN, route, "y", valid.score)
 
 
 @pytest.mark.parametrize("fallback", list(Fallback))
