@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from collections import Counter
 
@@ -61,6 +62,31 @@ def _input_lines(args):
         raise NeTranslitError(f"cannot read {path}: {exc}") from exc
     with source as stream:
         yield decoded_lines(stream, NeTranslitError, path or "standard input")
+
+
+# the parsed arguments that name a file a command reads, and those that
+# name a file it writes
+_INPUT_ARGS = ("config", "corpus", "model", "kb", "infile")
+_OUTPUT_ARGS = ("model_out", "decisions")
+
+
+def _refuse_to_overwrite_an_input(args):
+    """Raise NeTranslitError if an output path is the same file as one of
+    the command's inputs, before anything is opened for writing.  Stats
+    are compared as os.path.samefile compares them, but each output is
+    statted once: one that does not exist yet overwrites nothing."""
+    for output in filter(None, (getattr(args, name, None) for name in _OUTPUT_ARGS)):
+        try:
+            output_stat = os.stat(output)
+        except OSError:
+            continue
+        for source in filter(None, (getattr(args, name, None) for name in _INPUT_ARGS)):
+            try:
+                same = os.path.samestat(output_stat, os.stat(source))
+            except OSError:  # a missing input is reported where it is read
+                continue
+            if same:
+                raise NeTranslitError(f"output {output} would overwrite the input {source}")
 
 
 def _info(args, message, file=None):
@@ -265,6 +291,7 @@ def main(argv=None) -> int:
                 pass
     args = build_parser().parse_args(argv)
     try:
+        _refuse_to_overwrite_an_input(args)
         config = parse_config(args.config) if args.config else {}
         for key, (_, default) in SETTINGS.items():
             if hasattr(args, key) and getattr(args, key) is None:

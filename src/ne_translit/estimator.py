@@ -7,14 +7,16 @@ scikit-learn protocol so the classes drop into tooling that clones and
 grid-searches estimators, without this package depending on scikit-learn.
 
 Parameters take the values their CLI flag or config key takes, parsed by
-the same settings.check.  As in scikit-learn, __init__ only stores them;
-they are checked where they are used, in fit, predict and transform, and
-a bad value raises a ConfigError that names the parameter.
+the same settings.check.  Each estimator is a dataclass whose fields are
+its parameters, with identity for equality.  As in scikit-learn, __init__
+only stores them; they are checked where they are used, in fit, predict
+and transform, and a bad value raises a ConfigError that names the
+parameter.
 """
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import dataclass, fields
 
 from .alignment import ParallelEntry, align_corpus
 from .decoder import Fallback, decode_name
@@ -26,12 +28,11 @@ from .settings import bad_value, check
 
 
 class ParamsMixin:
-    """get_params/set_params over the keyword arguments of __init__."""
+    """get_params/set_params over the fields of the dataclass."""
 
     @classmethod
     def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return sorted(name for name in signature.parameters if name != "self")
+        return sorted(f.name for f in fields(cls))
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
@@ -62,6 +63,7 @@ def _coerce_entry(index, item) -> ParallelEntry:
     raise CorpusError(f"item {index}: expected an (english, hindi) pair of non-empty strings: {item!r}")
 
 
+@dataclass(eq=False)
 class HmmTransliterator(ParamsMixin):
     """Learn phoneme probability tables from parallel names, then decode.
 
@@ -73,11 +75,10 @@ class HmmTransliterator(ParamsMixin):
     fallback : policy for words with phonemes the model has never seen.
     """
 
-    def __init__(self, smoothing_k=0.1, em_iterations=10, top_k=10, fallback=Fallback.ERROR):
-        self.smoothing_k = smoothing_k
-        self.em_iterations = em_iterations
-        self.top_k = top_k
-        self.fallback = fallback
+    smoothing_k: float = 0.1
+    em_iterations: int = 10
+    top_k: int = 10
+    fallback: Fallback | str = Fallback.ERROR
 
     def fit(self, X, y=None):
         """X: parallel entries, as ParallelEntry or (english, hindi) pairs.
@@ -114,6 +115,7 @@ class HmmTransliterator(ParamsMixin):
         return hits / len(y)
 
 
+@dataclass(eq=False)
 class NamedEntityTranslator(ParamsMixin):
     """Stateless transformer: annotated sentences in, substituted text out.
 
@@ -122,19 +124,11 @@ class NamedEntityTranslator(ParamsMixin):
     persons too when it holds a PER row).
     """
 
-    def __init__(
-        self,
-        model=None,
-        kb: KnowledgeBase | None = None,
-        annotation_format: str = "inline",
-        fallback=Fallback.ERROR,
-        top_k: int = 10,
-    ):
-        self.model = model
-        self.kb = kb
-        self.annotation_format = annotation_format
-        self.fallback = fallback
-        self.top_k = top_k
+    model: TransliterationModel | HmmTransliterator | None = None
+    kb: KnowledgeBase | None = None
+    annotation_format: str = "inline"
+    fallback: Fallback | str = Fallback.ERROR
+    top_k: int = 10
 
     def fit(self, X=None, y=None):
         return self

@@ -182,10 +182,11 @@ def _log(p: float) -> float:
 
 
 def smoothing_constant(k) -> float:
-    """k as a float if it is a finite number >= 0; a ValueError otherwise.
-    The one copy of the rule: estimate, model validation and the
-    smoothing_k setting's parser (the CLI, HmmTransliterator.fit) apply it."""
-    if not 0.0 <= k < math.inf:
+    """k as a float if it is a finite number >= 0 and not a bool; a
+    ValueError otherwise.  The one copy of the rule: estimate, model
+    validation and the smoothing_k setting's parser (the CLI,
+    HmmTransliterator.fit) apply it."""
+    if isinstance(k, bool) or not 0.0 <= k < math.inf:
         raise ValueError(_BAD_SMOOTHING)
     return float(k)
 

@@ -32,8 +32,9 @@ def positive_int(value) -> int:
 
 
 def smoothing_k(value) -> float:
-    """A number or its text, finite and >= 0 (model.smoothing_constant)."""
-    return smoothing_constant(float(value))
+    """A number or its text, finite and >= 0 (model.smoothing_constant).
+    Only text goes through float, so a bool reaches the rule unconverted."""
+    return smoothing_constant(float(value) if isinstance(value, str) else value)
 
 
 # Every setting: its parser and its default.  The CLI resolves each one

@@ -572,6 +572,44 @@ def test_translate_with_a_missing_input_leaves_no_decisions_file(tmp_path, model
     assert "missing" in capsys.readouterr().err
 
 
+def test_translate_refuses_a_decisions_path_that_is_its_in_file(tmp_path, model_file, capsys, monkeypatch):
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("[[India|LOC]] is a great country.\n", encoding="utf-8")
+    before = sentences.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    argv = ["translate", "--model", str(model_file), "--in", "sentences.txt", "--decisions", "./sentences.txt"]
+    assert main(argv) == 1
+    assert sentences.read_bytes() == before
+    assert capsys.readouterr() == ("", "ne-translit: error: output ./sentences.txt would overwrite the input sentences.txt\n")
+
+
+@pytest.mark.parametrize("flag", ["--model", "--kb", "--config"])
+def test_translate_refuses_a_decisions_path_that_is_another_input(flag, tmp_path, model_file, capsys, monkeypatch):
+    kb = tmp_path / "kb.tsv"
+    kb.write_text("India\tभारत\tLOC\n", encoding="utf-8")
+    config = tmp_path / "config.ini"
+    config.write_text("top_k = 3\n", encoding="utf-8")
+    target = {"--model": model_file, "--kb": kb, "--config": config}[flag]
+    before = target.read_bytes()
+    # a symlink to the input is the same file
+    link = tmp_path / "decisions.tsv"
+    link.symlink_to(target)
+    argv = ["--config", str(config), "translate", "--model", str(model_file), "--kb", str(kb), "--decisions", str(link)]
+    assert run_cli(argv, "[[India|LOC]] is a great country.\n", monkeypatch=monkeypatch) == 1
+    assert target.read_bytes() == before
+    assert capsys.readouterr() == ("", f"ne-translit: error: output {link} would overwrite the input {target}\n")
+
+
+def test_train_refuses_to_write_its_model_over_its_corpus(corpus_file, capsys):
+    before = corpus_file.read_bytes()
+    assert main(["--quiet", "train", str(corpus_file), str(corpus_file.resolve())]) == 1
+    assert corpus_file.read_bytes() == before
+    assert capsys.readouterr() == (
+        "",
+        f"ne-translit: error: output {corpus_file.resolve()} would overwrite the input {corpus_file}\n",
+    )
+
+
 @pytest.mark.parametrize("command", ["phonify", "transliterate", "translate"])
 def test_an_in_file_that_cannot_be_opened_is_a_one_line_error(command, model_file, tmp_path, capsys):
     argv = [command] if command == "phonify" else [command, "--model", str(model_file)]

@@ -146,6 +146,17 @@ def test_estimate_rejects_a_smoothing_constant_that_is_not_finite(k):
     assert str(excinfo.value) == "smoothing constant must be a finite number >= 0"
 
 
+@pytest.mark.parametrize("k", [True, False])
+def test_a_bool_is_not_a_smoothing_constant(k, single_entry_model):
+    # 0.0 <= True < inf holds, so the rule names bool: True is not k = 1.0
+    with pytest.raises(ValueError) as excinfo:
+        estimate([[AlignedPair("a", "अ")]], smoothing_k=k)
+    assert str(excinfo.value) == "smoothing constant must be a finite number >= 0"
+    with pytest.raises(ModelValidationError) as excinfo:
+        dataclasses.replace(single_entry_model, smoothing_k=k)
+    assert str(excinfo.value) == "smoothing constant must be a finite number >= 0"
+
+
 @pytest.mark.parametrize("k", ["nan", "inf"])
 def test_load_rejects_a_smoothing_constant_that_is_not_finite(k, single_entry_model, tmp_path):
     path = tmp_path / "model.txt"

@@ -40,6 +40,8 @@ def test_check_takes_the_text_or_a_typed_value(key, value, parsed):
         ("fallback", "bogus"),
         ("smoothing_k", "abc"),
         ("smoothing_k", None),
+        ("smoothing_k", True),
+        ("smoothing_k", False),
     ],
 )
 def test_check_names_the_key_of_a_bad_value(key, value):
