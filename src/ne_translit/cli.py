@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 from collections import Counter
 
@@ -72,21 +73,30 @@ _OUTPUT_ARGS = ("model_out", "decisions")
 
 def _refuse_to_overwrite_an_input(args):
     """Raise NeTranslitError if an output path is the same file as one of
-    the command's inputs, before anything is opened for writing.  Stats
-    are compared as os.path.samefile compares them, but each output is
-    statted once: one that does not exist yet overwrites nothing."""
+    the command's inputs, standard input included when the command reads
+    it, before anything is opened for writing.  Stats are compared as
+    os.path.samefile compares them, but each output is statted once: one
+    that does not exist yet, or is not a regular file (such as /dev/null),
+    overwrites nothing."""
+    sources = list(filter(None, (getattr(args, name, None) for name in _INPUT_ARGS)))
+    if hasattr(args, "infile") and not args.infile:
+        sources.append(None)  # standard input
     for output in filter(None, (getattr(args, name, None) for name in _OUTPUT_ARGS)):
         try:
             output_stat = os.stat(output)
         except OSError:
             continue
-        for source in filter(None, (getattr(args, name, None) for name in _INPUT_ARGS)):
+        if not stat.S_ISREG(output_stat.st_mode):
+            continue
+        for source in sources:
             try:
-                same = os.path.samestat(output_stat, os.stat(source))
-            except OSError:  # a missing input is reported where it is read
+                source_stat = os.fstat(sys.stdin.fileno()) if source is None else os.stat(source)
+            except (OSError, ValueError):
+                # a missing input is reported where it is read, and a
+                # standard input with no file descriptor is no file
                 continue
-            if same:
-                raise NeTranslitError(f"output {output} would overwrite the input {source}")
+            if os.path.samestat(output_stat, source_stat):
+                raise NeTranslitError(f"output {output} would overwrite the input {source or 'standard input'}")
 
 
 def _info(args, message, file=None):

@@ -49,7 +49,7 @@ class DecodeTable(NamedTuple):
     rows: list[list[float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class TransliterationModel:
     """Trained probability tables; building one validates it.
 
@@ -61,7 +61,8 @@ class TransliterationModel:
     check of phoneme symbols: no phoneme is empty or BOS, EOS or UNK, or
     holds whitespace or '#', which a model file could not carry.
     `h_vocab` (the emission sources) and `e_vocab` (their targets) are
-    derived from `emission`.  The tables never change once built.
+    derived from `emission`.  The tables never change once built, and
+    repr does not print them.
     Decoding lazily adds two derived structures on first use:
     `decode_table`, the tables laid out for Viterbi, and `decode_memo`, the
     letter-run outcomes that `decoder.decode_name` remembers.  Neither is
@@ -185,10 +186,14 @@ def smoothing_constant(k) -> float:
     """k as a float if it is a finite number >= 0 and not a bool; a
     ValueError otherwise.  The one copy of the rule: estimate, model
     validation and the smoothing_k setting's parser (the CLI,
-    HmmTransliterator.fit) apply it."""
-    if isinstance(k, bool) or not 0.0 <= k < math.inf:
-        raise ValueError(_BAD_SMOOTHING)
-    return float(k)
+    HmmTransliterator.fit) apply it.  A value that cannot be compared
+    with numbers, such as a str or None, is no number."""
+    try:
+        if not isinstance(k, bool) and 0.0 <= k < math.inf:
+            return float(k)
+    except TypeError:
+        pass
+    raise ValueError(_BAD_SMOOTHING)
 
 
 def estimate(aligned_corpus, smoothing_k: float = 0.1) -> TransliterationModel:

@@ -600,6 +600,31 @@ def test_translate_refuses_a_decisions_path_that_is_another_input(flag, tmp_path
     assert capsys.readouterr() == ("", f"ne-translit: error: output {link} would overwrite the input {target}\n")
 
 
+def test_translate_refuses_a_decisions_path_that_is_its_standard_input(tmp_path, model_file):
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("[[India|LOC]] is a great country.\n", encoding="utf-8")
+    before = sentences.read_bytes()
+    argv = [sys.executable, "-m", "ne_translit", "translate", "--model", str(model_file), "--decisions", str(sentences)]
+    with open(sentences, "rb") as stdin:
+        result = subprocess.run(argv, stdin=stdin, capture_output=True, env=child_env())
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr == f"ne-translit: error: output {sentences} would overwrite the input standard input\n".encode()
+    assert sentences.read_bytes() == before
+    # the same lines piped in are no file, so the decisions go to it
+    result = subprocess.run(argv, input=before, capture_output=True, env=child_env())
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert sentences.read_text(encoding="utf-8") == "1\t0\t5\tIndia\tLOC\tKB_HIT\tभारत\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_translate_may_write_decisions_to_the_device_it_reads(model_file):
+    # /dev/null is not a regular file: writing it truncates nothing
+    argv = [sys.executable, "-m", "ne_translit", "translate", "--model", str(model_file), "--decisions", "/dev/null"]
+    with open("/dev/null", "rb") as stdin:
+        result = subprocess.run(argv, stdin=stdin, capture_output=True, env=child_env())
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+
+
 def test_train_refuses_to_write_its_model_over_its_corpus(corpus_file, capsys):
     before = corpus_file.read_bytes()
     assert main(["--quiet", "train", str(corpus_file), str(corpus_file.resolve())]) == 1

@@ -60,6 +60,13 @@ def test_an_estimator_shows_its_parameters_and_compares_by_identity():
     assert "top_k=3" in repr(HmmTransliterator(top_k=3))
 
 
+def test_a_translator_repr_does_not_print_its_model(memorization_model):
+    # a model's repr names the object, not its tables
+    text = repr(NamedEntityTranslator(model=memorization_model, kb=load_seed_kb()))
+    assert len(text) < 300
+    assert "top_k=10" in text
+
+
 def test_predict_before_fit_raises():
     with pytest.raises(NotFittedError):
         HmmTransliterator().predict(["Amar"])

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -155,6 +157,21 @@ def test_a_bool_is_not_a_smoothing_constant(k, single_entry_model):
     with pytest.raises(ModelValidationError) as excinfo:
         dataclasses.replace(single_entry_model, smoothing_k=k)
     assert str(excinfo.value) == "smoothing constant must be a finite number >= 0"
+
+
+@pytest.mark.parametrize("k", ["0.1", None, [1], 1 + 2j])
+def test_a_value_that_is_no_number_is_not_a_smoothing_constant(k, single_entry_model):
+    with pytest.raises(ValueError) as excinfo:
+        estimate([[AlignedPair("a", "अ")]], smoothing_k=k)
+    assert str(excinfo.value) == "smoothing constant must be a finite number >= 0"
+    with pytest.raises(ModelValidationError) as excinfo:
+        dataclasses.replace(single_entry_model, smoothing_k=k)
+    assert str(excinfo.value) == "smoothing constant must be a finite number >= 0"
+
+
+@pytest.mark.parametrize("k", [Decimal("0.5"), Fraction(1, 2)])
+def test_a_decimal_or_fraction_is_a_smoothing_constant(k):
+    assert estimate([[AlignedPair("a", "अ")]], smoothing_k=k).smoothing_k == 0.5
 
 
 @pytest.mark.parametrize("k", ["nan", "inf"])
